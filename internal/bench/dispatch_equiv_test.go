@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"schematic/internal/baselines"
@@ -16,16 +21,129 @@ import (
 	"schematic/internal/trace"
 )
 
-// The dispatch-equivalence suite: the compiled engine must produce a
-// Result bit-identical to the interpreted engine — same verdict, same
-// output, same step/cycle/failure counters, and the same energy ledger
-// down to the last float bit — across every benchmark, technique, and
-// power schedule shape. Any divergence means the compiled fast path
-// changed observable semantics, which is never acceptable.
+// The dispatch-equivalence suite: every case runs on the batched path
+// (no observer) and on the stepped path (a no-op observer forces it),
+// and both Results — verdict, output, step/cycle/failure counters, and
+// the energy ledger down to the last float bit — must equal the case's
+// line in the golden corpus byte for byte, across every benchmark,
+// technique, and power schedule shape. The corpus froze the answers of
+// the per-instruction IR interpreter the emulator used to carry as its
+// differential oracle; any divergence means execution changed
+// observable semantics, which is never acceptable.
+//
+// Regenerating the corpus (-update) is only legitimate when a change
+// deliberately alters what a run computes (the energy model, a
+// checkpoint runtime, a benchmark); see TESTING.md.
+
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from the current engine (full, non-short run only)")
+
+const goldenPath = "testdata/dispatch_golden.ndjson"
+
+// goldenLine is one corpus entry: the case label and what the run
+// returned — an error text, or the Result as JSON (float64 round-trips
+// exactly through encoding/json).
+type goldenLine struct {
+	Label  string          `json:"label"`
+	Err    string          `json:"err"`
+	Result json.RawMessage `json:"result"`
+}
+
+var golden struct {
+	once  sync.Once
+	lines map[string]string // label -> encoded line
+	err   error
+
+	mu      sync.Mutex
+	updated []string // lines recorded by an -update run, in case order
+	suites  int      // suites that ran in full under -update
+}
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	code := m.Run()
+	if *update && code == 0 {
+		if err := writeGolden(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// writeGolden replaces the corpus with the lines of this -update run.
+// It refuses a partial run, which would silently drop cases.
+func writeGolden() error {
+	if testing.Short() || golden.suites != 2 {
+		return fmt.Errorf("dispatch golden: -update needs a full run of both equivalence suites (-run 'TestDispatchEquivalence', no -short)")
+	}
+	var buf []byte
+	for _, l := range golden.updated {
+		buf = append(buf, l...)
+		buf = append(buf, '\n')
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(goldenPath, buf, 0o644)
+}
+
+func goldenLines(t *testing.T) map[string]string {
+	t.Helper()
+	golden.once.Do(func() {
+		f, err := os.Open(goldenPath)
+		if err != nil {
+			golden.err = err
+			return
+		}
+		defer f.Close()
+		golden.lines = map[string]string{}
+		sc := bufio.NewScanner(f)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			var gl goldenLine
+			if err := json.Unmarshal(sc.Bytes(), &gl); err != nil {
+				golden.err = fmt.Errorf("%s: %w", goldenPath, err)
+				return
+			}
+			golden.lines[gl.Label] = sc.Text()
+		}
+		golden.err = sc.Err()
+	})
+	if golden.err != nil {
+		t.Fatalf("dispatch golden corpus: %v", golden.err)
+	}
+	return golden.lines
+}
+
+// encodeRun renders one run's outcome as its corpus line.
+func encodeRun(t *testing.T, label string, res *emulator.Result, err error) string {
+	t.Helper()
+	gl := goldenLine{Label: label}
+	if err != nil {
+		gl.Err = err.Error()
+	} else {
+		raw, merr := json.Marshal(res)
+		if merr != nil {
+			t.Fatalf("%s: encode result: %v", label, merr)
+		}
+		gl.Result = raw
+	}
+	line, merr := json.Marshal(gl)
+	if merr != nil {
+		t.Fatalf("%s: encode line: %v", label, merr)
+	}
+	return string(line)
+}
+
+// eventCounter is the no-op observer that forces the stepped path; the
+// count proves the path actually ran.
+type eventCounter struct{ n int64 }
+
+func (c *eventCounter) Event(emulator.Event) { c.n++ }
 
 // equivSchedule configures one power-schedule shape onto a base config.
 // The closure constructs any PowerSchedule fresh on every call:
-// schedules are stateful, so engines must never share an instance.
+// schedules are stateful, so runs must never share an instance.
 type equivSchedule struct {
 	name  string
 	apply func(cfg *emulator.Config)
@@ -49,8 +167,8 @@ func equivSchedules() []equivSchedule {
 		}},
 		// Harvested-capacitor schedules (internal/harvest): stateful
 		// physics whose Fail decisions integrate the waveform over every
-		// probe. Their presence must force the compiled engine off the
-		// batched fast path and stay bit-identical to the interpreter.
+		// probe. Their presence keeps both runs off the batched path, so
+		// they pin the stepped path under schedules.
 		{"harvest-solar", func(cfg *emulator.Config) {
 			cfg.Schedule = harvest.Capacitor{
 				Env: harvest.Solar{Seed: 7, Period: 300_000}, Capacity: cfg.EB,
@@ -72,34 +190,62 @@ func equivSchedules() []equivSchedule {
 	}
 }
 
-// runEngines executes the module under both engines with identically
-// shaped configs and fails the test on any Result difference. base must
-// not carry a Schedule; sc installs one per engine run.
+// runEngines executes the module on the batched and the stepped path and
+// fails the test unless both encode to the case's golden line. base must
+// not carry a Schedule; sc installs a fresh one per run.
 func runEngines(t *testing.T, label string, m *ir.Module, base emulator.Config, sc equivSchedule) {
 	t.Helper()
-	compiled, interpreted := base, base
-	sc.apply(&compiled)
-	sc.apply(&interpreted)
-	interpreted.Interpret = true
+	batched, stepped := base, base
+	sc.apply(&batched)
+	sc.apply(&stepped)
+	counter := &eventCounter{}
+	stepped.Observer = counter
 
-	resC, errC := emulator.Run(m, compiled)
-	resI, errI := emulator.Run(m, interpreted)
-	if (errC == nil) != (errI == nil) {
-		t.Fatalf("%s: engine error mismatch: compiled %v, interpreted %v", label, errC, errI)
+	resB, errB := emulator.Run(m, batched)
+	gotB := encodeRun(t, label, resB, errB)
+	resS, errS := emulator.Run(m, stepped)
+	gotS := encodeRun(t, label, resS, errS)
+	if counter.n == 0 {
+		t.Fatalf("%s: the observer saw no events; the stepped path did not run", label)
 	}
-	if errC != nil {
-		if errC.Error() != errI.Error() {
-			t.Fatalf("%s: error text mismatch:\ncompiled:    %v\ninterpreted: %v", label, errC, errI)
+
+	if *update {
+		ref := base
+		sc.apply(&ref)
+		ref.Interpret = true
+		resR, errR := emulator.Run(m, ref)
+		want := encodeRun(t, label, resR, errR)
+		if gotB != want || gotS != want {
+			t.Fatalf("%s: paths diverge from the interpreter:\nbatched: %s\nstepped: %s\ninterp:  %s", label, gotB, gotS, want)
 		}
+		golden.mu.Lock()
+		golden.updated = append(golden.updated, want)
+		golden.mu.Unlock()
 		return
 	}
-	if !reflect.DeepEqual(resC, resI) {
-		t.Fatalf("%s: results diverge:\ncompiled:    %+v\ninterpreted: %+v", label, resC, resI)
+	want, ok := goldenLines(t)[label]
+	if !ok {
+		t.Fatalf("%s: no line in %s", label, goldenPath)
+	}
+	if gotB != want {
+		t.Fatalf("%s: batched path diverges from the golden corpus:\ngot:  %s\nwant: %s", label, gotB, want)
+	}
+	if gotS != want {
+		t.Fatalf("%s: stepped path diverges from the golden corpus:\ngot:  %s\nwant: %s", label, gotS, want)
+	}
+}
+
+// suiteRan records a full (non-short) suite run for the -update gate.
+func suiteRan() {
+	if *update && !testing.Short() {
+		golden.mu.Lock()
+		golden.suites++
+		golden.mu.Unlock()
 	}
 }
 
 // TestDispatchEquivalenceGrid covers the full evaluation surface: every
-// benchmark x technique cell under all four schedule shapes. Short mode
+// benchmark x technique cell under all seven schedule shapes. Short mode
 // keeps two benchmarks so the suite still exercises every technique and
 // schedule on each run.
 func TestDispatchEquivalenceGrid(t *testing.T) {
@@ -153,13 +299,14 @@ func TestDispatchEquivalenceGrid(t *testing.T) {
 			}
 		}
 	}
+	suiteRan()
 }
 
 // TestDispatchEquivalenceFuzz runs generated programs through both
-// engines. The corpus has no checkpoints, so intermittent runs restart
+// paths. The corpus has no checkpoints, so intermittent runs restart
 // from boot on every failure and typically end Stuck — which is exactly
-// the point: the engines must agree on abnormal verdicts and their
-// ledgers too, not just on completions.
+// the point: the paths must agree on abnormal verdicts and their ledgers
+// too, not just on completions.
 func TestDispatchEquivalenceFuzz(t *testing.T) {
 	n := 24
 	if testing.Short() {
@@ -181,4 +328,5 @@ func TestDispatchEquivalenceFuzz(t *testing.T) {
 			runEngines(t, fmt.Sprintf("fuzz%03d/%s", i, sc.name), m, base, sc)
 		}
 	}
+	suiteRan()
 }
