@@ -60,7 +60,7 @@ fuzz-smoke:
 transval-smoke:
 	go run ./cmd/transval -fuzz 25
 
-# Full performance report: grid throughput (compiled vs interpreted),
+# Full performance report: grid throughput (batched vs stepped),
 # schematicd emulate latency, grid-service cold/warm/store-warm,
 # loadtest mixed workload, crashtest cases/sec, verifier states/sec,
 # harvested-schedule overhead. Rewrites the committed BENCH_010.json;

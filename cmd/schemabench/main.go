@@ -2,10 +2,11 @@
 // and writes a machine-readable BENCH_*.json report:
 //
 //   - grid: emulation throughput (Minstr/s) over the benchmark x
-//     technique evaluation grid under intermittent power, for both the
-//     compiled-dispatch engine and the per-instruction interpreter,
-//     with speedups against the interpreter and against the recorded
-//     pre-compiled-dispatch baseline.
+//     technique evaluation grid under intermittent power, on the batched
+//     dispatch path and on the stepped path (the same grid with a no-op
+//     Observer, which steps every instruction), with speedups against
+//     the stepped path and against the recorded pre-compiled-dispatch
+//     baseline.
 //
 //   - emulate: end-to-end service latency (p50/p99) of POST /v1/emulate
 //     against an in-process schematicd, with per-request seeds so the
@@ -100,13 +101,13 @@ import (
 const prechangeGridMinstrPerSec = 9.22
 
 type gridReport struct {
-	Cells        int     `json:"cells"`
-	TBPF         int64   `json:"tbpf"`
-	Iters        int     `json:"iters"`
-	StepsPerIter int64   `json:"steps_per_iter"`
-	CompiledMips float64 `json:"compiled_minstr_per_sec"`
-	InterpMips   float64 `json:"interpreted_minstr_per_sec"`
-	SpeedupVsInt float64 `json:"speedup_vs_interpreter"`
+	Cells            int     `json:"cells"`
+	TBPF             int64   `json:"tbpf"`
+	Iters            int     `json:"iters"`
+	StepsPerIter     int64   `json:"steps_per_iter"`
+	CompiledMips     float64 `json:"compiled_minstr_per_sec"`
+	SteppedMips      float64 `json:"stepped_minstr_per_sec"`
+	SpeedupVsStepped float64 `json:"speedup_vs_stepped"`
 
 	// Full grid only: comparison against the recorded pre-change engine.
 	PrechangeMips      float64 `json:"prechange_minstr_per_sec,omitempty"`
@@ -378,10 +379,11 @@ func gridCells(benches []*bench.Benchmark, tbpf int64, profileRuns int) ([]cell,
 	return cells, nil
 }
 
-// measureGrid times both engines over the grid. Iteration 0 is a warmup
-// (it populates the compiled-program cache and the allocator pools);
-// only later iterations are timed. Both engines must execute the same
-// step count — a divergence is a correctness bug, not a perf number.
+// measureGrid times the batched and the stepped path over the grid.
+// Iteration 0 is a warmup (it populates the compiled-program cache and
+// the allocator pools); only later iterations are timed. Both paths
+// must execute the same step count — a divergence is a correctness bug,
+// not a perf number.
 func measureGrid(smoke bool) (*gridReport, error) {
 	const tbpf = 100_000
 	benches, err := bench.All() // full embedded suite, paper order plus extras
@@ -406,7 +408,7 @@ func measureGrid(smoke bool) (*gridReport, error) {
 	}
 	h := bench.NewHarness()
 
-	run := func(interpret bool) (steps int64, emu time.Duration, err error) {
+	run := func(observer emulator.Observer) (steps int64, emu time.Duration, err error) {
 		for iter := 0; iter <= iters; iter++ {
 			var iterSteps int64
 			for i := range cells {
@@ -414,7 +416,7 @@ func measureGrid(smoke bool) (*gridReport, error) {
 				start := time.Now()
 				res, err := emulator.Run(c.mod, emulator.Config{
 					Model: h.Model, VMSize: h.VMSize, Intermittent: true,
-					EB: c.eb, Inputs: c.inputs, Interpret: interpret,
+					EB: c.eb, Inputs: c.inputs, Observer: observer,
 				})
 				if err != nil {
 					return 0, 0, err
@@ -429,17 +431,17 @@ func measureGrid(smoke bool) (*gridReport, error) {
 		return steps, emu, nil
 	}
 
-	compiledSteps, compiledDur, err := run(false)
+	compiledSteps, compiledDur, err := run(nil)
 	if err != nil {
 		return nil, err
 	}
-	interpSteps, interpDur, err := run(true)
+	steppedSteps, steppedDur, err := run(noopObserver{})
 	if err != nil {
 		return nil, err
 	}
-	if compiledSteps != interpSteps {
-		return nil, fmt.Errorf("schemabench: engines disagree on grid step count: compiled %d, interpreted %d",
-			compiledSteps, interpSteps)
+	if compiledSteps != steppedSteps {
+		return nil, fmt.Errorf("schemabench: paths disagree on grid step count: batched %d, stepped %d",
+			compiledSteps, steppedSteps)
 	}
 	g := &gridReport{
 		Cells:        len(cells),
@@ -447,11 +449,17 @@ func measureGrid(smoke bool) (*gridReport, error) {
 		Iters:        iters,
 		StepsPerIter: compiledSteps / int64(iters),
 		CompiledMips: round2(float64(compiledSteps) / compiledDur.Seconds() / 1e6),
-		InterpMips:   round2(float64(interpSteps) / interpDur.Seconds() / 1e6),
+		SteppedMips:  round2(float64(steppedSteps) / steppedDur.Seconds() / 1e6),
 	}
-	g.SpeedupVsInt = round2(g.CompiledMips / g.InterpMips)
+	g.SpeedupVsStepped = round2(g.CompiledMips / g.SteppedMips)
 	return g, nil
 }
+
+// noopObserver discards every event; its presence steps every
+// instruction.
+type noopObserver struct{}
+
+func (noopObserver) Event(emulator.Event) {}
 
 // measureEmulate drives POST /v1/emulate on an in-process schematicd and
 // reports request-latency percentiles. Every request uses a distinct

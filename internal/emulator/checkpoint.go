@@ -77,7 +77,7 @@ func (mc *machine) execCheckpoint(ck *ir.Checkpoint) error {
 	mc.curSite = ck.ID
 	defer func() { mc.curSite = -1 }()
 	if mc.obs != nil {
-		mc.emit(Event{Kind: EvCheckpointHit, Site: ck.ID, Fn: fr.fn, Block: fr.block})
+		mc.emit(Event{Kind: EvCheckpointHit, Site: ck.ID, Fn: fr.fn, Block: fr.cb.IR})
 	}
 
 	// Conditional checkpointing (Algorithm 1): the iteration counter lives
@@ -200,7 +200,7 @@ func (mc *machine) ckWait(ck *ir.Checkpoint) {
 	}
 	if mc.obs != nil {
 		mc.emit(Event{Kind: EvSave, Site: ck.ID, Energy: saveCost,
-			Bytes: mc.checkpointBytes(regCount(ck), saved), Fn: fr.fn, Block: fr.block})
+			Bytes: mc.checkpointBytes(regCount(ck), saved), Fn: fr.fn, Block: fr.cb.IR})
 	}
 	mc.addCkCycles(saveCost)
 	for _, slot := range saved {
@@ -244,7 +244,7 @@ func (mc *machine) ckWait(ck *ir.Checkpoint) {
 	mc.res.Restores++
 	if mc.obs != nil {
 		mc.emit(Event{Kind: EvRestore, Site: ck.ID, Energy: restoreCost,
-			Bytes: mc.checkpointBytes(regCount(ck), restores), Fn: fr.fn, Block: fr.block})
+			Bytes: mc.checkpointBytes(regCount(ck), restores), Fn: fr.fn, Block: fr.cb.IR})
 	}
 	mc.addCkCycles(restoreCost)
 	for _, slot := range restores {
@@ -304,7 +304,7 @@ func (mc *machine) ckRollback(ck *ir.Checkpoint) {
 	}
 	if mc.obs != nil {
 		mc.emit(Event{Kind: EvSave, Site: ck.ID, Energy: saveCost,
-			Bytes: mc.checkpointBytes(regCount(ck), saved), Fn: fr.fn, Block: fr.block})
+			Bytes: mc.checkpointBytes(regCount(ck), saved), Fn: fr.fn, Block: fr.cb.IR})
 	}
 	mc.addCkCycles(saveCost)
 	for _, slot := range saved {
@@ -354,7 +354,7 @@ func (mc *machine) ckTrigger(ck *ir.Checkpoint) {
 		}
 		if mc.obs != nil {
 			mc.emit(Event{Kind: EvSave, Site: ck.ID, Energy: saveCost,
-				Bytes: mc.checkpointBytes(-1, saved), Fn: fr.fn, Block: fr.block})
+				Bytes: mc.checkpointBytes(-1, saved), Fn: fr.fn, Block: fr.cb.IR})
 		}
 		mc.addCkCycles(saveCost)
 		for _, slot := range saved {
@@ -504,7 +504,7 @@ func (mc *machine) powerFailure() {
 		}
 		if len(mc.frames) > 0 {
 			fr := mc.top()
-			ev.Fn, ev.Block = fr.fn, fr.block
+			ev.Fn, ev.Block = fr.fn, fr.cb.IR
 		}
 		mc.emit(ev)
 	}
@@ -572,12 +572,12 @@ func (mc *machine) restoreSnap() {
 	mc.out = mc.out[:sn.outLen]
 	mc.done = sn.done
 	if mc.obs != nil {
-		// Replay the restored call stack so observers can mirror it; the
-		// legacy Trace adapter skips these Resume entries (it never fired
-		// on snapshot restores).
+		// Replay the restored call stack so observers can mirror it;
+		// observers counting executed blocks (the trace profiler) skip
+		// these Resume entries.
 		for i := range mc.frames {
 			mc.emit(Event{Kind: EvBlockEnter, Fn: mc.frames[i].fn,
-				Block: mc.frames[i].block, Call: true, Resume: true})
+				Block: mc.frames[i].cb.IR, Call: true, Resume: true})
 		}
 	}
 

@@ -15,370 +15,86 @@ import (
 // dwarfs any such difference. When the capacitor is within the margin of
 // the run's cost — i.e. a power failure could plausibly land inside the
 // batch — the machine falls back to per-instruction decisions, which
-// resolve the failure point bit-identically to the reference
-// interpreter.
+// resolve the failure point exactly.
 const runSafety = 1e-3
 
-// runCompiled drives the machine over the precompiled program. It is
-// observably identical to runInterpreted: same verdicts, outputs, energy
-// ledgers, counters, and error text. Two grades of execution:
+// run drives the machine over the precompiled program until a verdict is
+// reached. Every instruction executes through one of two executors:
 //
-//   - fastLoop: when no observer needs per-instruction events and no
-//     schedule can fire between instructions (both per-run constants),
-//     the whole dispatch — accounting, arithmetic, memory access, control
-//     flow — runs inline, and straight-line runs charge on one
-//     precomputed capacitor-margin decision. Ledger sums stay
-//     per-instruction, so float results remain bit-identical.
-//   - steppedLoop: the exact mirror of the interpreter's step(), on
-//     precomputed costs and resolved operands, for observed or scheduled
-//     runs.
+//   - execBatch: when nothing can observe or interrupt the emulation
+//     between instructions — no Observer, no Hook, and no schedule
+//     beyond capacitor exhaustion, all fixed for the whole emulation —
+//     each straight-line run (dispatch.Run, which may end with its
+//     block's Br/Jmp) whose precomputed total fits the capacitor with
+//     margin executes on that one decision. Ledger sums stay
+//     per-instruction, so float results remain bit-identical to
+//     stepping.
+//   - step/execCompiled: everything else, one instruction at a time,
+//     with the hook visit, schedule probe, and charge event at every
+//     boundary.
 //
-// This gate is also what keeps batched energy accounting sound under
+// The gate is also what keeps batched energy accounting sound under
 // external power models: any non-nil Config.Schedule — including
 // harvested-capacitor schedules and trace replays (internal/harvest),
-// whose Fail decisions depend on seeing every probe — forces
-// steppedLoop's per-instruction accounting for the whole run. There is
-// no "safe no-fire window" to negotiate per schedule; scheduled runs
-// simply never batch. The dispatch-equivalence suite (internal/bench)
-// pins this with harvested members.
-func (mc *machine) runCompiled() (*Result, error) {
-	var finished bool
-	var err error
-	if mc.obs == nil && mc.sched == nil {
-		finished, err = mc.fastLoop()
-	} else {
-		finished, err = mc.steppedLoop()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if finished {
-		mc.res.Verdict = Completed
+// whose Fail decisions depend on seeing every probe — steps the whole
+// run. There is no "safe no-fire window" to negotiate per schedule;
+// scheduled runs simply never batch. The dispatch-equivalence suite
+// (internal/bench) pins both paths to one golden corpus, harvested
+// members included.
+func (mc *machine) run() (*Result, error) {
+	batch := mc.obs == nil && mc.hook == nil && mc.sched == nil
+	for !mc.halted {
+		fr := mc.top()
+		if batch {
+			if err := mc.execBatch(fr); err != nil {
+				return nil, err
+			}
+		}
+		if mc.res.Steps >= mc.cfg.MaxSteps {
+			mc.close(OutOfSteps)
+			break
+		}
+		if fr.pc >= len(fr.cb.Code) {
+			return nil, fmt.Errorf("emulator: %s.%s: fell off block end", fr.fn.Name, fr.cb.IR.Name)
+		}
+		finished, err := mc.step(fr)
+		if err != nil {
+			return nil, err
+		}
+		if finished {
+			mc.res.Verdict = Completed
+			break
+		}
 	}
 	mc.res.Output = mc.out
 	return &mc.res, nil
 }
 
-// fastLoop is the unobserved, unscheduled engine: the only possible
-// interrupts are capacitor exhaustion, checkpoints, arithmetic traps,
-// and the step limit, all of which it detects inline. It returns true
-// when main returned.
-//
-// The current frame and its compiled block are hoisted into locals;
-// every event that can change them (calls, returns, branches,
-// checkpoints, power failures, VM materialization) resynchronizes. The
-// halted flag is likewise only checked after the calls that can set it.
-func (mc *machine) fastLoop() (bool, error) {
-	fr := mc.top()
-	code := fr.cb.Code
-	runs := fr.cb.Runs
-	for {
-		if mc.res.Steps >= mc.cfg.MaxSteps {
-			mc.close(OutOfSteps)
-			return false, nil
-		}
-		pc := fr.pc
-		if pc >= len(code) {
-			return false, fmt.Errorf("emulator: %s.%s: fell off block end", fr.fn.Name, fr.block.Name)
-		}
-
-		// Straight-line batch: when the precomputed run total fits the
-		// capacitor with margin (and the step limit), the whole run
-		// executes on that one decision — no per-instruction exhaustion
-		// compare can fire inside it.
-		if r := &runs[pc]; r.Len > 0 && mc.res.Steps+int64(r.Len) <= mc.cfg.MaxSteps &&
-			(!mc.exhaust || mc.capEn >= r.Energy+runSafety) {
-			did, err := mc.execBatch(fr, r.Len)
-			if err != nil {
-				return false, err
-			}
-			if did {
-				continue
-			}
-			// The batch's first instruction is a VM access that needs the
-			// materialization machinery; fall through to the generic path,
-			// which has consumed nothing yet.
-		}
-
-		ci := &code[pc]
-		mc.res.Steps++
-
-		if ci.Code == dispatch.CodeCheckpoint {
-			if err := mc.execCheckpoint(ci.Ck); err != nil {
-				return false, err
-			}
-			if mc.halted {
-				return false, nil
-			}
-			fr = mc.top()
-			code = fr.cb.Code
-			runs = fr.cb.Runs
-			continue
-		}
-
-		// Inline charge(): same decision order, same per-instruction
-		// ledger additions as the interpreter's charge path.
-		e := ci.Energy
-		if mc.exhaust && mc.capEn+chargeEpsilon < e {
-			mc.powerFailure()
-			if mc.halted {
-				return false, nil
-			}
-			fr = mc.top()
-			code = fr.cb.Code
-			runs = fr.cb.Runs
-			continue
-		}
-		reexec := mc.done < mc.furthest
-		mc.capEn -= e
-		if reexec {
-			mc.res.Energy.Reexecution += e
-		} else if ci.IsMem {
-			mc.res.Energy.Computation += e
-			if ci.InVM {
-				mc.res.Energy.VMAccessEnergy += e
-				mc.res.Energy.VMAccesses++
-			} else {
-				mc.res.Energy.NVMAccessEnergy += e
-				mc.res.Energy.NVMAccesses++
-			}
-		} else {
-			mc.res.Energy.Computation += e
-			mc.res.Energy.NoMemEnergy += e
-		}
-		mc.res.TotalCycles += ci.Cycles
-		mc.cyclesSincePower += ci.Cycles
-		if !reexec {
-			mc.res.Cycles += ci.Cycles
-		}
-
-		regs := fr.regs
-		switch ci.Code {
-		case dispatch.CodeLoopBound:
-			fr.pc++
-		case dispatch.CodeConst:
-			regs[ci.Dst] = ci.Val
-			fr.pc++
-		case dispatch.CodeAdd:
-			regs[ci.Dst] = regs[ci.A] + regs[ci.B]
-			fr.pc++
-		case dispatch.CodeSub:
-			regs[ci.Dst] = regs[ci.A] - regs[ci.B]
-			fr.pc++
-		case dispatch.CodeMul:
-			regs[ci.Dst] = regs[ci.A] * regs[ci.B]
-			fr.pc++
-		case dispatch.CodeAnd:
-			regs[ci.Dst] = regs[ci.A] & regs[ci.B]
-			fr.pc++
-		case dispatch.CodeOr:
-			regs[ci.Dst] = regs[ci.A] | regs[ci.B]
-			fr.pc++
-		case dispatch.CodeXor:
-			regs[ci.Dst] = regs[ci.A] ^ regs[ci.B]
-			fr.pc++
-		case dispatch.CodeShl:
-			b := regs[ci.B]
-			if b < 0 || b > 63 {
-				regs[ci.Dst] = 0
-			} else {
-				regs[ci.Dst] = regs[ci.A] << uint(b)
-			}
-			fr.pc++
-		case dispatch.CodeShr:
-			b := regs[ci.B]
-			if b < 0 || b > 63 {
-				regs[ci.Dst] = 0
-			} else {
-				regs[ci.Dst] = int64(uint64(regs[ci.A]) >> uint(b))
-			}
-			fr.pc++
-		case dispatch.CodeEq:
-			regs[ci.Dst] = b2i(regs[ci.A] == regs[ci.B])
-			fr.pc++
-		case dispatch.CodeNe:
-			regs[ci.Dst] = b2i(regs[ci.A] != regs[ci.B])
-			fr.pc++
-		case dispatch.CodeLt:
-			regs[ci.Dst] = b2i(regs[ci.A] < regs[ci.B])
-			fr.pc++
-		case dispatch.CodeLe:
-			regs[ci.Dst] = b2i(regs[ci.A] <= regs[ci.B])
-			fr.pc++
-		case dispatch.CodeGt:
-			regs[ci.Dst] = b2i(regs[ci.A] > regs[ci.B])
-			fr.pc++
-		case dispatch.CodeGe:
-			regs[ci.Dst] = b2i(regs[ci.A] >= regs[ci.B])
-			fr.pc++
-		case dispatch.CodeNeg:
-			regs[ci.Dst] = -regs[ci.A]
-			fr.pc++
-		case dispatch.CodeNot:
-			regs[ci.Dst] = b2i(regs[ci.A] == 0)
-			fr.pc++
-		case dispatch.CodeBin:
-			v, err := ir.EvalOp(ci.Op, regs[ci.A], regs[ci.B])
-			if err != nil {
-				return false, fmt.Errorf("emulator: %s.%s: %w", fr.fn.Name, fr.block.Name, err)
-			}
-			regs[ci.Dst] = v
-			fr.pc++
-		case dispatch.CodeLoad:
-			idx := 0
-			if ci.HasIndex {
-				iv := regs[ci.A]
-				if iv < 0 || iv >= int64(ci.Var.Elems) {
-					return false, fmt.Errorf("emulator: %s.%s: index %d out of range for %s[%d]",
-						fr.fn.Name, fr.block.Name, iv, ci.Var.Name, ci.Var.Elems)
-				}
-				idx = int(iv)
-			}
-			if ci.InVM {
-				arr := mc.vm[ci.Slot]
-				if arr == nil || mc.pending[ci.Slot] {
-					arr = mc.vmStorage(ci.Slot, ci.Var, true)
-					if arr == nil {
-						// Power failure or verdict; progress not bumped.
-						if mc.halted {
-							return false, nil
-						}
-						fr = mc.top()
-						code = fr.cb.Code
-						runs = fr.cb.Runs
-						continue
-					}
-				}
-				regs[ci.Dst] = arr[idx]
-			} else {
-				regs[ci.Dst] = mc.nvm[ci.Slot][idx]
-			}
-			fr.pc++
-		case dispatch.CodeStore:
-			idx := 0
-			if ci.HasIndex {
-				iv := regs[ci.B]
-				if iv < 0 || iv >= int64(ci.Var.Elems) {
-					return false, fmt.Errorf("emulator: %s.%s: index %d out of range for %s[%d]",
-						fr.fn.Name, fr.block.Name, iv, ci.Var.Name, ci.Var.Elems)
-				}
-				idx = int(iv)
-			}
-			if ci.InVM {
-				arr := mc.vm[ci.Slot]
-				if arr == nil || mc.pending[ci.Slot] {
-					arr = mc.vmStorage(ci.Slot, ci.Var, false)
-					if arr == nil {
-						if mc.halted {
-							return false, nil
-						}
-						fr = mc.top()
-						code = fr.cb.Code
-						runs = fr.cb.Runs
-						continue
-					}
-				}
-				arr[idx] = regs[ci.A]
-				mc.dirty[ci.Slot] = true
-			} else {
-				mc.nvm[ci.Slot][idx] = regs[ci.A]
-			}
-			fr.pc++
-		case dispatch.CodeCall:
-			fr.pc++ // return continues after the call
-			cf := ci.Callee
-			nf := frame{
-				fn:      cf.IR,
-				block:   cf.Entry.IR,
-				cb:      cf.Entry,
-				regs:    mc.newRegs(cf.IR.NumRegs),
-				retReg:  ir.Reg(ci.Dst),
-				wantRet: ci.HasDst,
-			}
-			for i, a := range ci.Args {
-				nf.regs[i] = regs[a]
-			}
-			mc.frames = append(mc.frames, nf)
-			fr = &mc.frames[len(mc.frames)-1]
-			code = fr.cb.Code
-			runs = fr.cb.Runs
-		case dispatch.CodeOut:
-			mc.out = append(mc.out, regs[ci.A])
-			fr.pc++
-		case dispatch.CodeBr:
-			t := ci.Else
-			if regs[ci.A] != 0 {
-				t = ci.Then
-			}
-			fr.block = t.IR
-			fr.cb = t
-			fr.pc = 0
-			code = t.Code
-			runs = t.Runs
-		case dispatch.CodeJmp:
-			t := ci.Then
-			fr.block = t.IR
-			fr.cb = t
-			fr.pc = 0
-			code = t.Code
-			runs = t.Runs
-		case dispatch.CodeRet:
-			var val int64
-			if ci.HasDst { // Ret: HasDst carries HasSrc
-				val = regs[ci.A]
-			}
-			// The popped frame's registers go back to the pool; snapshots
-			// deep-copy register arrays, so no live state aliases them.
-			mc.regPool = append(mc.regPool, fr.regs)
-			mc.frames = mc.frames[:len(mc.frames)-1]
-			if len(mc.frames) == 0 {
-				return true, nil
-			}
-			caller := mc.top()
-			if fr.wantRet {
-				caller.regs[fr.retReg] = val
-			}
-			fr = caller
-			code = fr.cb.Code
-			runs = fr.cb.Runs
-		default:
-			return false, fmt.Errorf("emulator: unknown instruction %T", ci.IR)
-		}
-		// Inline bumpProgress; the observer is nil on this path, so the
-		// span-close event never fires.
-		mc.done++
-		if mc.done > mc.furthest {
-			mc.furthest = mc.done
-		}
-		if mc.inReexec && mc.done >= mc.furthest {
-			mc.inReexec = false
-		}
-	}
-}
-
-// execBatch executes up to n consecutive batchable instructions
-// starting at fr.pc. The caller has established that no schedule,
-// observer, step-limit, or capacitor exhaustion can fire inside the
-// window, so the only remaining interrupts are arithmetic traps, index
-// checks, and VM accesses that need the materialization machinery. The
-// first two abort the run exactly like the stepped path; the last exits
-// the batch *before* the access's accounting, leaving the instruction
-// wholly unexecuted for the generic path to replay in interpreter
-// order. It returns false when that happens on the very first
-// instruction (nothing consumed), so the caller falls through instead
-// of re-entering the batch forever.
+// execBatch executes straight-line runs from fr.pc for as long as each
+// next run fits: within the step limit and, under exhaustion, with its
+// precomputed energy plus runSafety still in the capacitor, so no power
+// failure can land inside it. A run ending in a Br/Jmp enters the
+// target block and batching continues there. The caller has
+// established that no schedule, observer or hook can fire, so the only
+// remaining interrupts are arithmetic traps, index checks, and VM
+// accesses that need the materialization machinery. The first two
+// abort the run exactly like step does; the last ends the batch
+// *before* the access's accounting, leaving the instruction wholly
+// unexecuted for step to replay. Batching also stops at a call, return
+// or checkpoint, and when the next run does not fit; step takes over
+// there.
 //
 // Accounting stays per-instruction — the same additions in the same
-// order as the stepped path — only the decisions are hoisted out.
-func (mc *machine) execBatch(fr *frame, n int32) (bool, error) {
-	code := fr.cb.Code
+// order as step — only the decisions are hoisted out.
+func (mc *machine) execBatch(fr *frame) error {
+	cb := fr.cb
+	code := cb.Code
 	regs := fr.regs
 	// Accumulators live in locals for the duration of the batch. The
-	// additions happen in the same per-instruction order as the stepped
-	// path — only their home moves from memory to registers — so every
-	// float result is bit-identical.
+	// additions happen in the same per-instruction order as step — only
+	// their home moves from memory to registers — so every float result
+	// is bit-identical.
 	pc := fr.pc
-	pc0 := pc
 	capEn := mc.capEn
 	comp := mc.res.Energy.Computation
 	reex := mc.res.Energy.Reexecution
@@ -394,135 +110,161 @@ func (mc *machine) execBatch(fr *frame, n int32) (bool, error) {
 	done := mc.done
 	furthest := mc.furthest
 	var err error
-loop:
-	for ; n > 0; n-- {
-		ci := &code[pc]
-		if ci.IsMem && ci.InVM && (mc.vm[ci.Slot] == nil || mc.pending[ci.Slot]) {
-			// Needs materialization, deferred-restore charging, or
-			// poisoning — before any accounting, so the generic path
-			// replays this instruction from scratch.
-			break loop
+batch:
+	for pc < len(code) {
+		r := &cb.Runs[pc]
+		if r.Len == 0 || steps+int64(r.Len) > mc.cfg.MaxSteps ||
+			(mc.exhaust && capEn < r.Energy+runSafety) {
+			break
 		}
-		steps++
-		reexec := done < furthest
-		capEn -= ci.Energy
-		if reexec {
-			reex += ci.Energy
-		} else if ci.IsMem {
-			comp += ci.Energy
-			if ci.InVM {
-				vmE += ci.Energy
-				vmN++
-			} else {
-				nvmE += ci.Energy
-				nvmN++
+		for n := r.Len; n > 0; n-- {
+			ci := &code[pc]
+			if ci.IsMem && ci.InVM && (mc.vm[ci.Slot] == nil || mc.pending[ci.Slot]) {
+				// Needs materialization, deferred-restore charging, or
+				// poisoning — before any accounting, so step replays this
+				// instruction from scratch.
+				break batch
 			}
-		} else {
-			comp += ci.Energy
-			noMem += ci.Energy
-		}
-		total += ci.Cycles
-		since += ci.Cycles
-		if !reexec {
-			cyc += ci.Cycles
-		}
-		switch ci.Code {
-		case dispatch.CodeConst:
-			regs[ci.Dst] = ci.Val
-		case dispatch.CodeAdd:
-			regs[ci.Dst] = regs[ci.A] + regs[ci.B]
-		case dispatch.CodeSub:
-			regs[ci.Dst] = regs[ci.A] - regs[ci.B]
-		case dispatch.CodeMul:
-			regs[ci.Dst] = regs[ci.A] * regs[ci.B]
-		case dispatch.CodeAnd:
-			regs[ci.Dst] = regs[ci.A] & regs[ci.B]
-		case dispatch.CodeOr:
-			regs[ci.Dst] = regs[ci.A] | regs[ci.B]
-		case dispatch.CodeXor:
-			regs[ci.Dst] = regs[ci.A] ^ regs[ci.B]
-		case dispatch.CodeShl:
-			b := regs[ci.B]
-			if b < 0 || b > 63 {
-				regs[ci.Dst] = 0
-			} else {
-				regs[ci.Dst] = regs[ci.A] << uint(b)
-			}
-		case dispatch.CodeShr:
-			b := regs[ci.B]
-			if b < 0 || b > 63 {
-				regs[ci.Dst] = 0
-			} else {
-				regs[ci.Dst] = int64(uint64(regs[ci.A]) >> uint(b))
-			}
-		case dispatch.CodeEq:
-			regs[ci.Dst] = b2i(regs[ci.A] == regs[ci.B])
-		case dispatch.CodeNe:
-			regs[ci.Dst] = b2i(regs[ci.A] != regs[ci.B])
-		case dispatch.CodeLt:
-			regs[ci.Dst] = b2i(regs[ci.A] < regs[ci.B])
-		case dispatch.CodeLe:
-			regs[ci.Dst] = b2i(regs[ci.A] <= regs[ci.B])
-		case dispatch.CodeGt:
-			regs[ci.Dst] = b2i(regs[ci.A] > regs[ci.B])
-		case dispatch.CodeGe:
-			regs[ci.Dst] = b2i(regs[ci.A] >= regs[ci.B])
-		case dispatch.CodeNeg:
-			regs[ci.Dst] = -regs[ci.A]
-		case dispatch.CodeNot:
-			regs[ci.Dst] = b2i(regs[ci.A] == 0)
-		case dispatch.CodeBin:
-			v, everr := ir.EvalOp(ci.Op, regs[ci.A], regs[ci.B])
-			if everr != nil {
-				// The trapping instruction's accounting stands; pc and
-				// progress stay on it, exactly like the stepped path.
-				err = fmt.Errorf("emulator: %s.%s: %w", fr.fn.Name, fr.block.Name, everr)
-				break loop
-			}
-			regs[ci.Dst] = v
-		case dispatch.CodeLoad:
-			idx := 0
-			if ci.HasIndex {
-				iv := regs[ci.A]
-				if iv < 0 || iv >= int64(ci.Var.Elems) {
-					err = fmt.Errorf("emulator: %s.%s: index %d out of range for %s[%d]",
-						fr.fn.Name, fr.block.Name, iv, ci.Var.Name, ci.Var.Elems)
-					break loop
+			steps++
+			reexec := done < furthest
+			capEn -= ci.Energy
+			if reexec {
+				reex += ci.Energy
+			} else if ci.IsMem {
+				comp += ci.Energy
+				if ci.InVM {
+					vmE += ci.Energy
+					vmN++
+				} else {
+					nvmE += ci.Energy
+					nvmN++
 				}
-				idx = int(iv)
-			}
-			if ci.InVM {
-				regs[ci.Dst] = mc.vm[ci.Slot][idx]
 			} else {
-				regs[ci.Dst] = mc.nvm[ci.Slot][idx]
+				comp += ci.Energy
+				noMem += ci.Energy
 			}
-		case dispatch.CodeStore:
-			idx := 0
-			if ci.HasIndex {
-				iv := regs[ci.B]
-				if iv < 0 || iv >= int64(ci.Var.Elems) {
-					err = fmt.Errorf("emulator: %s.%s: index %d out of range for %s[%d]",
-						fr.fn.Name, fr.block.Name, iv, ci.Var.Name, ci.Var.Elems)
-					break loop
+			total += ci.Cycles
+			since += ci.Cycles
+			if !reexec {
+				cyc += ci.Cycles
+			}
+			switch ci.Code {
+			case dispatch.CodeConst:
+				regs[ci.Dst] = ci.Val
+			case dispatch.CodeAdd:
+				regs[ci.Dst] = regs[ci.A] + regs[ci.B]
+			case dispatch.CodeSub:
+				regs[ci.Dst] = regs[ci.A] - regs[ci.B]
+			case dispatch.CodeMul:
+				regs[ci.Dst] = regs[ci.A] * regs[ci.B]
+			case dispatch.CodeAnd:
+				regs[ci.Dst] = regs[ci.A] & regs[ci.B]
+			case dispatch.CodeOr:
+				regs[ci.Dst] = regs[ci.A] | regs[ci.B]
+			case dispatch.CodeXor:
+				regs[ci.Dst] = regs[ci.A] ^ regs[ci.B]
+			case dispatch.CodeShl:
+				b := regs[ci.B]
+				if b < 0 || b > 63 {
+					regs[ci.Dst] = 0
+				} else {
+					regs[ci.Dst] = regs[ci.A] << uint(b)
 				}
-				idx = int(iv)
+			case dispatch.CodeShr:
+				b := regs[ci.B]
+				if b < 0 || b > 63 {
+					regs[ci.Dst] = 0
+				} else {
+					regs[ci.Dst] = int64(uint64(regs[ci.A]) >> uint(b))
+				}
+			case dispatch.CodeEq:
+				regs[ci.Dst] = b2i(regs[ci.A] == regs[ci.B])
+			case dispatch.CodeNe:
+				regs[ci.Dst] = b2i(regs[ci.A] != regs[ci.B])
+			case dispatch.CodeLt:
+				regs[ci.Dst] = b2i(regs[ci.A] < regs[ci.B])
+			case dispatch.CodeLe:
+				regs[ci.Dst] = b2i(regs[ci.A] <= regs[ci.B])
+			case dispatch.CodeGt:
+				regs[ci.Dst] = b2i(regs[ci.A] > regs[ci.B])
+			case dispatch.CodeGe:
+				regs[ci.Dst] = b2i(regs[ci.A] >= regs[ci.B])
+			case dispatch.CodeNeg:
+				regs[ci.Dst] = -regs[ci.A]
+			case dispatch.CodeNot:
+				regs[ci.Dst] = b2i(regs[ci.A] == 0)
+			case dispatch.CodeBin:
+				v, everr := ir.EvalOp(ci.Op, regs[ci.A], regs[ci.B])
+				if everr != nil {
+					// The trapping instruction's accounting stands; pc and
+					// progress stay on it, exactly like step.
+					err = fmt.Errorf("emulator: %s.%s: %w", fr.fn.Name, fr.cb.IR.Name, everr)
+					break batch
+				}
+				regs[ci.Dst] = v
+			case dispatch.CodeLoad:
+				idx := 0
+				if ci.HasIndex {
+					iv := regs[ci.A]
+					if iv < 0 || iv >= int64(ci.Var.Elems) {
+						err = fmt.Errorf("emulator: %s.%s: index %d out of range for %s[%d]",
+							fr.fn.Name, fr.cb.IR.Name, iv, ci.Var.Name, ci.Var.Elems)
+						break batch
+					}
+					idx = int(iv)
+				}
+				if ci.InVM {
+					regs[ci.Dst] = mc.vm[ci.Slot][idx]
+				} else {
+					regs[ci.Dst] = mc.nvm[ci.Slot][idx]
+				}
+			case dispatch.CodeStore:
+				idx := 0
+				if ci.HasIndex {
+					iv := regs[ci.B]
+					if iv < 0 || iv >= int64(ci.Var.Elems) {
+						err = fmt.Errorf("emulator: %s.%s: index %d out of range for %s[%d]",
+							fr.fn.Name, fr.cb.IR.Name, iv, ci.Var.Name, ci.Var.Elems)
+						break batch
+					}
+					idx = int(iv)
+				}
+				if ci.InVM {
+					mc.vm[ci.Slot][idx] = regs[ci.A]
+					mc.dirty[ci.Slot] = true
+				} else {
+					// No hook on this path, so no state lanes to keep current.
+					mc.nvm[ci.Slot][idx] = regs[ci.A]
+				}
+			case dispatch.CodeOut:
+				mc.out = append(mc.out, regs[ci.A])
+			case dispatch.CodeLoopBound, dispatch.CodeBr, dispatch.CodeJmp:
+				// metadata; branches are taken once the run is done
 			}
-			if ci.InVM {
-				mc.vm[ci.Slot][idx] = regs[ci.A]
-				mc.dirty[ci.Slot] = true
-			} else {
-				mc.nvm[ci.Slot][idx] = regs[ci.A]
+			pc++
+			done++
+			if done > furthest {
+				furthest = done
 			}
-		case dispatch.CodeOut:
-			mc.out = append(mc.out, regs[ci.A])
-		case dispatch.CodeLoopBound:
-			// metadata only
 		}
-		pc++
-		done++
-		if done > furthest {
-			furthest = done
+		// The run is done. One ending in a Br/Jmp continues in the target
+		// block; any other stopped before a call, return or checkpoint (or
+		// at the block end), where step takes over.
+		last := &code[pc-1]
+		switch last.Code {
+		case dispatch.CodeBr:
+			cb = last.Else
+			if regs[last.A] != 0 {
+				cb = last.Then
+			}
+		case dispatch.CodeJmp:
+			cb = last.Then
+		default:
+			break batch
 		}
+		fr.cb = cb
+		code = cb.Code
+		pc = 0
 	}
 	fr.pc = pc
 	mc.capEn = capEn
@@ -539,13 +281,13 @@ loop:
 	mc.res.Steps = steps
 	mc.done = done
 	mc.furthest = furthest
-	// Inline bumpProgress's span close. done only grows, so checking once
-	// after the batch clears the flag at the same point the stepped path
-	// would; obs is nil on this path, so the span-close event never fires.
+	// bumpProgress's span close. done only grows, so checking once after
+	// the batch clears the flag at the same point step would; obs is nil
+	// on this path, so the span-close event never fires.
 	if mc.inReexec && done >= furthest {
 		mc.inReexec = false
 	}
-	return pc != pc0, err
+	return err
 }
 
 func b2i(b bool) int64 {
@@ -555,39 +297,26 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// steppedLoop drives stepCompiled for observed or scheduled runs, where
-// every instruction boundary needs its probe and every charge its event.
-func (mc *machine) steppedLoop() (bool, error) {
-	for !mc.halted {
-		if mc.res.Steps >= mc.cfg.MaxSteps {
-			mc.close(OutOfSteps)
-			return false, nil
-		}
-		fr := mc.top()
-		if fr.pc >= len(fr.cb.Code) {
-			return false, fmt.Errorf("emulator: %s.%s: fell off block end", fr.fn.Name, fr.block.Name)
-		}
-		finished, err := mc.stepCompiled(fr)
-		if err != nil || finished {
-			return finished, err
-		}
-	}
-	return false, nil
-}
-
-// stepCompiled executes one instruction through the compiled program,
-// mirroring the interpreter's step() decision for decision: probe order,
-// charge kinds, cycle accounting, and error text all match.
-func (mc *machine) stepCompiled(fr *frame) (bool, error) {
+// step executes one instruction: the hook visit and schedule probe at
+// the instruction boundary, the charge, then the state change. It
+// returns true when main has returned.
+func (mc *machine) step(fr *frame) (bool, error) {
 	ci := &fr.cb.Code[fr.pc]
 	mc.res.Steps++
 
+	// Instruction-boundary injection point: periodic TBPF failures,
+	// trace/random/stride schedules. The probe precedes the instruction's
+	// energy draw, so the instruction about to run is the one lost.
+	if mc.hook != nil {
+		mc.visitPoint(PointStep, mc.res.Steps)
+	}
 	if mc.sched != nil && mc.sched.Fail(mc.probe(PointStep, mc.res.Steps, 0)) {
 		mc.induce(PointStep, -1, mc.res.Steps)
 		mc.powerFailure()
 		return false, nil
 	}
 
+	// Checkpoints manage their own energy and progress accounting.
 	if ci.Code == dispatch.CodeCheckpoint {
 		return false, mc.execCheckpoint(ci.Ck)
 	}
@@ -627,12 +356,12 @@ func (mc *machine) stepCompiled(fr *frame) (bool, error) {
 	return false, nil
 }
 
-// execCompiled performs the state change of a non-checkpoint compiled
-// instruction, mirroring exec().
+// execCompiled performs the state change of a non-checkpoint
+// instruction. It returns true when the program has completed.
 func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 	switch ci.Code {
 	case dispatch.CodeLoopBound:
-		fr.pc++
+		fr.pc++ // metadata only
 	case dispatch.CodeConst:
 		fr.regs[ci.Dst] = ci.Val
 		fr.pc++
@@ -697,12 +426,12 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 	case dispatch.CodeBin:
 		v, err := ir.EvalOp(ci.Op, fr.regs[ci.A], fr.regs[ci.B])
 		if err != nil {
-			return false, fmt.Errorf("emulator: %s.%s: %w", fr.fn.Name, fr.block.Name, err)
+			return false, fmt.Errorf("emulator: %s.%s: %w", fr.fn.Name, fr.cb.IR.Name, err)
 		}
 		fr.regs[ci.Dst] = v
 		fr.pc++
 	case dispatch.CodeLoad:
-		idx, err := elemIndexC(ci, ci.A, fr)
+		idx, err := elemIndex(ci, ci.A, fr)
 		if err != nil {
 			return false, err
 		}
@@ -719,7 +448,7 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 		fr.regs[ci.Dst] = val
 		fr.pc++
 	case dispatch.CodeStore:
-		idx, err := elemIndexC(ci, ci.B, fr)
+		idx, err := elemIndex(ci, ci.B, fr)
 		if err != nil {
 			return false, err
 		}
@@ -732,7 +461,7 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 			arr[idx] = val
 			mc.dirty[ci.Slot] = true
 		} else {
-			mc.nvm[ci.Slot][idx] = val
+			mc.setNVM(ci.Slot, idx, val)
 		}
 		fr.pc++
 	case dispatch.CodeCall:
@@ -740,9 +469,8 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 		cf := ci.Callee
 		nf := frame{
 			fn:      cf.IR,
-			block:   cf.Entry.IR,
 			cb:      cf.Entry,
-			regs:    make([]int64, cf.IR.NumRegs),
+			regs:    mc.newRegs(cf.IR.NumRegs),
 			retReg:  ir.Reg(ci.Dst),
 			wantRet: ci.HasDst,
 		}
@@ -751,19 +479,19 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 		}
 		mc.frames = append(mc.frames, nf)
 		if mc.obs != nil {
-			mc.emit(Event{Kind: EvBlockEnter, Fn: nf.fn, Block: nf.block, Call: true})
+			mc.emit(Event{Kind: EvBlockEnter, Fn: nf.fn, Block: nf.cb.IR, Call: true})
 		}
 	case dispatch.CodeOut:
 		mc.out = append(mc.out, fr.regs[ci.A])
 		fr.pc++
 	case dispatch.CodeBr:
 		if fr.regs[ci.A] != 0 {
-			mc.enterCompiled(fr, ci.Then)
+			mc.enterBlock(fr, ci.Then)
 		} else {
-			mc.enterCompiled(fr, ci.Else)
+			mc.enterBlock(fr, ci.Else)
 		}
 	case dispatch.CodeJmp:
-		mc.enterCompiled(fr, ci.Then)
+		mc.enterBlock(fr, ci.Then)
 	case dispatch.CodeRet:
 		var val int64
 		if ci.HasDst { // Ret: HasDst carries HasSrc
@@ -772,13 +500,15 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 		if mc.obs != nil {
 			mc.emit(Event{Kind: EvFuncReturn, Fn: fr.fn})
 		}
+		// The popped frame's registers go back to the pool; snapshots
+		// deep-copy register arrays, so no live state aliases them.
+		mc.regPool = append(mc.regPool, fr.regs)
 		mc.frames = mc.frames[:len(mc.frames)-1]
 		if len(mc.frames) == 0 {
 			return true, nil
 		}
-		caller := mc.top()
 		if fr.wantRet {
-			caller.regs[fr.retReg] = val
+			mc.top().regs[fr.retReg] = val
 		}
 	default:
 		return false, fmt.Errorf("emulator: unknown instruction %T", ci.IR)
@@ -786,8 +516,7 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 	return false, nil
 }
 
-func (mc *machine) enterCompiled(fr *frame, cb *dispatch.Block) {
-	fr.block = cb.IR
+func (mc *machine) enterBlock(fr *frame, cb *dispatch.Block) {
 	fr.cb = cb
 	fr.pc = 0
 	if mc.obs != nil {
@@ -795,17 +524,16 @@ func (mc *machine) enterCompiled(fr *frame, cb *dispatch.Block) {
 	}
 }
 
-// elemIndexC mirrors elemIndex for a compiled memory instruction; idxReg
-// is the operand field holding the index register (A for loads, B for
-// stores).
-func elemIndexC(ci *dispatch.Instr, idxReg int32, fr *frame) (int, error) {
+// elemIndex resolves a memory instruction's element index; idxReg is the
+// operand field holding the index register (A for loads, B for stores).
+func elemIndex(ci *dispatch.Instr, idxReg int32, fr *frame) (int, error) {
 	if !ci.HasIndex {
 		return 0, nil
 	}
 	idx := fr.regs[idxReg]
 	if idx < 0 || idx >= int64(ci.Var.Elems) {
 		return 0, fmt.Errorf("emulator: %s.%s: index %d out of range for %s[%d]",
-			fr.fn.Name, fr.block.Name, idx, ci.Var.Name, ci.Var.Elems)
+			fr.fn.Name, fr.cb.IR.Name, idx, ci.Var.Name, ci.Var.Elems)
 	}
 	return int(idx), nil
 }

@@ -3,7 +3,7 @@
 // indices, variable storage slots, precomputed per-instruction energy and
 // cycle costs (including the block's VM/NVM allocation decision), and
 // precomputed straight-line run totals that let the machine charge a
-// whole non-memory instruction sequence in one batched step.
+// whole run, up to and including the block's branch, in one decision.
 //
 // A Program is immutable once compiled and carries no mutable machine
 // state, so one Program is safely shared by any number of concurrent
@@ -55,9 +55,9 @@ const (
 	CodeRet
 	CodeCheckpoint
 	// CodeUnknown marks an instruction outside the closed IR set. It
-	// compiles (the interpreter only errors when such an instruction is
-	// actually executed, and so must we) and raises the interpreter's
-	// "unknown instruction" error on execution.
+	// compiles (a module is only in error when such an instruction is
+	// actually executed) and raises the emulator's "unknown instruction"
+	// error on execution.
 	CodeUnknown
 )
 
@@ -136,12 +136,13 @@ type Instr struct {
 }
 
 // Run is the precomputed maximal straight-line batch starting at a pc:
-// Len consecutive instructions that transfer no control and hit no
-// checkpoint — chargeable in one decision when no schedule or observer
-// can fire inside the window. Memory instructions ride along on their
-// happy path; the executor leaves the batch early when an access needs
-// the materialization machinery. Energy/Cycles are the batch totals
-// (used only for the capacitor-margin decision; ledger sums stay
+// Len consecutive instructions that make no call or return and hit no
+// checkpoint, ending at the block's Br/Jmp when the straight line
+// reaches it — chargeable in one decision when no schedule, observer or
+// hook can fire inside the window. Memory instructions ride along on
+// their happy path; the executor leaves the batch early when an access
+// needs the materialization machinery. Energy/Cycles are the batch
+// totals (used only for the capacitor-margin decision; ledger sums stay
 // per-instruction so results remain bit-identical).
 type Run struct {
 	Len    int32
@@ -341,39 +342,42 @@ func (p *Program) compileBlock(cb *Block) {
 		}
 	}
 
-	// Batch metadata, computed backwards: a run extends while the
-	// instruction is pure register/output work.
+	// Batch metadata. Lengths are computed backwards: a run extends while
+	// the instruction is batchable, and a Br/Jmp ends it. Totals are
+	// summed forward from each start, in the order the batch executes.
 	cb.Runs = make([]Run, len(cb.Code))
 	for i := len(cb.Code) - 1; i >= 0; i-- {
-		ci := &cb.Code[i]
-		if !batchable(ci.Code) {
+		c := cb.Code[i].Code
+		if !batchable(c) {
 			continue
 		}
-		r := Run{Len: 1, Energy: ci.Energy, Cycles: ci.Cycles}
-		if i+1 < len(cb.Code) {
-			nxt := cb.Runs[i+1]
-			r.Len += nxt.Len
-			r.Energy += nxt.Energy
-			r.Cycles += nxt.Cycles
+		r := &cb.Runs[i]
+		r.Len = 1
+		if c != CodeBr && c != CodeJmp && i+1 < len(cb.Code) {
+			r.Len += cb.Runs[i+1].Len
 		}
-		cb.Runs[i] = r
+		for k := i; k < i+int(r.Len); k++ {
+			r.Energy += cb.Code[k].Energy
+			r.Cycles += cb.Code[k].Cycles
+		}
 	}
 }
 
 // batchable reports whether an opcode may live inside a straight-line
-// batch: no control transfer, no checkpoint. Memory instructions are
-// batchable — their happy path (resident, non-pending storage) needs no
-// machinery beyond the sub-ledger additions; the batch executor checks
-// residency before accounting and exits the batch when an access needs
-// materialization, deferred-restore charging, or poisoning. Trapping
-// operators and index checks are fine — they abort the run exactly
-// where the per-instruction engine would.
+// batch: no call, return, or checkpoint, and a Br/Jmp only as the run's
+// last instruction (the batch ends by entering the target block). Memory
+// instructions are batchable — their happy path (resident, non-pending
+// storage) needs no machinery beyond the sub-ledger additions; the batch
+// executor checks residency before accounting and exits the batch when
+// an access needs materialization, deferred-restore charging, or
+// poisoning. Trapping operators and index checks are fine — they abort
+// the run exactly where stepping would.
 func batchable(c Code) bool {
 	switch c {
 	case CodeLoopBound, CodeConst, CodeBin,
 		CodeAdd, CodeSub, CodeMul, CodeAnd, CodeOr, CodeXor,
 		CodeShl, CodeShr, CodeEq, CodeNe, CodeLt, CodeLe, CodeGt, CodeGe,
-		CodeNeg, CodeNot, CodeOut, CodeLoad, CodeStore:
+		CodeNeg, CodeNot, CodeOut, CodeLoad, CodeStore, CodeBr, CodeJmp:
 		return true
 	}
 	return false

@@ -54,16 +54,6 @@ type Config struct {
 	Intermittent bool
 	EB           float64
 
-	// FailEveryCycles, when positive, additionally triggers a power
-	// failure each time that many active cycles elapse since the last
-	// replenishment — the literal "periodic power failures of period TBPF"
-	// of the paper's emulator (IV-C). Wait-style checkpoints restart the
-	// period (the capacitor is full again). Usable with or without the
-	// energy model's exhaustion failures. Mutually exclusive with
-	// Schedule (express the same thing as Schedules(Exhaustion(),
-	// Periodic(n)) there).
-	FailEveryCycles int64
-
 	// Schedule, when non-nil, replaces the power model for intermittent
 	// runs: the machine consults it at every injection point (instruction
 	// boundaries, energy draws, and the before/mid/after phases of each
@@ -93,25 +83,21 @@ type Config struct {
 	MaxSteps    int64
 	MaxFailures int
 
-	// Interpret selects the per-instruction reference interpreter instead
-	// of the compiled dispatch engine. The two are observably identical —
-	// same verdicts, outputs, energy ledgers, counters, and error text —
-	// and the differential suite holds them to that; the interpreter
-	// exists as the oracle and for debugging the compiled path.
-	Interpret bool
-
 	// Resume, when non-nil, boots the run from a previously captured
 	// persistent state instead of initial NVM: the run behaves exactly
 	// like the continuation of an emulation that power-failed leaving
 	// that state behind. The state must have been captured from the same
 	// module. Mutually exclusive with Inputs and PrewarmVM (a resumed
-	// state already fixes NVM contents). Forces Interpret.
+	// state already fixes NVM contents). A resumed run executes like any
+	// other: batched unless an Observer, Hook or schedule steps it.
 	Resume *PersistentState
 
 	// Hook, when non-nil, observes every schedulable injection point of
 	// the run together with a canonical hash of the persistent state at
 	// that point (see PointVisit). The model checker in internal/verify
-	// is built on Hook + Resume. Forces Interpret.
+	// is built on Hook + Resume. A hooked run steps every instruction
+	// (each boundary is a visit) but computes the same Result as the
+	// unhooked run.
 	Hook Hook
 
 	// Observer, when non-nil, receives the full cycle-stamped event
@@ -119,17 +105,6 @@ type Config struct {
 	// save/restore, sleeps, power failures, re-execution spans, poison
 	// reads. A nil observer costs nothing per instruction.
 	Observer Observer
-
-	// Trace, TraceRet and OnPoison are the legacy observation callbacks,
-	// kept as thin adapters over the Observer event stream (see
-	// legacyObserver). Trace receives every basic block entered, with its
-	// function; TraceRet fires on every function return (including
-	// main's), letting a profiler mirror the call stack; OnPoison fires
-	// on every read of VM storage that was never restored (a
-	// transformation bug). New code should implement Observer instead.
-	Trace    func(fn *ir.Func, b *ir.Block)
-	TraceRet func()
-	OnPoison func(v *ir.Var, fn *ir.Func, b *ir.Block)
 }
 
 // Verdict says how a run ended.
@@ -265,13 +240,6 @@ func (cfg Config) Validate() error {
 	if cfg.VMSize < 0 {
 		return &ConfigError{Field: "VMSize", Reason: fmt.Sprintf("must not be negative (0 = unlimited), got %d", cfg.VMSize)}
 	}
-	if cfg.FailEveryCycles < 0 {
-		return &ConfigError{Field: "FailEveryCycles", Reason: fmt.Sprintf("must not be negative, got %d", cfg.FailEveryCycles)}
-	}
-	if cfg.FailEveryCycles > 0 && cfg.Schedule != nil {
-		return &ConfigError{Field: "Schedule",
-			Reason: "mutually exclusive with FailEveryCycles; compose Schedules(Exhaustion(), Periodic(n)) instead"}
-	}
 	if cfg.MaxSteps < 0 {
 		return &ConfigError{Field: "MaxSteps", Reason: fmt.Sprintf("must not be negative, got %d", cfg.MaxSteps)}
 	}
@@ -309,11 +277,6 @@ func Run(m *ir.Module, cfg Config) (*Result, error) {
 	}
 	if cfg.TriggerThreshold == 0 {
 		cfg.TriggerThreshold = 0.5
-	}
-	if cfg.Hook != nil || cfg.Resume != nil {
-		// State tracking and resume live in the reference interpreter
-		// only; the compiled engine stays uninstrumented.
-		cfg.Interpret = true
 	}
 	mach := newMachine(m, cfg)
 	if cfg.Resume != nil {

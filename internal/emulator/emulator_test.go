@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -377,7 +378,11 @@ func TestTraceCallback(t *testing.T) {
 	m := loopProgram(t, 3, 0, false)
 	var names []string
 	cfg := baseCfg()
-	cfg.Trace = func(fn *ir.Func, b *ir.Block) { names = append(names, b.Name) }
+	cfg.Observer = observerFunc(func(e Event) {
+		if e.Kind == EvBlockEnter {
+			names = append(names, e.Block.Name)
+		}
+	})
 	if _, err := Run(m, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -510,6 +515,75 @@ entry:
 	}
 }
 
+// TestTrapAfterBranchSameOnBothPaths: a batch runs on through br/jmp into
+// the next block, so a trap there must name that block exactly as
+// stepping does.
+func TestTrapAfterBranchSameOnBothPaths(t *testing.T) {
+	cases := []struct{ name, src, block string }{
+		{"load after jmp", `module bad
+global a[4]
+func void main() regs 2 {
+entry:
+  r0 = const 9
+  jmp next
+next:
+  r1 = load a[r0]
+  out r1
+  ret
+}
+`, "main.next"},
+		{"store in loop body", `module bad2
+global a[4]
+func void main() regs 4 {
+entry:
+  r0 = const 0
+  jmp head
+head:
+  r1 = const 6
+  r2 = lt r0, r1
+  br r2, body, done
+body:
+  store a[r0], r0
+  r3 = const 1
+  r0 = add r0, r3
+  jmp head
+done:
+  ret
+}
+`, "main.body"},
+		{"div after br", `module bad3
+func void main() regs 3 {
+entry:
+  r0 = const 1
+  r1 = const 0
+  br r0, zero, done
+zero:
+  r2 = div r0, r1
+  out r2
+  ret
+done:
+  ret
+}
+`, "main.zero"},
+	}
+	for _, tc := range cases {
+		m := ir.MustParse(tc.src)
+		_, errB := Run(m, baseCfg())
+		stepped := baseCfg()
+		stepped.Observer = observerFunc(func(Event) {})
+		_, errS := Run(m, stepped)
+		if errB == nil || errS == nil {
+			t.Fatalf("%s: want a trap on both paths, got batched %v, stepped %v", tc.name, errB, errS)
+		}
+		if errB.Error() != errS.Error() {
+			t.Errorf("%s: error text differs:\nbatched: %v\nstepped: %v", tc.name, errB, errS)
+		}
+		if !strings.Contains(errB.Error(), tc.block+":") {
+			t.Errorf("%s: error %q does not name %s", tc.name, errB, tc.block)
+		}
+	}
+}
+
 func TestLedgerTotals(t *testing.T) {
 	m := loopProgram(t, 40, 1, true)
 	cfg := baseCfg()
@@ -545,7 +619,7 @@ func TestPeriodicTBPFMode(t *testing.T) {
 		cfg := baseCfg()
 		cfg.Intermittent = true
 		cfg.EB = 1e9 // energy never binds: failures come from the period alone
-		cfg.FailEveryCycles = tbpf
+		cfg.Schedule = Schedules(Exhaustion(), Periodic(tbpf))
 		res, err := Run(m, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -577,7 +651,7 @@ func TestPeriodicModeWaitCheckpointsResetPhase(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Intermittent = true
 	cfg.EB = 1e9
-	cfg.FailEveryCycles = 400 // one iteration plus checkpoint is well under this
+	cfg.Schedule = Schedules(Exhaustion(), Periodic(400)) // one iteration plus checkpoint is well under this
 	res, err := Run(m, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,7 @@ const maxStagnation = 8
 
 type frame struct {
 	fn      *ir.Func
-	block   *ir.Block
-	cb      *dispatch.Block // compiled counterpart of block
+	cb      *dispatch.Block // the executing block; cb.IR is its IR form
 	pc      int
 	regs    []int64
 	retReg  ir.Reg
@@ -50,10 +49,8 @@ type machine struct {
 	res   Result
 	capEn float64 // remaining capacitor energy
 
-	// obs is the resolved effective observer (explicit Observer plus the
-	// legacy-callback adapter); nil on the unobserved fast path. Every
-	// emission site guards on nil so an unobserved run constructs no
-	// events at all.
+	// obs is Config.Observer; nil on an unobserved run. Every emission
+	// site guards on nil so an unobserved run constructs no events at all.
 	obs Observer
 	// curSite is the checkpoint site currently executing, -1 outside
 	// execCheckpoint; save/restore charges are attributed to it.
@@ -94,8 +91,8 @@ type machine struct {
 
 	frames []frame
 	out    []int64
-	// regPool recycles register arrays across call/return pairs on the
-	// fast path; entries are zeroed on reuse, so a pooled frame is
+	// regPool recycles register arrays across call/return pairs and
+	// recoveries; entries are zeroed on reuse, so a pooled frame is
 	// indistinguishable from a freshly allocated one.
 	regPool [][]int64
 
@@ -120,7 +117,7 @@ type machine struct {
 	vmBytes int
 
 	// cyclesSincePower counts active cycles since the last replenishment,
-	// for the periodic-TBPF failure mode.
+	// for the Periodic schedule (Probe.CyclesSincePower).
 	cyclesSincePower int64
 
 	// exhaust/sched are the split of the run's resolved PowerSchedule:
@@ -152,7 +149,7 @@ func newMachine(m *ir.Module, cfg Config) *machine {
 		mod:      m,
 		prog:     prog,
 		cfg:      cfg,
-		obs:      observerFor(cfg),
+		obs:      cfg.Observer,
 		curSite:  -1,
 		nvm:      make([][]int64, n),
 		vm:       make([][]int64, n),
@@ -232,10 +229,9 @@ func (mc *machine) bootFrames() {
 	mainFn := mc.mod.FuncByName("main")
 	cf := mc.prog.FuncOf(mainFn)
 	mc.frames = []frame{{
-		fn:    mainFn,
-		block: mainFn.Entry(),
-		cb:    cf.Entry,
-		regs:  make([]int64, mainFn.NumRegs),
+		fn:   mainFn,
+		cb:   cf.Entry,
+		regs: make([]int64, mainFn.NumRegs),
 	}}
 	if mc.obs != nil {
 		mc.emit(Event{Kind: EvBlockEnter, Fn: mainFn, Block: mainFn.Entry(), Call: true})
@@ -268,35 +264,6 @@ func (mc *machine) emit(e Event) {
 	e.Cycle = mc.res.TotalCycles
 	e.Step = mc.res.Steps
 	mc.obs.Event(e)
-}
-
-// run drives the machine until a verdict is reached. The compiled
-// dispatch engine is the default; Config.Interpret selects the
-// per-instruction reference interpreter (the differential oracle).
-func (mc *machine) run() (*Result, error) {
-	if mc.cfg.Interpret {
-		return mc.runInterpreted()
-	}
-	return mc.runCompiled()
-}
-
-func (mc *machine) runInterpreted() (*Result, error) {
-	for !mc.halted {
-		if mc.res.Steps >= mc.cfg.MaxSteps {
-			mc.close(OutOfSteps)
-			break
-		}
-		finished, err := mc.step()
-		if err != nil {
-			return nil, err
-		}
-		if finished {
-			mc.res.Verdict = Completed
-			break
-		}
-	}
-	mc.res.Output = mc.out
-	return &mc.res, nil
 }
 
 // chargeKind selects the ledger bucket of a charge. The access kinds are
@@ -355,7 +322,7 @@ func (mc *machine) charge(e float64, kind chargeKind) bool {
 		ev := Event{Kind: EvCharge, Class: class, Energy: e, Site: mc.chargeSite(class)}
 		if len(mc.frames) > 0 {
 			fr := mc.top()
-			ev.Fn, ev.Block = fr.fn, fr.block
+			ev.Fn, ev.Block = fr.fn, fr.cb.IR
 		}
 		mc.emit(ev)
 	}
@@ -427,224 +394,6 @@ func (mc *machine) probeSave(kind PointKind, site int) bool {
 	return true
 }
 
-// chargeAccess is charge for a memory access, feeding the Fig. 7
-// sub-split when the work is first-execution computation.
-func (mc *machine) chargeAccess(e float64, space ir.Space) bool {
-	if space == ir.VM {
-		return mc.charge(e, chVMAcc)
-	}
-	return mc.charge(e, chNVMAcc)
-}
-
-// step executes one instruction the reference way: a type switch over
-// the live IR with costs computed on the fly. It returns true when main
-// has returned. The compiled engine (stepCompiled/execBatch) must stay
-// bit-identical to this function.
-func (mc *machine) step() (bool, error) {
-	fr := mc.top()
-	if fr.pc >= len(fr.block.Instrs) {
-		return false, fmt.Errorf("emulator: %s.%s: fell off block end", fr.fn.Name, fr.block.Name)
-	}
-	in := fr.block.Instrs[fr.pc]
-	mc.res.Steps++
-
-	// Instruction-boundary injection point: periodic TBPF failures,
-	// trace/random/stride schedules. The probe precedes the instruction's
-	// energy draw, so the instruction about to run is the one lost.
-	if mc.hook != nil {
-		mc.visitPoint(PointStep, mc.res.Steps)
-	}
-	if mc.sched != nil && mc.sched.Fail(mc.probe(PointStep, mc.res.Steps, 0)) {
-		mc.induce(PointStep, -1, mc.res.Steps)
-		mc.powerFailure()
-		return false, nil
-	}
-
-	// Checkpoints manage their own energy and progress accounting.
-	if ck, ok := in.(*ir.Checkpoint); ok {
-		return false, mc.execCheckpoint(ck)
-	}
-
-	space := ir.NVM
-	if v, _, ok := ir.AccessedVar(in); ok && fr.block.InVM(v) {
-		space = ir.VM
-	}
-	cost, cycles := mc.cfg.Model.InstrCost(in, space)
-
-	reexec := mc.done < mc.furthest
-	var ok bool
-	switch in.(type) {
-	case *ir.Load, *ir.Store:
-		ok = mc.chargeAccess(cost, space)
-	default:
-		ok = mc.charge(cost, chComp)
-		if ok && !reexec {
-			mc.res.Energy.NoMemEnergy += cost
-		}
-	}
-	if !ok {
-		mc.powerFailure()
-		return false, nil
-	}
-	mc.res.TotalCycles += cycles
-	mc.cyclesSincePower += cycles
-	if !reexec {
-		mc.res.Cycles += cycles
-	}
-
-	halt, err := mc.exec(in)
-	if errors.Is(err, errInterrupt) {
-		return false, nil
-	}
-	if err != nil || halt {
-		return halt, err
-	}
-	mc.bumpProgress()
-	return false, nil
-}
-
-// exec performs the state change of a non-checkpoint instruction. It
-// returns true when the program has completed.
-func (mc *machine) exec(in ir.Instr) (bool, error) {
-	fr := mc.top()
-	switch x := in.(type) {
-	case *ir.LoopBound:
-		fr.pc++ // metadata only
-	case *ir.Const:
-		fr.regs[x.Dst] = x.Val
-		fr.pc++
-	case *ir.BinOp:
-		v, err := evalBinOp(x.Op, fr.regs[x.A], fr.regs[x.B])
-		if err != nil {
-			return false, fmt.Errorf("emulator: %s.%s: %w", fr.fn.Name, fr.block.Name, err)
-		}
-		fr.regs[x.Dst] = v
-		fr.pc++
-	case *ir.Load:
-		val, err := mc.loadVar(x, fr)
-		if err != nil {
-			return false, err
-		}
-		fr.regs[x.Dst] = val
-		fr.pc++
-	case *ir.Store:
-		if err := mc.storeVar(x, fr); err != nil {
-			return false, err
-		}
-		fr.pc++
-	case *ir.Call:
-		fr.pc++ // return continues after the call
-		cf := mc.prog.FuncOf(x.Callee)
-		nf := frame{
-			fn:      x.Callee,
-			block:   x.Callee.Entry(),
-			cb:      cf.Entry,
-			regs:    make([]int64, x.Callee.NumRegs),
-			retReg:  x.Dst,
-			wantRet: x.HasDst,
-		}
-		for i, a := range x.Args {
-			nf.regs[i] = fr.regs[a]
-		}
-		mc.frames = append(mc.frames, nf)
-		if mc.obs != nil {
-			mc.emit(Event{Kind: EvBlockEnter, Fn: nf.fn, Block: nf.block, Call: true})
-		}
-	case *ir.Out:
-		mc.out = append(mc.out, fr.regs[x.Src])
-		fr.pc++
-	case *ir.Br:
-		if fr.regs[x.Cond] != 0 {
-			mc.enterBlock(x.Then)
-		} else {
-			mc.enterBlock(x.Else)
-		}
-	case *ir.Jmp:
-		mc.enterBlock(x.Target)
-	case *ir.Ret:
-		var val int64
-		if x.HasSrc {
-			val = fr.regs[x.Src]
-		}
-		if mc.obs != nil {
-			mc.emit(Event{Kind: EvFuncReturn, Fn: fr.fn})
-		}
-		mc.frames = mc.frames[:len(mc.frames)-1]
-		if len(mc.frames) == 0 {
-			return true, nil
-		}
-		caller := mc.top()
-		if fr.wantRet {
-			caller.regs[fr.retReg] = val
-		}
-	default:
-		return false, fmt.Errorf("emulator: unknown instruction %T", in)
-	}
-	return false, nil
-}
-
-func (mc *machine) enterBlock(b *ir.Block) {
-	fr := mc.top()
-	fr.block = b
-	fr.cb = mc.prog.BlockOf(b)
-	fr.pc = 0
-	if mc.obs != nil {
-		mc.emit(Event{Kind: EvBlockEnter, Fn: fr.fn, Block: b})
-	}
-}
-
-func evalBinOp(op ir.Op, a, b int64) (int64, error) {
-	return ir.EvalOp(op, a, b)
-}
-
-func (mc *machine) loadVar(x *ir.Load, fr *frame) (int64, error) {
-	idx, err := elemIndex(x.Var, x.Index, x.HasIndex, fr)
-	if err != nil {
-		return 0, err
-	}
-	slot := mc.slot(x.Var)
-	if fr.block.InVM(x.Var) {
-		arr := mc.vmStorage(slot, x.Var, true)
-		if arr == nil {
-			return 0, errInterrupt
-		}
-		return arr[idx], nil
-	}
-	return mc.nvm[slot][idx], nil
-}
-
-func (mc *machine) storeVar(x *ir.Store, fr *frame) error {
-	idx, err := elemIndex(x.Var, x.Index, x.HasIndex, fr)
-	if err != nil {
-		return err
-	}
-	val := fr.regs[x.Src]
-	slot := mc.slot(x.Var)
-	if fr.block.InVM(x.Var) {
-		arr := mc.vmStorage(slot, x.Var, false)
-		if arr == nil {
-			return errInterrupt
-		}
-		arr[idx] = val
-		mc.dirty[slot] = true
-		return nil
-	}
-	mc.setNVM(slot, idx, val)
-	return nil
-}
-
-func elemIndex(v *ir.Var, idxReg ir.Reg, hasIdx bool, fr *frame) (int, error) {
-	if !hasIdx {
-		return 0, nil
-	}
-	idx := fr.regs[idxReg]
-	if idx < 0 || idx >= int64(v.Elems) {
-		return 0, fmt.Errorf("emulator: %s.%s: index %d out of range for %s[%d]",
-			fr.fn.Name, fr.block.Name, idx, v.Name, v.Elems)
-	}
-	return int(idx), nil
-}
-
 // vmStorage returns the VM-resident storage of the variable in slot,
 // materializing it on demand. A variable that was never restored
 // materializes poisoned (and, for reads, bumps UnsyncedReads — the
@@ -672,7 +421,7 @@ func (mc *machine) vmStorage(slot int32, v *ir.Var, read bool) []int64 {
 		mc.res.UnsyncedReads++
 		if mc.obs != nil {
 			fr := mc.top()
-			mc.emit(Event{Kind: EvPoisonRead, Var: v, Fn: fr.fn, Block: fr.block})
+			mc.emit(Event{Kind: EvPoisonRead, Var: v, Fn: fr.fn, Block: fr.cb.IR})
 		}
 	}
 	arr := make([]int64, v.Elems)
@@ -699,14 +448,6 @@ func (mc *machine) addVMResident(slot int32, data []int64) bool {
 		return false
 	}
 	return true
-}
-
-// dropVMResident evicts the variable in slot from VM.
-func (mc *machine) dropVMResident(slot int32) {
-	if mc.vm[slot] != nil {
-		mc.vm[slot] = nil
-		mc.vmBytes -= mc.prog.Vars[slot].SizeBytes()
-	}
 }
 
 func (mc *machine) clearVM() {

@@ -3,7 +3,6 @@ package emulator
 import (
 	"schematic/internal/ir"
 
-	"fmt"
 	"math"
 	"testing"
 )
@@ -126,62 +125,6 @@ func TestRestoresCounter(t *testing.T) {
 	}
 	if res.Restores == 0 || res.Restores < res.Sleeps {
 		t.Errorf("restores = %d, want >= sleeps (%d)", res.Restores, res.Sleeps)
-	}
-}
-
-// TestLegacyAdapterMatchesObserver runs the same intermittent program
-// under the legacy Trace/TraceRet callbacks and under the Observer
-// stream, and requires identical call sequences: the adapter must keep
-// the historical semantics (no Trace during the stack replay after a
-// snapshot restore), and the observer reproduces them by skipping
-// Resume-marked block entries.
-func TestLegacyAdapterMatchesObserver(t *testing.T) {
-	makeCfg := func() Config {
-		cfg := baseCfg()
-		cfg.Intermittent = true
-		cfg.EB = 1500
-		return cfg
-	}
-
-	var legacy []string
-	cfg := makeCfg()
-	cfg.Trace = func(fn *ir.Func, b *ir.Block) { legacy = append(legacy, fmt.Sprintf("enter %s.%s", fn.Name, b.Name)) }
-	cfg.TraceRet = func() { legacy = append(legacy, "ret") }
-	resA, err := Run(ratchetLoopProgram(t, 200), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var observed []string
-	cfg = makeCfg()
-	cfg.Observer = observerFunc(func(e Event) {
-		switch e.Kind {
-		case EvBlockEnter:
-			if !e.Resume {
-				observed = append(observed, fmt.Sprintf("enter %s.%s", e.Fn.Name, e.Block.Name))
-			}
-		case EvFuncReturn:
-			observed = append(observed, "ret")
-		}
-	})
-	resB, err := Run(ratchetLoopProgram(t, 200), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if resA.PowerFailures == 0 {
-		t.Fatalf("run saw no power failures; the Resume path was not exercised")
-	}
-	if resA.Steps != resB.Steps {
-		t.Fatalf("runs diverged: %d vs %d steps", resA.Steps, resB.Steps)
-	}
-	if len(legacy) != len(observed) {
-		t.Fatalf("legacy saw %d events, observer %d", len(legacy), len(observed))
-	}
-	for i := range legacy {
-		if legacy[i] != observed[i] {
-			t.Fatalf("event %d: legacy %q, observer %q", i, legacy[i], observed[i])
-		}
 	}
 }
 

@@ -314,17 +314,13 @@ func Schedules(ss ...PowerSchedule) PowerSchedule {
 }
 
 // resolveSchedule returns the run's effective schedule. A nil
-// Config.Schedule selects the legacy power model: capacitor exhaustion,
-// plus the periodic TBPF mode when FailEveryCycles is set.
+// Config.Schedule selects the default power model: capacitor exhaustion.
 func resolveSchedule(cfg Config) PowerSchedule {
 	if !cfg.Intermittent {
 		return nil
 	}
 	if cfg.Schedule != nil {
 		return cfg.Schedule
-	}
-	if cfg.FailEveryCycles > 0 {
-		return Schedules(Exhaustion(), Periodic(cfg.FailEveryCycles))
 	}
 	return Exhaustion()
 }

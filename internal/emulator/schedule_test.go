@@ -166,9 +166,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative trigger threshold", "TriggerThreshold", Config{Model: model, TriggerThreshold: -0.1}},
 		{"trigger threshold above one", "TriggerThreshold", Config{Model: model, TriggerThreshold: 1.5}},
 		{"negative VM size", "VMSize", Config{Model: model, VMSize: -2048}},
-		{"negative periodic cycles", "FailEveryCycles", Config{Model: model, FailEveryCycles: -1}},
-		{"schedule and periodic together", "Schedule", Config{Model: model, Intermittent: true, EB: 100,
-			FailEveryCycles: 10, Schedule: Exhaustion()}},
 		{"negative max steps", "MaxSteps", Config{Model: model, MaxSteps: -1}},
 		{"negative max failures", "MaxFailures", Config{Model: model, MaxFailures: -1}},
 	}

@@ -278,9 +278,9 @@ type PointVisit struct {
 // Hook observes every schedulable injection point of a run. capture
 // materializes the persistent state at the visit as a deep copy — call
 // it only when the state is worth keeping (it costs O(state), where the
-// visit itself costs O(1)). A non-nil Hook forces the per-instruction
-// reference interpreter (Config.Interpret), so hooked throughput is
-// interpreter throughput.
+// visit itself costs O(1)). A hooked run steps every instruction of the
+// dispatch engine (each boundary is a visit) and returns the same
+// Result as the unhooked run.
 type Hook func(v PointVisit, capture func() *PersistentState)
 
 // InitialState returns the persistent state a run of the module would
@@ -337,7 +337,7 @@ func (mc *machine) captureState() *PersistentState {
 		f := &sn.frames[i]
 		st.Frames[i] = FrameState{
 			Fn:      f.fn.Name,
-			Block:   f.block.Name,
+			Block:   f.cb.IR.Name,
 			PC:      f.pc,
 			Regs:    append([]int64(nil), f.regs...),
 			RetReg:  f.retReg,
@@ -391,7 +391,7 @@ func (mc *machine) refreshSnapLane() {
 	for i := range sn.frames {
 		f := &sn.frames[i]
 		h = seqHashString(h, f.fn.Name)
-		h = seqHashString(h, f.block.Name)
+		h = seqHashString(h, f.cb.IR.Name)
 		h = seqHash(h, uint64(f.pc))
 		h = seqHash(h, uint64(len(f.regs)))
 		for _, r := range f.regs {
@@ -558,7 +558,6 @@ func (mc *machine) installResume(ps *PersistentState) error {
 			}
 			rebuilt.frames = append(rebuilt.frames, frame{
 				fn:      fn,
-				block:   blk,
 				cb:      mc.prog.BlockOf(blk),
 				pc:      f.PC,
 				regs:    append([]int64(nil), f.Regs...),

@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"reflect"
 	"testing"
 
 	"schematic/internal/ir"
@@ -279,6 +280,104 @@ func TestResumeContinuesDeterministically(t *testing.T) {
 	}
 	if !equalInt64s(r1.Output, oracle.Output) {
 		t.Errorf("resumed completion output %v, oracle %v", r1.Output, oracle.Output)
+	}
+}
+
+// TestResumeBatchedMatchesStepped: a resumed run with no Hook takes the
+// batched path; the same resume with a no-op Observer steps every
+// instruction. Both must return the same Result, from the cold root and
+// from mid-run captures at every committed save.
+func TestResumeBatchedMatchesStepped(t *testing.T) {
+	m := rollbackProgram(t, 40, 3)
+	root, err := InitialState(m, intermittentCfg())
+	if err != nil {
+		t.Fatalf("InitialState: %v", err)
+	}
+	states := []*PersistentState{root}
+	cfg := intermittentCfg()
+	cfg.Hook = func(v PointVisit, capture func() *PersistentState) {
+		if v.Kind == PointAfterSave {
+			states = append(states, capture())
+		}
+	}
+	if _, err := Run(m, cfg); err != nil {
+		t.Fatalf("hooked run: %v", err)
+	}
+	if len(states) < 4 {
+		t.Fatalf("captured %d states, want several mid-run ones", len(states))
+	}
+	for i, ps := range states {
+		batched := intermittentCfg()
+		batched.Resume = ps.Clone()
+		stepped := intermittentCfg()
+		stepped.Resume = ps.Clone()
+		events := 0
+		stepped.Observer = observerFunc(func(Event) { events++ })
+		rb, err := Run(m, batched)
+		if err != nil {
+			t.Fatalf("state %d: batched resume: %v", i, err)
+		}
+		rs, err := Run(m, stepped)
+		if err != nil {
+			t.Fatalf("state %d: stepped resume: %v", i, err)
+		}
+		if events == 0 {
+			t.Fatalf("state %d: observer saw no events", i)
+		}
+		if !reflect.DeepEqual(rb, rs) {
+			t.Errorf("state %d: resumed runs diverge:\nbatched: %+v\nstepped: %+v", i, rb, rs)
+		}
+	}
+}
+
+// TestHookDoesNotChangeRun: a hook observes; it must not perturb. A
+// hooked run (stepped, state lanes tracked) returns the same Result as
+// the unhooked run (batched) under every runtime and under an injected
+// schedule.
+func TestHookDoesNotChangeRun(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(testing.TB) *ir.Module
+		cfg   func() Config
+	}{
+		{"rollback", func(tb testing.TB) *ir.Module { return rollbackProgram(tb, 40, 3) }, intermittentCfg},
+		{"wait", func(tb testing.TB) *ir.Module { return loopProgram(tb, 100, 1, true) }, intermittentCfg},
+		{"regs-only", func(tb testing.TB) *ir.Module { return ratchetLoopProgram(tb, 200) }, func() Config {
+			cfg := intermittentCfg()
+			cfg.EB = 1500
+			return cfg
+		}},
+		{"torn-save", func(tb testing.TB) *ir.Module { return rollbackProgram(tb, 40, 3) }, func() Config {
+			cfg := intermittentCfg()
+			cfg.Schedule = Schedules(Exhaustion(), TraceSchedule(
+				FailPoint{Kind: PointMidSave, N: 2}, FailPoint{Kind: PointStep, N: 300}))
+			return cfg
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.build(t)
+			plain, err := Run(m, tc.cfg())
+			if err != nil {
+				t.Fatalf("unhooked: %v", err)
+			}
+			hooked := tc.cfg()
+			visits := 0
+			hooked.Hook = func(PointVisit, func() *PersistentState) { visits++ }
+			res, err := Run(m, hooked)
+			if err != nil {
+				t.Fatalf("hooked: %v", err)
+			}
+			if visits == 0 {
+				t.Fatal("hook never fired")
+			}
+			if plain.PowerFailures+plain.Sleeps == 0 {
+				t.Fatal("config produced no failures or sleeps; test exercises nothing")
+			}
+			if !reflect.DeepEqual(plain, res) {
+				t.Errorf("hook changed the run:\nunhooked: %+v\nhooked:   %+v", plain, res)
+			}
+		})
 	}
 }
 

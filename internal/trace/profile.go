@@ -120,36 +120,12 @@ func Collect(m *ir.Module, opts Options) (*Profile, error) {
 
 	var totalCycles int64
 	var totalEnergy float64
-	// A stack of (function, previously entered block) mirrors the call
-	// stack exactly via the Trace/TraceRet callbacks, attributing each
-	// block entry to an intra-function CFG edge.
 	for run := 0; run < opts.Runs; run++ {
-		type level struct {
-			fn   *ir.Func
-			prev *ir.Block
-		}
-		var stack []level
 		cfgE := emulator.Config{
 			Model:    model,
 			Inputs:   inputsWith(m, rng, opts.InputGen),
 			MaxSteps: opts.MaxSteps,
-			Trace: func(fn *ir.Func, b *ir.Block) {
-				if b == fn.Entry() && (len(stack) == 0 || stack[len(stack)-1].fn != fn) {
-					stack = append(stack, level{fn: fn})
-					p.invocations[fn.Name]++
-				}
-				lv := &stack[len(stack)-1]
-				if lv.prev != nil && isSucc(lv.prev, b) {
-					p.edgeCount[fn.Name][edgeKey{lv.prev.Name, b.Name}]++
-				}
-				p.blockCount[blockKey{fn.Name, b.Name}]++
-				lv.prev = b
-			},
-			TraceRet: func() {
-				if len(stack) > 0 {
-					stack = stack[:len(stack)-1]
-				}
-			},
+			Observer: &profiler{p: p},
 		}
 		res, err := emulator.Run(m, cfgE)
 		if err != nil {
@@ -169,6 +145,45 @@ func Collect(m *ir.Module, opts Options) (*Profile, error) {
 	p.estimateLoopIters(m)
 	p.Elapsed = time.Since(start)
 	return p, nil
+}
+
+// profiler counts one profiling run's block entries and CFG edges. A
+// stack of (function, previously entered block) mirrors the call stack
+// from the block entries and function returns, attributing each entry to
+// an intra-function CFG edge. The replay of a restored stack after a
+// power failure (Resume entries) is not execution and is skipped.
+type profiler struct {
+	p     *Profile
+	stack []profLevel
+}
+
+type profLevel struct {
+	fn   *ir.Func
+	prev *ir.Block
+}
+
+func (pr *profiler) Event(e emulator.Event) {
+	switch e.Kind {
+	case emulator.EvBlockEnter:
+		if e.Resume {
+			return
+		}
+		fn, b, p := e.Fn, e.Block, pr.p
+		if b == fn.Entry() && (len(pr.stack) == 0 || pr.stack[len(pr.stack)-1].fn != fn) {
+			pr.stack = append(pr.stack, profLevel{fn: fn})
+			p.invocations[fn.Name]++
+		}
+		lv := &pr.stack[len(pr.stack)-1]
+		if lv.prev != nil && isSucc(lv.prev, b) {
+			p.edgeCount[fn.Name][edgeKey{lv.prev.Name, b.Name}]++
+		}
+		p.blockCount[blockKey{fn.Name, b.Name}]++
+		lv.prev = b
+	case emulator.EvFuncReturn:
+		if len(pr.stack) > 0 {
+			pr.stack = pr.stack[:len(pr.stack)-1]
+		}
+	}
 }
 
 func isSucc(from, to *ir.Block) bool {

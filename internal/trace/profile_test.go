@@ -191,10 +191,9 @@ entry:
 }
 
 // TestProfileCountsStableAcrossAdapter pins the exact counts Collect
-// gathers for a fixed program and seed. The profiler rides on the
-// emulator's legacy Trace/TraceRet callbacks, which are now adapted onto
-// the Observer event stream — these numbers must not move when the
-// adapter (or the event layer underneath it) changes.
+// gathers for a fixed program and seed. The profiler is an Observer of
+// the emulator's block-entry and return events — these numbers must not
+// move when the profiler (or the event layer underneath it) changes.
 func TestProfileCountsStableAcrossAdapter(t *testing.T) {
 	m := minic.MustCompile("prof", profSrc)
 	p, err := Collect(m, Options{Runs: 10, Seed: 42})
