@@ -51,6 +51,11 @@ func main() {
 		statsOut    = flag.String("stats", "", "dump per-cell NDJSON records to this file")
 	)
 	flag.Parse()
+	if *profileRuns < 0 {
+		fmt.Fprintf(os.Stderr, "paper: -profile-runs must not be negative, got %d\n", *profileRuns)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// ^C / SIGTERM cancels the in-flight experiment grid promptly instead
 	// of letting it run to completion.

@@ -55,6 +55,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *profileRuns < 0 {
+		fmt.Fprintf(os.Stderr, "schematicc: -profile-runs must not be negative, got %d\n", *profileRuns)
+		flag.Usage()
+		os.Exit(2)
+	}
 	path := flag.Arg(0)
 	src, err := os.ReadFile(path)
 	fail(err)

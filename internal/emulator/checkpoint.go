@@ -572,9 +572,9 @@ func (mc *machine) restoreSnap() {
 	mc.out = mc.out[:sn.outLen]
 	mc.done = sn.done
 	if mc.obs != nil {
-		// Replay the restored call stack so observers can mirror it;
-		// observers counting executed blocks (the trace profiler) skip
-		// these Resume entries.
+		// Replay the restored call stack so observers can mirror it. The
+		// replay is not execution: observers counting executed blocks
+		// skip these Resume entries, and Config.Counts never sees them.
 		for i := range mc.frames {
 			mc.emit(Event{Kind: EvBlockEnter, Fn: mc.frames[i].fn,
 				Block: mc.frames[i].cb.IR, Call: true, Resume: true})

@@ -109,6 +109,10 @@ func (mc *machine) execBatch(fr *frame) error {
 	steps := mc.res.Steps
 	done := mc.done
 	furthest := mc.furthest
+	var taken []int64
+	if mc.counts != nil {
+		taken = mc.counts.taken
+	}
 	var err error
 batch:
 	for pc < len(code) {
@@ -251,17 +255,20 @@ batch:
 		// block; any other stopped before a call, return or checkpoint (or
 		// at the block end), where step takes over.
 		last := &code[pc-1]
+		next, succ := last.Then, 0
 		switch last.Code {
 		case dispatch.CodeBr:
-			cb = last.Else
-			if regs[last.A] != 0 {
-				cb = last.Then
+			if regs[last.A] == 0 {
+				next, succ = last.Else, 1
 			}
 		case dispatch.CodeJmp:
-			cb = last.Then
 		default:
 			break batch
 		}
+		if taken != nil {
+			taken[2*cb.ID()+succ]++
+		}
+		cb = next
 		fr.cb = cb
 		code = cb.Code
 		pc = 0
@@ -278,6 +285,7 @@ batch:
 	mc.res.TotalCycles = total
 	mc.cyclesSincePower = since
 	mc.res.Cycles = cyc
+	mc.batched += steps - mc.res.Steps
 	mc.res.Steps = steps
 	mc.done = done
 	mc.furthest = furthest
@@ -478,6 +486,9 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 			nf.regs[i] = fr.regs[a]
 		}
 		mc.frames = append(mc.frames, nf)
+		if mc.counts != nil {
+			mc.counts.calls[cf.ID()]++
+		}
 		if mc.obs != nil {
 			mc.emit(Event{Kind: EvBlockEnter, Fn: nf.fn, Block: nf.cb.IR, Call: true})
 		}
@@ -486,12 +497,12 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 		fr.pc++
 	case dispatch.CodeBr:
 		if fr.regs[ci.A] != 0 {
-			mc.enterBlock(fr, ci.Then)
+			mc.enterBlock(fr, ci.Then, 0)
 		} else {
-			mc.enterBlock(fr, ci.Else)
+			mc.enterBlock(fr, ci.Else, 1)
 		}
 	case dispatch.CodeJmp:
-		mc.enterBlock(fr, ci.Then)
+		mc.enterBlock(fr, ci.Then, 0)
 	case dispatch.CodeRet:
 		var val int64
 		if ci.HasDst { // Ret: HasDst carries HasSrc
@@ -516,7 +527,12 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 	return false, nil
 }
 
-func (mc *machine) enterBlock(fr *frame, cb *dispatch.Block) {
+// enterBlock takes successor succ (0: Then or Jmp target, 1: Else) of
+// the executing block's branch.
+func (mc *machine) enterBlock(fr *frame, cb *dispatch.Block, succ int) {
+	if mc.counts != nil {
+		mc.counts.taken[2*fr.cb.ID()+succ]++
+	}
 	fr.cb = cb
 	fr.pc = 0
 	if mc.obs != nil {

@@ -1,0 +1,90 @@
+package emulator
+
+import (
+	"fmt"
+
+	"schematic/internal/emulator/dispatch"
+	"schematic/internal/ir"
+)
+
+// Counts is the control-flow profile of one or more runs of a module:
+// how often each function was entered (by a call, or by main's boot),
+// how often each block's terminator went to each of its successors, and
+// how many instructions ran, in total and on the batched path. Attach
+// one through Config.Counts; runs add to it.
+//
+// A Counts is sized on its first run and bound to that run's module. A
+// later run of a different module, or of the same module after an
+// in-place edit changed its compiled form, fails with a ConfigError for
+// Counts. The counting sites are exactly the block entries that execute
+// code: main's boot (including a cold restart after a power failure),
+// calls, and taken branches on both the stepped and the batched path.
+// The replay of a restored call stack after a power failure (or when a
+// run boots from Config.Resume) is not execution and is not counted;
+// blocks re-executed after the recovery point are.
+//
+// Counting never forces the stepped path and never changes a Result.
+// A Counts is not safe for concurrent runs: give each goroutine its own.
+type Counts struct {
+	prog *dispatch.Program // the program the counts were sized for
+
+	calls   []int64 // by function ordinal
+	taken   []int64 // by 2×block ordinal + successor index
+	steps   int64
+	batched int64
+}
+
+// bind sizes the counts for prog on first use and afterwards rejects a
+// run whose compiled form differs from the one the counts were sized
+// for. A program recompiled from an unchanged module (after a dispatch
+// cache eviction, or under another energy model) has the same ordinals,
+// so it keeps counting into the same slots.
+func (c *Counts) bind(m *ir.Module, prog *dispatch.Program) error {
+	if c.prog == nil {
+		c.prog = prog
+		c.calls = make([]int64, len(prog.Funcs))
+		c.taken = make([]int64, 2*prog.NumBlocks())
+		return nil
+	}
+	if c.prog.Mod != m {
+		return &ConfigError{Field: "Counts",
+			Reason: fmt.Sprintf("bound to module %q, cannot count a run of module %q", c.prog.Mod.Name, m.Name)}
+	}
+	if prog.Fingerprint() != c.prog.Fingerprint() {
+		return &ConfigError{Field: "Counts",
+			Reason: fmt.Sprintf("module %q changed since the counts were sized", m.Name)}
+	}
+	return nil
+}
+
+// Calls returns how often f was entered: by calls, and for main by its
+// boot (cold restarts included).
+func (c *Counts) Calls(f *ir.Func) int64 {
+	if c.prog == nil {
+		return 0
+	}
+	if cf := c.prog.FuncOf(f); cf != nil {
+		return c.calls[cf.ID()]
+	}
+	return 0
+}
+
+// Taken returns how often b's terminator went to b.Succs()[succ]: the
+// Then target of a Br is successor 0 and its Else target 1; a Jmp's
+// target is successor 0.
+func (c *Counts) Taken(b *ir.Block, succ int) int64 {
+	if c.prog == nil || succ < 0 || succ > 1 {
+		return 0
+	}
+	if cb := c.prog.BlockOf(b); cb != nil {
+		return c.taken[2*cb.ID()+succ]
+	}
+	return 0
+}
+
+// Steps returns the instructions the counted runs executed (the sum of
+// their Result.Steps).
+func (c *Counts) Steps() int64 { return c.steps }
+
+// BatchedSteps returns how many of Steps ran on the batched path.
+func (c *Counts) BatchedSteps() int64 { return c.batched }

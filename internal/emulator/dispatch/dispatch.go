@@ -159,6 +159,11 @@ type Block struct {
 	id int32 // global ordinal, fingerprint identity for branch targets
 }
 
+// ID returns the block's ordinal: its position in module order, counting
+// the blocks of every function in turn. Ordinals depend only on the
+// module, so every compilation of an unchanged module agrees on them.
+func (b *Block) ID() int { return int(b.id) }
+
 // Func is a compiled function.
 type Func struct {
 	IR     *ir.Func
@@ -167,6 +172,9 @@ type Func struct {
 
 	id int32
 }
+
+// ID returns the function's ordinal, its index in the module's Funcs.
+func (f *Func) ID() int { return int(f.id) }
 
 // Program is a compiled module bound to one energy model. Immutable
 // after Compile; share freely across goroutines.
@@ -189,8 +197,16 @@ type Program struct {
 	fnOf    map[*ir.Func]*Func
 	blockOf map[*ir.Block]*Block
 
-	fp uint64
+	blocks int // number of blocks, one past the largest block ordinal
+	fp     uint64
 }
+
+// NumBlocks returns the number of compiled blocks in the module.
+func (p *Program) NumBlocks() int { return p.blocks }
+
+// Fingerprint returns the structural hash of the module as compiled;
+// Stale compares it against the module's current form.
+func (p *Program) Fingerprint() uint64 { return p.fp }
 
 // SlotOf resolves a variable's storage slot. The second result is false
 // for a variable outside the compiled slot table (a staleness signal:
@@ -259,6 +275,7 @@ func Compile(mod *ir.Module, model *energy.Model) *Program {
 		p.Funcs = append(p.Funcs, cf)
 		p.fnOf[f] = cf
 	}
+	p.blocks = int(blockID)
 	for _, cf := range p.Funcs {
 		for _, cb := range cf.Blocks {
 			p.compileBlock(cb)

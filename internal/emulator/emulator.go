@@ -105,6 +105,13 @@ type Config struct {
 	// save/restore, sleeps, power failures, re-execution spans, poison
 	// reads. A nil observer costs nothing per instruction.
 	Observer Observer
+
+	// Counts, when non-nil, is a data sink, not a behaviour setting: the
+	// run adds its control-flow counts to it (function entries, taken
+	// branch arms, and instructions executed in total and batched; see
+	// Counts). Counting never forces the stepped path and never changes
+	// the Result. The trace profiler is built on it.
+	Counts *Counts
 }
 
 // Verdict says how a run ended.
@@ -278,11 +285,19 @@ func Run(m *ir.Module, cfg Config) (*Result, error) {
 	if cfg.TriggerThreshold == 0 {
 		cfg.TriggerThreshold = 0.5
 	}
-	mach := newMachine(m, cfg)
+	mach, err := newMachine(m, cfg)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Resume != nil {
 		if err := mach.installResume(cfg.Resume); err != nil {
 			return nil, err
 		}
 	}
-	return mach.run()
+	res, err := mach.run()
+	if c := cfg.Counts; c != nil {
+		c.steps += mach.res.Steps
+		c.batched += mach.batched
+	}
+	return res, err
 }

@@ -52,6 +52,10 @@ type machine struct {
 	// obs is Config.Observer; nil on an unobserved run. Every emission
 	// site guards on nil so an unobserved run constructs no events at all.
 	obs Observer
+	// counts is Config.Counts, bound to this module; nil when the run is
+	// not counted. batched counts the instructions execBatch ran.
+	counts  *Counts
+	batched int64
 	// curSite is the checkpoint site currently executing, -1 outside
 	// execCheckpoint; save/restore charges are attributed to it.
 	curSite int
@@ -142,14 +146,20 @@ type machine struct {
 	snapLane1, snapLane2 uint64
 }
 
-func newMachine(m *ir.Module, cfg Config) *machine {
+func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 	prog := dispatch.For(m, cfg.Model)
+	if cfg.Counts != nil {
+		if err := cfg.Counts.bind(m, prog); err != nil {
+			return nil, err
+		}
+	}
 	n := len(prog.Vars)
 	mc := &machine{
 		mod:      m,
 		prog:     prog,
 		cfg:      cfg,
 		obs:      cfg.Observer,
+		counts:   cfg.Counts,
 		curSite:  -1,
 		nvm:      make([][]int64, n),
 		vm:       make([][]int64, n),
@@ -172,7 +182,7 @@ func newMachine(m *ir.Module, cfg Config) *machine {
 		mc.captureFn = mc.captureState
 		mc.recomputeLanes()
 	}
-	return mc
+	return mc, nil
 }
 
 // slot resolves a variable's storage slot. The program's fingerprint
@@ -233,6 +243,9 @@ func (mc *machine) bootFrames() {
 		cb:   cf.Entry,
 		regs: make([]int64, mainFn.NumRegs),
 	}}
+	if mc.counts != nil {
+		mc.counts.calls[cf.ID()]++
+	}
 	if mc.obs != nil {
 		mc.emit(Event{Kind: EvBlockEnter, Fn: mainFn, Block: mainFn.Entry(), Call: true})
 	}

@@ -297,7 +297,12 @@ func InitialState(m *ir.Module, cfg Config) (*PersistentState, error) {
 	if m.FuncByName("main") == nil {
 		return nil, ErrNoMain
 	}
-	mc := newMachine(m, cfg)
+	// Nothing executes, so there is nothing to count.
+	cfg.Counts = nil
+	mc, err := newMachine(m, cfg)
+	if err != nil {
+		return nil, err
+	}
 	return mc.captureState(), nil
 }
 

@@ -1,6 +1,8 @@
 // Package trace implements the profiling step of SCHEMATIC (paper,
 // III-A3): programs are executed many times with randomly generated inputs
 // under the emulator, gathering basic-block and edge execution counts.
+// The counts are a native output of the emulator (emulator.Counts), so
+// profiling runs take the same batched path as any unobserved run.
 // Checkpoint placement uses the counts to prioritize frequently executed
 // paths, and the experiment harness uses the measured average energy per
 // cycle to convert a time-between-power-failures (TBPF) into the energy
@@ -70,6 +72,12 @@ type Profile struct {
 	AvgEnergy float64
 
 	loopIterEstimate map[blockKey]int
+
+	// Steps is the number of instructions the profiling runs executed;
+	// BatchedSteps is how many of them ran on the emulator's batched
+	// path.
+	Steps        int64
+	BatchedSteps int64
 }
 
 // RandomInputs generates input data for every input variable of m using
@@ -97,6 +105,9 @@ func inputsWith(m *ir.Module, r *rand.Rand, gen func(*rand.Rand, *ir.Var) []int6
 // Collect profiles the module. The module must be untransformed (no
 // checkpoints); it is executed on continuous power with all data in NVM.
 func Collect(m *ir.Module, opts Options) (*Profile, error) {
+	if opts.Runs < 0 {
+		return nil, fmt.Errorf("trace: Options.Runs must not be negative (0 selects 100), got %d", opts.Runs)
+	}
 	if opts.Runs == 0 {
 		opts.Runs = 100
 	}
@@ -113,11 +124,9 @@ func Collect(m *ir.Module, opts Options) (*Profile, error) {
 		invocations:      map[string]int64{},
 		loopIterEstimate: map[blockKey]int{},
 	}
-	for _, f := range m.Funcs {
-		p.edgeCount[f.Name] = map[edgeKey]int64{}
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
+	counts := &emulator.Counts{}
 	var totalCycles int64
 	var totalEnergy float64
 	for run := 0; run < opts.Runs; run++ {
@@ -125,7 +134,7 @@ func Collect(m *ir.Module, opts Options) (*Profile, error) {
 			Model:    model,
 			Inputs:   inputsWith(m, rng, opts.InputGen),
 			MaxSteps: opts.MaxSteps,
-			Observer: &profiler{p: p},
+			Counts:   counts,
 		}
 		res, err := emulator.Run(m, cfgE)
 		if err != nil {
@@ -142,57 +151,33 @@ func Collect(m *ir.Module, opts Options) (*Profile, error) {
 	}
 	p.AvgCycles = float64(totalCycles) / float64(opts.Runs)
 	p.AvgEnergy = totalEnergy / float64(opts.Runs)
+	p.Steps, p.BatchedSteps = counts.Steps(), counts.BatchedSteps()
+	p.tally(m, counts)
 	p.estimateLoopIters(m)
 	p.Elapsed = time.Since(start)
 	return p, nil
 }
 
-// profiler counts one profiling run's block entries and CFG edges. A
-// stack of (function, previously entered block) mirrors the call stack
-// from the block entries and function returns, attributing each entry to
-// an intra-function CFG edge. The replay of a restored stack after a
-// power failure (Resume entries) is not execution and is skipped.
-type profiler struct {
-	p     *Profile
-	stack []profLevel
-}
-
-type profLevel struct {
-	fn   *ir.Func
-	prev *ir.Block
-}
-
-func (pr *profiler) Event(e emulator.Event) {
-	switch e.Kind {
-	case emulator.EvBlockEnter:
-		if e.Resume {
-			return
+// tally keys the emulator's counts by name. A block executes once per
+// entry: an entry block whenever its function is called, any block
+// whenever a branch arm into it is taken. Names that repeat add up.
+func (p *Profile) tally(m *ir.Module, c *emulator.Counts) {
+	for _, f := range m.Funcs {
+		edges := map[edgeKey]int64{}
+		p.edgeCount[f.Name] = edges
+		if n := c.Calls(f); n > 0 {
+			p.invocations[f.Name] += n
+			p.blockCount[blockKey{f.Name, f.Entry().Name}] += n
 		}
-		fn, b, p := e.Fn, e.Block, pr.p
-		if b == fn.Entry() && (len(pr.stack) == 0 || pr.stack[len(pr.stack)-1].fn != fn) {
-			pr.stack = append(pr.stack, profLevel{fn: fn})
-			p.invocations[fn.Name]++
-		}
-		lv := &pr.stack[len(pr.stack)-1]
-		if lv.prev != nil && isSucc(lv.prev, b) {
-			p.edgeCount[fn.Name][edgeKey{lv.prev.Name, b.Name}]++
-		}
-		p.blockCount[blockKey{fn.Name, b.Name}]++
-		lv.prev = b
-	case emulator.EvFuncReturn:
-		if len(pr.stack) > 0 {
-			pr.stack = pr.stack[:len(pr.stack)-1]
+		for _, b := range f.Blocks {
+			for i, s := range b.Succs() {
+				if n := c.Taken(b, i); n > 0 {
+					edges[edgeKey{b.Name, s.Name}] += n
+					p.blockCount[blockKey{f.Name, s.Name}] += n
+				}
+			}
 		}
 	}
-}
-
-func isSucc(from, to *ir.Block) bool {
-	for _, s := range from.Succs() {
-		if s == to {
-			return true
-		}
-	}
-	return false
 }
 
 // estimateLoopIters derives average trip counts from edge counts: for a

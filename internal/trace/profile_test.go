@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"schematic/internal/ir"
@@ -191,9 +192,10 @@ entry:
 }
 
 // TestProfileCountsStableAcrossAdapter pins the exact counts Collect
-// gathers for a fixed program and seed. The profiler is an Observer of
-// the emulator's block-entry and return events — these numbers must not
-// move when the profiler (or the event layer underneath it) changes.
+// gathers for a fixed program and seed. The profiler reads the
+// emulator's native control-flow counts (Config.Counts), which replaced
+// an Observer of block-entry and return events — these numbers must not
+// move when the profiler (or the counting underneath it) changes.
 func TestProfileCountsStableAcrossAdapter(t *testing.T) {
 	m := minic.MustCompile("prof", profSrc)
 	p, err := Collect(m, Options{Runs: 10, Seed: 42})
@@ -246,5 +248,16 @@ func TestProfileCountsStableAcrossAdapter(t *testing.T) {
 	}
 	if got := p.EdgeFreq(mainF, ir.Edge{From: latch, To: head}); got != 160 {
 		t.Errorf("back-edge freq = %d, want 160", got)
+	}
+}
+
+// TestCollectRejectsNegativeRuns: a negative run count is a caller
+// mistake, not an empty profile whose zero energy rate would turn every
+// TBPF into a zero energy budget.
+func TestCollectRejectsNegativeRuns(t *testing.T) {
+	m := minic.MustCompile("prof", profSrc)
+	p, err := Collect(m, Options{Runs: -3})
+	if err == nil || !strings.Contains(err.Error(), "Runs") {
+		t.Fatalf("Collect(Runs: -3) = %v, %v; want an error naming Runs", p, err)
 	}
 }
