@@ -12,10 +12,12 @@
 //	crashhunt -replay repro.ndjson         # re-execute serialized counterexamples
 //
 // -power switches from injection hunting to a harvested-environment
-// sweep: every case runs once under each given power spec (shared
-// grammar with iemu and schematicd; see "Power environments" in
-// EXPERIMENTS.md), classified against its continuous-power oracle. The
-// flag repeats, one environment per use:
+// sweep: every case passes the same exhaustion-baseline gate as the
+// hunt, then runs once under each given power spec (shared grammar with
+// iemu and schematicd; see "Power environments" in EXPERIMENTS.md),
+// classified against its continuous-power oracle. The flag repeats, one
+// environment per use; -jobs, -timeout and -budget apply as in the hunt,
+// -o and -exhaustive are rejected:
 //
 //	crashhunt -power solar -power rf:seed=7 -power duty:duty=0.2
 //	crashhunt -benches crc -power solar:cloud=0.9,cap=1800
@@ -29,7 +31,8 @@
 //	crashhunt -exhaustive -benches crc -max-states 50000 -max-depth 32
 //
 // Exit status: 0 = no violations, 1 = confirmed violations (or, with
-// -replay, a repro that no longer reproduces), 2 = infrastructure errors.
+// -replay, a repro that no longer reproduces), 2 = infrastructure errors
+// or a flag mistake.
 package main
 
 import (
@@ -61,7 +64,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 2*time.Minute, "per-case hunt timeout (0 = none)")
 		budget   = flag.Duration("budget", 0, "overall wall-clock budget; cases beyond it are skipped (0 = none)")
 		out      = flag.String("o", "", "write confirmed findings as NDJSON repros to this file")
-		verbose  = flag.Bool("v", false, "log one line per finished case")
+		verbose  = flag.Bool("v", false, "log one line per case")
 		anytime  = flag.Bool("anytime", false, "inject into wait-style placements too, ignoring their failures-only-at-checkpoints contract")
 
 		exhaustive = flag.Bool("exhaustive", false, "bounded model checking instead of sampling: explore every reachable persistent state")
@@ -77,6 +80,11 @@ func main() {
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: crashhunt [flags]")
 		flag.Usage()
+		os.Exit(2)
+	}
+
+	if len(powers) > 0 && (*out != "" || *exhaustive) {
+		fmt.Fprintln(os.Stderr, "crashhunt: -power takes neither -o (harvested violations have no repro format) nor -exhaustive")
 		os.Exit(2)
 	}
 
@@ -102,18 +110,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if len(powers) > 0 {
-		os.Exit(runPowerSweep(ctx, cases, powers, crashtest.Options{AssumeAnytime: *anytime}, *verbose))
-	}
-
-	if *exhaustive {
-		os.Exit(runExhaustive(ctx, cases, verify.Options{
-			MaxStates:     *maxStates,
-			MaxDepth:      *maxDepth,
-			AssumeAnytime: *anytime,
-		}, *jobs, *timeout, *budget, *out, *verbose))
-	}
-
 	h := &crashtest.Hunter{
 		Opts:        crashtest.Options{AssumeAnytime: *anytime},
 		Jobs:        *jobs,
@@ -122,6 +118,16 @@ func main() {
 	}
 	if *verbose {
 		h.Log = os.Stderr
+	}
+	if *exhaustive {
+		os.Exit(runExhaustive(ctx, h, cases, verify.Options{
+			MaxStates:     *maxStates,
+			MaxDepth:      *maxDepth,
+			AssumeAnytime: *anytime,
+		}, *out, *verbose))
+	}
+	if len(powers) > 0 {
+		os.Exit(runPowerSweep(ctx, h, cases, powers, *verbose))
 	}
 
 	start := time.Now()
@@ -167,8 +173,8 @@ func main() {
 
 // runPowerSweep validates every case against its oracle under each
 // harvested power environment — the physics analogue of the injection
-// hunt.
-func runPowerSweep(ctx context.Context, cases []crashtest.Case, specs []string, opts crashtest.Options, verbose bool) int {
+// hunt, on the hunter's worker pool, timeouts and budget.
+func runPowerSweep(ctx context.Context, h *crashtest.Hunter, cases []crashtest.Case, specs []string, verbose bool) int {
 	var scheds []crashtest.NamedSchedule
 	for _, raw := range specs {
 		ps, err := cli.ParsePower(raw)
@@ -178,45 +184,48 @@ func runPowerSweep(ctx context.Context, cases []crashtest.Case, specs []string, 
 		}
 		scheds = append(scheds, crashtest.NamedSchedule{Name: ps.String(), Make: ps.Build})
 	}
-	var logf func(format string, args ...any)
-	if verbose {
-		logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "crashhunt: "+format+"\n", args...)
-		}
-	}
 	start := time.Now()
-	results, err := crashtest.Sweep(ctx, cases, scheds, opts, logf)
-	fail(err)
-	violations := 0
+	results := h.Sweep(ctx, cases, scheds)
+	cells, violations, skipped, errs := 0, 0, 0, 0
 	for i := range results {
 		r := &results[i]
-		if r.Violation() {
-			violations++
-			fmt.Printf("VIOLATION %s/%s under %s: %s\n", r.Case.Name, r.Case.Technique, r.Schedule, r.Outcome.Class)
-			if r.Outcome.Detail != "" {
-				fmt.Printf("  %s\n", r.Outcome.Detail)
+		switch {
+		case r.Err != nil:
+			errs++
+			fmt.Fprintf(os.Stderr, "crashhunt: ERROR %s/%s: %v\n", r.Case.Name, r.Case.Technique, r.Err)
+		case r.Skipped != "":
+			skipped++
+		}
+		for _, c := range r.Cells {
+			cells++
+			if c.Violation() {
+				violations++
+				fmt.Printf("VIOLATION %s/%s under %s: %s\n", c.Case.Name, c.Case.Technique, c.Schedule, c.Outcome.Class)
+				if c.Outcome.Detail != "" {
+					fmt.Printf("  %s\n", c.Outcome.Detail)
+				}
+			} else if verbose {
+				fmt.Printf("ok        %s/%s under %s (%d power failures)\n",
+					c.Case.Name, c.Case.Technique, c.Schedule, c.Outcome.Res.PowerFailures)
 			}
-		} else if verbose {
-			fmt.Printf("ok        %s/%s under %s (%d power failures)\n",
-				r.Case.Name, r.Case.Technique, r.Schedule, r.Outcome.Res.PowerFailures)
 		}
 	}
-	fmt.Printf("crashhunt: power sweep: %d cells across %d environment(s), %d violation(s) in %v\n",
-		len(results), len(scheds), violations, time.Since(start).Round(time.Millisecond))
-	if violations > 0 {
+	fmt.Printf("crashhunt: power sweep: %d cells across %d environment(s), %d violation(s); %d of %d cases skipped, %d errors in %v\n",
+		cells, len(scheds), violations, skipped, len(results), errs, time.Since(start).Round(time.Millisecond))
+	switch {
+	case errs > 0:
+		return 2
+	case violations > 0:
 		return 1
 	}
 	return 0
 }
 
-// runExhaustive sweeps the cases through the bounded model checker and
-// reports VERIFIED / BOUNDED / VIOLATION per case with full state-space
-// statistics.
-func runExhaustive(ctx context.Context, cases []crashtest.Case, opts verify.Options, jobs int, timeout, budget time.Duration, outPath string, verbose bool) int {
-	s := &verify.Sweeper{Opts: opts, Jobs: jobs, CaseTimeout: timeout, Budget: budget}
-	if verbose {
-		s.Log = os.Stderr
-	}
+// runExhaustive sweeps the cases through the bounded model checker, on
+// the hunter's worker pool, timeouts and budget, and reports VERIFIED /
+// BOUNDED / VIOLATION per case with full state-space statistics.
+func runExhaustive(ctx context.Context, h *crashtest.Hunter, cases []crashtest.Case, opts verify.Options, outPath string, verbose bool) int {
+	s := &verify.Sweeper{Opts: opts, Jobs: h.Jobs, CaseTimeout: h.CaseTimeout, Budget: h.Budget, Log: h.Log}
 	start := time.Now()
 	results := s.Run(ctx, cases)
 	summary := verify.Summarize(results)

@@ -40,13 +40,6 @@ func (h *Harness) parallelFor(ctx context.Context, n int, fn func(i int) error) 
 	return ParallelForCtx(ctx, h.jobs(), n, fn)
 }
 
-// ParallelFor runs fn(0..n-1) on up to the given number of workers; see
-// ParallelForCtx for the contract. It is the non-cancellable form kept
-// for call sites without a context.
-func ParallelFor(workers, n int, fn func(i int) error) error {
-	return ParallelForCtx(context.Background(), workers, n, fn)
-}
-
 // ParallelForCtx runs fn(0..n-1) on up to the given number of workers
 // and returns the error of the lowest index that failed — the same error
 // a sequential in-order loop would have surfaced first. With one worker
@@ -54,8 +47,8 @@ func ParallelFor(workers, n int, fn func(i int) error) error {
 // order. When the context is cancelled, no further indices are
 // dispatched, in-flight calls are awaited, and ctx.Err() is returned
 // unless an index failed with its own error first. Other subsystems with
-// the same fan-out shape (e.g. the crash hunter) reuse it rather than
-// growing their own pool.
+// the same fan-out shape (e.g. crashtest's case driver) reuse it rather
+// than growing their own pool.
 func ParallelForCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()

@@ -109,13 +109,6 @@ func (o Options) maxSteps(baselineSteps int64) int64 {
 	return o.MaxStepsFactor*baselineSteps + 10_000
 }
 
-// MaxStepsFor is the exported form of the injected-run step cap, applying
-// the documented default factor when unset — internal/verify uses it so
-// resumed explorations and counterexample replays share one bound.
-func (o Options) MaxStepsFor(baselineSteps int64) int64 {
-	return o.withDefaults().maxSteps(baselineSteps)
-}
-
 // Classify judges a finished emulator run (or its error) against the
 // oracle — runOnce's classification without the ledger reconciliation,
 // for callers that executed the run themselves (the model checker's

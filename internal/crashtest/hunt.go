@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"schematic/internal/emulator"
 	"schematic/internal/fuzzgen"
@@ -142,83 +141,83 @@ func enumerate(baseline *emulator.Result, cs Case, opts Options) []candidate {
 	return cands
 }
 
-// Hunt builds the case, validates it under plain exhaustion, then tries
-// every adversarial schedule. It returns nil when no violation exists, a
-// shrunk Finding when one does, and an error (SkipError for ineligible
-// cases) otherwise. A context deadline tightens Options.Deadline (the
-// hunt reports a skip when it expires mid-enumeration); cancellation
-// returns ctx.Err() directly.
+// Hunt builds the case, passes it through the baseline gate (see
+// Baseline), then tries every adversarial schedule. It returns nil when
+// no violation exists, a shrunk Finding when one does, and an error
+// (SkipError for ineligible cases) otherwise. A context deadline
+// tightens Options.Deadline (the hunt reports a skip when it expires
+// mid-enumeration); cancellation returns ctx.Err() directly.
 func Hunt(ctx context.Context, cs Case, opts Options) (*Finding, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	if d, ok := ctx.Deadline(); ok && (opts.Deadline.IsZero() || d.Before(opts.Deadline)) {
-		opts.Deadline = d
-	}
+	ctxDeadline, _ := ctx.Deadline()
+	opts.Deadline = earliest(opts.Deadline, ctxDeadline)
 	b, err := build(cs, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	waitContract := WaitOnly(b.mod) && !opts.AssumeAnytime
-
-	// Baseline probe: the placement must complete correctly under its own
-	// physics before injection means anything. Incorrect-but-completed
-	// baselines are violations of the exhaustion schedule itself. For
-	// anytime-contract techniques, non-completing baselines mirror the
-	// paper's ✗ cells (the technique legitimately cannot run this EB) and
-	// are skipped; a wait-style placement, by contrast, guarantees
-	// completion with zero power failures at any EB it accepted, so any
-	// baseline failure is itself the counterexample.
-	baseline := b.runOnce(emulator.Exhaustion(), 0)
-	exhaustionFinding := func(class Class, detail string) *Finding {
-		return &Finding{
-			Case:     b.cs,
-			Schedule: ScheduleSpec{Exhaust: true},
-			Class:    class,
-			Detail:   detail,
-			FoundBy:  "exhaustion",
-		}
+	// A kept wait contract is verified: injected failures would break an
+	// assumption the hardware enforces, not the placement.
+	base, err := b.Baseline(opts, "exhaustion")
+	if err != nil || base.Finding != nil || base.WaitContract {
+		return base.Finding, err
 	}
-	switch baseline.Class {
-	case ClassNone:
-	case ClassDivergence, ClassPoisonRead, ClassLedger:
-		return exhaustionFinding(baseline.Class, baseline.Detail), nil
-	default:
-		if waitContract {
-			return exhaustionFinding(baseline.Class, baseline.Detail), nil
-		}
-		return nil, &SkipError{Reason: fmt.Sprintf("baseline (exhaustion-only) run is %s: %s", baseline.Class, baseline.Detail)}
-	}
-
-	if waitContract {
-		// The wait-style guarantee: the run never even experienced a power
-		// failure — the placement kept every segment inside EB.
-		if baseline.Res.PowerFailures > 0 {
-			return exhaustionFinding(ClassForwardProgress,
-				fmt.Sprintf("wait-style placement hit %d unplanned power failures (segments exceed EB)", baseline.Res.PowerFailures)), nil
-		}
-		// Injected failures would break an assumption the hardware enforces
-		// for this runtime, not the placement; the contract is verified.
-		return nil, nil
-	}
-
-	maxSteps := opts.maxSteps(baseline.Res.Steps)
-	for _, cand := range enumerate(baseline.Res, b.cs, opts) {
-		if err := ctx.Err(); err != nil {
+	for _, cand := range enumerate(base.Res, b.cs, opts) {
+		if err := interrupted(ctx, opts.Deadline, "hunt"); err != nil {
 			return nil, err
 		}
-		if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-			return nil, &SkipError{Reason: "deadline expired mid-hunt"}
-		}
-		out := b.runOnce(cand.make(), maxSteps)
+		out := b.runOnce(cand.make(), base.MaxSteps)
 		if out.Class == ClassNone {
 			continue
 		}
-		return confirm(b, cand.label, out, maxSteps, opts)
+		return confirm(b, cand.label, out, base.MaxSteps, opts)
 	}
 	return nil, nil
+}
+
+// Gate is a case's exhaustion baseline judged by the rules the hunt,
+// the model checker and the power sweep share.
+type Gate struct {
+	Res      *emulator.Result // the baseline run
+	MaxSteps int64            // step cap for every later run of the case
+	Finding  *Finding         // non-nil when the baseline is a violation
+	// WaitContract is set when a wait-style placement (AssumeAnytime
+	// off) kept its contract: correct output, zero power failures.
+	WaitContract bool
+}
+
+// Baseline runs the case once under plain exhaustion, ledgers
+// reconciled: the placement must be correct under its own physics before
+// injection means anything. A completed but wrong baseline (divergence,
+// poison read, ledger mismatch) is a finding, labelled foundBy. Any other
+// failure mirrors the paper's ✗ cells for anytime-contract techniques
+// and returns a SkipError; a wait-style placement guarantees completion
+// with zero power failures at any EB it accepted, so for it any failure,
+// or any power failure at all, is the finding.
+func (b *Built) Baseline(opts Options, foundBy string) (Gate, error) {
+	opts = opts.withDefaults()
+	out := b.runOnce(emulator.Exhaustion(), 0)
+	wait := WaitOnly(b.mod) && !opts.AssumeAnytime
+	g := Gate{Res: out.Res}
+	finding := func(class Class, detail string) *Finding {
+		return &Finding{Case: b.cs, Schedule: ScheduleSpec{Exhaust: true}, Class: class, Detail: detail, FoundBy: foundBy}
+	}
+	switch {
+	case out.Class == ClassDivergence || out.Class == ClassPoisonRead || out.Class == ClassLedger,
+		out.Class != ClassNone && wait:
+		g.Finding = finding(out.Class, out.Detail)
+	case out.Class != ClassNone:
+		return g, &SkipError{Reason: fmt.Sprintf("baseline (exhaustion-only) run is %s: %s", out.Class, out.Detail)}
+	case wait && out.Res.PowerFailures > 0:
+		g.Finding = finding(ClassForwardProgress,
+			fmt.Sprintf("wait-style placement hit %d unplanned power failures (segments exceed EB)", out.Res.PowerFailures))
+	default:
+		g.MaxSteps = opts.maxSteps(out.Res.Steps)
+		g.WaitContract = wait
+	}
+	return g, nil
 }
 
 // ConfirmSpec replays an externally discovered failure-point trace (a

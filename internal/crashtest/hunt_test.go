@@ -13,6 +13,7 @@ import (
 
 	"schematic/internal/emulator"
 	"schematic/internal/fuzzgen"
+	"schematic/internal/harvest"
 )
 
 // fastOpts keeps hunts cheap in tests without changing their structure.
@@ -201,28 +202,51 @@ func TestWaitContractSkipsInjection(t *testing.T) {
 	}
 }
 
-func TestHunterBudgetAndOrder(t *testing.T) {
-	cases, err := BenchCases([]string{"randmath"}, TechniqueNames(), 1)
+// TestHunterDeadline: the hunter honours a caller-set Opts.Deadline as
+// Hunt does. With one already past, every anytime case stops before its
+// first injected schedule and is skipped; wait-style placements are left
+// out because their contract check injects nothing.
+func TestHunterDeadline(t *testing.T) {
+	cases, err := BenchCases([]string{"crc", "randmath"}, []string{"Ratchet", "Mementos", "Alfred"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &Hunter{Opts: fastOpts(), Jobs: 4}
-	results := h.Run(context.Background(), cases)
-	if len(results) != len(cases) {
-		t.Fatalf("results = %d, want %d", len(results), len(cases))
-	}
-	for i := range results {
-		if results[i].Case.Technique != cases[i].Technique {
-			t.Fatalf("result %d out of order: %s", i, results[i].Case.Technique)
+	opts := fastOpts()
+	opts.Deadline = time.Now().Add(-time.Second)
+	for _, r := range (&Hunter{Opts: opts}).Run(context.Background(), cases) {
+		if !strings.Contains(r.Skipped, "deadline expired mid-hunt") {
+			t.Errorf("%s/%s: skipped = %q, finding = %+v, err = %v; want a mid-hunt deadline skip",
+				r.Case.Name, r.Case.Technique, r.Skipped, r.Finding, r.Err)
 		}
 	}
+}
 
-	// An already-expired budget skips every case.
-	h2 := &Hunter{Opts: fastOpts(), Budget: time.Nanosecond}
-	time.Sleep(time.Millisecond)
-	s := Summarize(h2.Run(context.Background(), cases))
-	if s.Skipped != len(cases) {
-		t.Errorf("expired budget: %s, want all %d skipped", s, len(cases))
+// TestSweepReportsBaselineViolation: the power sweep applies Hunt's
+// baseline gate, so a sabotaged placement whose exhaustion baseline
+// already diverges is one violation under the "exhaustion" schedule
+// name, not a skipped case.
+func TestSweepReportsBaselineViolation(t *testing.T) {
+	bm, err := BenchCases([]string{"crc"}, []string{"Ratchet"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := bm[0]
+	cs.Sabotage = 2
+	solar := NamedSchedule{Name: "solar", Make: func(eb float64) (emulator.PowerSchedule, error) {
+		return harvest.Capacitor{Env: harvest.Solar{}, Capacity: eb}.Schedule(), nil
+	}}
+	results := (&Hunter{}).Sweep(context.Background(), []Case{cs}, []NamedSchedule{solar})
+	if len(results) != 1 || results[0].Err != nil || results[0].Skipped != "" {
+		t.Fatalf("results = %+v, want one judged case", results)
+	}
+	var violations []SweepResult
+	for _, c := range results[0].Cells {
+		if c.Violation() {
+			violations = append(violations, c)
+		}
+	}
+	if len(violations) != 1 || violations[0].Schedule != "exhaustion" || violations[0].Outcome.Class != ClassDivergence {
+		t.Fatalf("violations = %+v, want one %s under exhaustion", violations, ClassDivergence)
 	}
 }
 
@@ -333,27 +357,6 @@ func TestFuzzProgramShrinks(t *testing.T) {
 	}
 	if out.Class != shrunk.Class {
 		t.Fatalf("shrunk finding replays as %q, want %q", out.Class, shrunk.Class)
-	}
-}
-
-// TestHunterCancellation: a cancelled context makes the sweep return
-// promptly with every case marked skipped instead of hunting on.
-func TestHunterCancellation(t *testing.T) {
-	cases, err := BenchCases(BenchNames(), TechniqueNames(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	h := &Hunter{Opts: fastOpts()}
-	results := h.Run(ctx, cases)
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("cancelled sweep took %v, want prompt return", el)
-	}
-	s := Summarize(results)
-	if s.Skipped != len(cases) {
-		t.Fatalf("cancelled sweep: %s, want all %d skipped", s, len(cases))
 	}
 }
 

@@ -2,10 +2,8 @@ package crashtest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"schematic/internal/bench"
@@ -20,8 +18,8 @@ type HuntResult struct {
 	Elapsed time.Duration
 }
 
-// Hunter sweeps a case list on a worker pool (the internal/bench runner
-// pattern), with per-case deadlines and an overall wall-clock budget.
+// Hunter sweeps a case list on the case driver (see Driver), with
+// per-case deadlines and an overall wall-clock budget.
 type Hunter struct {
 	Opts Options
 	// Jobs is the worker count; 0 selects NumCPU.
@@ -31,75 +29,33 @@ type Hunter struct {
 	// Budget bounds the whole sweep; cases that would start after it
 	// expires are skipped. 0 = no budget.
 	Budget time.Duration
-	// Log, when non-nil, receives one progress line per finished case.
+	// Log, when non-nil, receives one progress line per case.
 	Log io.Writer
 }
 
+func (h *Hunter) driver() *Driver {
+	return &Driver{Jobs: h.Jobs, CaseTimeout: h.CaseTimeout, Budget: h.Budget, Log: h.Log}
+}
+
 // Run hunts every case and returns the results in case order,
-// deterministic regardless of the worker count. A cancelled context
-// marks every not-yet-hunted case as skipped and returns promptly;
-// in-flight cases surface ctx.Err() through their result.
+// deterministic regardless of the worker count. Each hunt's deadline is
+// the earliest of Opts.Deadline, the case timeout, the budget and the
+// context's deadline. A cancelled context marks every not-yet-hunted
+// case as skipped and returns promptly; in-flight cases surface
+// ctx.Err() through their result.
 func (h *Hunter) Run(ctx context.Context, cases []Case) []HuntResult {
-	results := make([]HuntResult, len(cases))
-	var deadline time.Time
-	if h.Budget > 0 {
-		deadline = time.Now().Add(h.Budget)
-	}
-	var logMu sync.Mutex
-	// ParallelFor only propagates errors; results land by index. The
-	// context is checked per case (not via ParallelForCtx) so skipped
-	// cases still produce well-formed HuntResults.
-	_ = bench.ParallelFor(h.Jobs, len(cases), func(i int) error {
-		res := HuntResult{Case: cases[i]}
-		start := time.Now()
-		if ctx.Err() != nil {
-			res.Skipped = "cancelled"
-			results[i] = res
-			return nil
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			res.Skipped = "wall-clock budget exhausted"
-			results[i] = res
-			return nil
-		}
+	judge := func(ctx context.Context, cs Case, deadline time.Time) (*Finding, error) {
 		opts := h.Opts
-		opts.Deadline = caseDeadline(deadline, h.CaseTimeout)
-		f, err := Hunt(ctx, cases[i], opts)
-		res.Elapsed = time.Since(start)
-		switch {
-		case IsSkip(err):
-			res.Skipped = err.Error()
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			res.Skipped = "cancelled: " + err.Error()
-		case err != nil:
-			res.Err = err
-		default:
-			res.Finding = f
-		}
-		results[i] = res
-		if h.Log != nil {
-			logMu.Lock()
-			fmt.Fprintln(h.Log, res.line())
-			logMu.Unlock()
-		}
-		return nil
+		opts.Deadline = deadline
+		return Hunt(ctx, cs, opts)
+	}
+	return Drive(ctx, h.driver(), cases, h.Opts.Deadline, judge, func(cs Case, f *Finding, st Status) HuntResult {
+		return HuntResult{Case: cs, Finding: f, Skipped: st.Skipped, Err: st.Err, Elapsed: st.Elapsed}
 	})
-	return results
 }
 
-// caseDeadline combines the sweep deadline and the per-case timeout.
-func caseDeadline(sweep time.Time, timeout time.Duration) time.Time {
-	var d time.Time
-	if timeout > 0 {
-		d = time.Now().Add(timeout)
-	}
-	if !sweep.IsZero() && (d.IsZero() || sweep.Before(d)) {
-		d = sweep
-	}
-	return d
-}
-
-func (r *HuntResult) line() string {
+// String is the case's progress line.
+func (r HuntResult) String() string {
 	id := fmt.Sprintf("%s/%s", r.Case.Name, r.Case.Technique)
 	switch {
 	case r.Err != nil:

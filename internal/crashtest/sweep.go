@@ -3,16 +3,10 @@ package crashtest
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"schematic/internal/emulator"
 )
-
-// RunSchedule executes the built case once under the given schedule
-// (a fresh, single-run instance) and classifies the outcome against the
-// continuous-power oracle. maxSteps of 0 applies the emulator default.
-func (b *Built) RunSchedule(sched emulator.PowerSchedule, maxSteps int64) Outcome {
-	return b.runOnce(sched, maxSteps)
-}
 
 // NamedSchedule labels a factory for fresh power-schedule instances.
 // Schedules are stateful single-run values, so a sweep needs a factory,
@@ -34,57 +28,68 @@ type SweepResult struct {
 // Violation reports whether this cell broke its oracle.
 func (r SweepResult) Violation() bool { return r.Outcome.Class != ClassNone }
 
-// Sweep runs every case once under every named power schedule,
-// classifying each run against the case's continuous-power oracle —
-// the harvested-environment analogue of Hunt's injection pass. Each
-// case is first validated under plain exhaustion, exactly like Hunt's
-// baseline: a dirty wait-contract baseline is itself reported as a
-// violation (under the "exhaustion" schedule name), while a
-// legitimately non-completing anytime baseline skips the case.
-// Ineligible cases (SkipError from Prepare) are skipped with a log
-// line. log may be nil.
-func Sweep(ctx context.Context, cases []Case, scheds []NamedSchedule, opts Options, log func(format string, args ...any)) ([]SweepResult, error) {
-	if log == nil {
-		log = func(string, ...any) {}
+// PowerResult is one case's outcome in a power-environment sweep.
+type PowerResult struct {
+	Case Case
+	// Cells: one per schedule, or the lone "exhaustion" cell of a
+	// baseline violation.
+	Cells []SweepResult
+	Status
+}
+
+// String is the case's progress line.
+func (r PowerResult) String() string {
+	id := fmt.Sprintf("%s/%s", r.Case.Name, r.Case.Technique)
+	el := r.Elapsed.Round(time.Millisecond)
+	switch {
+	case r.Err != nil:
+		return fmt.Sprintf("ERROR %-28s %v", id, r.Err)
+	case r.Skipped != "":
+		return fmt.Sprintf("skip  %-28s %s", id, r.Skipped)
 	}
-	opts = opts.withDefaults()
-	var out []SweepResult
-	for _, cs := range cases {
-		if err := ctx.Err(); err != nil {
-			return out, err
+	for _, c := range r.Cells {
+		if c.Violation() {
+			return fmt.Sprintf("FAIL  %-28s %s under %s in %v", id, c.Outcome.Class, c.Schedule, el)
 		}
-		b, err := Prepare(cs, opts)
+	}
+	return fmt.Sprintf("ok    %-28s %d schedule(s) in %v", id, len(r.Cells), el)
+}
+
+// Sweep runs every case once under every named power schedule on the
+// case driver, classifying each run against the continuous-power oracle
+// — the harvested-environment analogue of Run's injection pass. Each
+// case first passes Hunt's baseline gate (see Baseline): a baseline
+// violation is its only cell, named "exhaustion". Unlike the hunt, a
+// wait-style placement that kept its contract is swept too: a harvested
+// supply, unlike an injected failure, stays within that contract.
+func (h *Hunter) Sweep(ctx context.Context, cases []Case, scheds []NamedSchedule) []PowerResult {
+	opts := h.Opts.withDefaults()
+	judge := func(ctx context.Context, cs Case, deadline time.Time) ([]SweepResult, error) {
+		b, err := build(cs, opts)
 		if err != nil {
-			if IsSkip(err) {
-				log("skip %s/%s: %v", cs.Name, cs.Technique, err)
-				continue
-			}
-			return out, err
+			return nil, err
 		}
-		baseline := b.RunSchedule(emulator.Exhaustion(), 0)
-		if baseline.Class != ClassNone {
-			if WaitOnly(b.Module()) && !opts.AssumeAnytime {
-				out = append(out, SweepResult{Case: b.Case(), Schedule: "exhaustion", Outcome: baseline})
-				continue
-			}
-			log("skip %s/%s: exhaustion baseline is %s", cs.Name, cs.Technique, baseline.Class)
-			continue
+		base, err := b.Baseline(opts, "exhaustion")
+		if err != nil {
+			return nil, err
 		}
-		maxSteps := opts.MaxStepsFor(baseline.Res.Steps)
+		if f := base.Finding; f != nil {
+			return []SweepResult{{Case: b.cs, Schedule: "exhaustion", Outcome: Outcome{Class: f.Class, Detail: f.Detail, Res: base.Res}}}, nil
+		}
+		cells := make([]SweepResult, 0, len(scheds))
 		for _, ns := range scheds {
-			if err := ctx.Err(); err != nil {
-				return out, err
+			if err := interrupted(ctx, deadline, "sweep"); err != nil {
+				return nil, err
 			}
-			sched, err := ns.Make(b.EB())
+			sched, err := ns.Make(b.eb)
 			if err != nil {
-				return out, fmt.Errorf("crashtest: schedule %s for case %s: %w", ns.Name, cs.Name, err)
+				return nil, fmt.Errorf("crashtest: schedule %s for case %s: %w", ns.Name, cs.Name, err)
 			}
-			out = append(out, SweepResult{
-				Case:     b.Case(),
-				Schedule: ns.Name,
-				Outcome:  b.RunSchedule(sched, maxSteps),
-			})
+			cells = append(cells, SweepResult{Case: b.cs, Schedule: ns.Name, Outcome: b.runOnce(sched, base.MaxSteps)})
 		}
+		return cells, nil
 	}
-	return out, nil
+	return Drive(ctx, h.driver(), cases, opts.Deadline, judge, func(cs Case, cells []SweepResult, st Status) PowerResult {
+		return PowerResult{Case: cs, Cells: cells, Status: st}
+	})
 }

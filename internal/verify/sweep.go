@@ -2,13 +2,10 @@ package verify
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
-	"schematic/internal/bench"
 	"schematic/internal/crashtest"
 )
 
@@ -21,9 +18,9 @@ type SweepResult struct {
 	Elapsed time.Duration
 }
 
-// Sweeper verifies a case list on a worker pool, mirroring
-// crashtest.Hunter: per-case deadlines, an overall wall-clock budget,
-// and deterministic result order.
+// Sweeper verifies a case list on the crashtest case driver, as
+// crashtest.Hunter hunts one: per-case deadlines, an overall wall-clock
+// budget, and deterministic result order.
 type Sweeper struct {
 	Opts Options
 	// Jobs is the worker count; 0 selects NumCPU.
@@ -34,79 +31,37 @@ type Sweeper struct {
 	// Budget bounds the whole sweep; cases that would start after it
 	// expires are skipped. 0 = no budget.
 	Budget time.Duration
-	// Log, when non-nil, receives one line per finished case, and — when
+	// Log, when non-nil, receives one line per case, and — when
 	// Opts.Progress is unset — periodic state-count/frontier/dedup
 	// progress lines for long searches.
 	Log io.Writer
 }
 
-// Run verifies every case and returns the results in case order.
+// Run verifies every case and returns the results in case order. Each
+// search's deadline is the earliest of Opts.Deadline, the case timeout,
+// the budget and the context's deadline.
 func (s *Sweeper) Run(ctx context.Context, cases []crashtest.Case) []SweepResult {
-	results := make([]SweepResult, len(cases))
-	var deadline time.Time
-	if s.Budget > 0 {
-		deadline = time.Now().Add(s.Budget)
-	}
-	var logMu sync.Mutex
-	logf := func(format string, args ...any) {
-		if s.Log == nil {
-			return
-		}
-		logMu.Lock()
-		fmt.Fprintf(s.Log, format+"\n", args...)
-		logMu.Unlock()
-	}
-	_ = bench.ParallelFor(s.Jobs, len(cases), func(i int) error {
-		res := SweepResult{Case: cases[i]}
-		start := time.Now()
-		if ctx.Err() != nil {
-			res.Skipped = "cancelled"
-			results[i] = res
-			return nil
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			res.Skipped = "wall-clock budget exhausted"
-			results[i] = res
-			return nil
-		}
+	d := &crashtest.Driver{Jobs: s.Jobs, CaseTimeout: s.CaseTimeout, Budget: s.Budget, Log: s.Log}
+	judge := func(ctx context.Context, cs crashtest.Case, deadline time.Time) (*Report, error) {
 		opts := s.Opts
-		if s.CaseTimeout > 0 {
-			d := time.Now().Add(s.CaseTimeout)
-			if opts.Deadline.IsZero() || d.Before(opts.Deadline) {
-				opts.Deadline = d
-			}
-		}
-		if !deadline.IsZero() && (opts.Deadline.IsZero() || deadline.Before(opts.Deadline)) {
-			opts.Deadline = deadline
-		}
+		opts.Deadline = deadline
 		if opts.Progress == nil && s.Log != nil {
-			id := fmt.Sprintf("%s/%s", cases[i].Name, cases[i].Technique)
+			id := fmt.Sprintf("%s/%s", cs.Name, cs.Technique)
 			opts.ProgressEvery = 5000
 			opts.Progress = func(p Progress) {
-				logf("...   %-28s %d states (%d frontier, depth %d), %d edges, %.1f%% dedup",
+				d.Logf("...   %-28s %d states (%d frontier, depth %d), %d edges, %.1f%% dedup",
 					id, p.States, p.Frontier, p.Depth, p.Edges, dedupPct(p.Dedup, p.Edges))
 			}
 		}
-		rep, err := Run(ctx, cases[i], opts)
-		res.Elapsed = time.Since(start)
-		switch {
-		case crashtest.IsSkip(err):
-			res.Skipped = err.Error()
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			res.Skipped = "cancelled: " + err.Error()
-		case err != nil:
-			res.Err = err
-		default:
-			res.Report = rep
-		}
-		results[i] = res
-		logf("%s", res.line())
-		return nil
+		return Run(ctx, cs, opts)
+	}
+	return crashtest.Drive(ctx, d, cases, s.Opts.Deadline, judge, func(cs crashtest.Case, rep *Report, st crashtest.Status) SweepResult {
+		return SweepResult{Case: cs, Report: rep, Skipped: st.Skipped, Err: st.Err, Elapsed: st.Elapsed}
 	})
-	return results
 }
 
-func (r *SweepResult) line() string {
+// String is the case's progress line.
+func (r SweepResult) String() string {
 	id := fmt.Sprintf("%s/%s", r.Case.Name, r.Case.Technique)
 	el := r.Elapsed.Round(time.Millisecond)
 	switch {

@@ -180,63 +180,28 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 	}
 	ncs := b.Case()
 
+	// Root baseline: the placement under its own physics, judged by the
+	// gate Hunt applies. A wait-style placement that kept its contract has
+	// nothing to explore: the hardware rules out failures between its
+	// checkpoints, so the guarantee itself is the verification condition.
+	base, err := b.Baseline(ctOpts, "verify-root")
+	switch {
+	case err != nil:
+		return nil, err
+	case base.Finding != nil:
+		return &Report{Verdict: Counterexample, States: 1, Elapsed: time.Since(start), Finding: base.Finding}, nil
+	case base.WaitContract:
+		return &Report{Verdict: Verified, States: 1, WaitContract: true, Elapsed: time.Since(start)}, nil
+	}
+
 	baseCfg := emulator.Config{
 		Model:        b.Model(),
 		VMSize:       ncs.VMSize,
 		Intermittent: true,
 		EB:           b.EB(),
 	}
-
-	// Root baseline: the placement under its own physics, no injections.
-	// Its step count sizes every later run's bound, and its class mirrors
-	// Hunt's baseline gate.
 	rootCfg := baseCfg
 	rootCfg.Inputs = b.Inputs()
-	rootRes, rootErr := emulator.Run(b.Module(), rootCfg)
-	baseline := b.Classify(rootRes, rootErr, 0)
-	exhaustionFinding := func(class crashtest.Class, detail string) *Report {
-		return &Report{
-			Verdict: Counterexample,
-			States:  1,
-			Elapsed: time.Since(start),
-			Finding: &crashtest.Finding{
-				Case:     ncs,
-				Schedule: crashtest.ScheduleSpec{Exhaust: true},
-				Class:    class,
-				Detail:   detail,
-				FoundBy:  "verify-root",
-			},
-		}
-	}
-
-	waitContract := crashtest.WaitOnly(b.Module()) && !opts.AssumeAnytime
-	switch baseline.Class {
-	case crashtest.ClassNone:
-	case crashtest.ClassDivergence, crashtest.ClassPoisonRead:
-		return exhaustionFinding(baseline.Class, baseline.Detail), nil
-	default:
-		if waitContract {
-			return exhaustionFinding(baseline.Class, baseline.Detail), nil
-		}
-		return nil, &crashtest.SkipError{Reason: fmt.Sprintf(
-			"baseline (exhaustion-only) run is %s: %s", baseline.Class, baseline.Detail)}
-	}
-
-	if waitContract {
-		// Wait-style contract: the runtime sleeps at each checkpoint until
-		// the capacitor is full and segments fit EB, so the hardware rules
-		// out failures between checkpoints. There is nothing to explore —
-		// the guarantee itself is the verification condition: the physics
-		// run must complete correctly with zero power failures.
-		if baseline.Res.PowerFailures > 0 {
-			return exhaustionFinding(crashtest.ClassForwardProgress, fmt.Sprintf(
-				"wait-style placement hit %d unplanned power failures (segments exceed EB)",
-				baseline.Res.PowerFailures)), nil
-		}
-		return &Report{Verdict: Verified, States: 1, WaitContract: true, Elapsed: time.Since(start)}, nil
-	}
-
-	legSteps := ctOpts.MaxStepsFor(baseline.Res.Steps)
 	root, err := emulator.InitialState(b.Module(), rootCfg)
 	if err != nil {
 		return nil, err
@@ -294,7 +259,7 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 		var discovered []node
 		prev := n.hash
 		cfg := baseCfg
-		cfg.MaxSteps = legSteps
+		cfg.MaxSteps = base.MaxSteps
 		if n.state == nil {
 			cfg.Inputs = b.Inputs()
 		} else {
@@ -333,7 +298,7 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 			discovered = append(discovered, child)
 		}
 		res, runErr := emulator.Run(b.Module(), cfg)
-		out := b.Classify(res, runErr, legSteps)
+		out := b.Classify(res, runErr, base.MaxSteps)
 		explored++
 		if out.Class != crashtest.ClassNone {
 			// This reachable state misbehaves with no further injections:
@@ -341,7 +306,7 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 			// one continuous schedule through the standard confirm+shrink
 			// pipeline; the continuous replay's class is authoritative
 			// (watchdog state accumulates across legs there).
-			confirmSteps := legSteps * int64(len(n.path)+1)
+			confirmSteps := base.MaxSteps * int64(len(n.path)+1)
 			f, err := b.ConfirmSpec("verify-exhaustive", n.path, confirmSteps, ctOpts)
 			if err != nil {
 				return nil, fmt.Errorf("verify: case %s: state at depth %d is %s but %w",

@@ -6,9 +6,12 @@
 # whose nights outlast the capacitor — real refusal decisions land in
 # the recorded NDJSON trace — then replays the trace and requires the
 # replay to reproduce the recorded run exactly: same program output,
-# same verdict, same energy ledger. Finally sweeps the quick benchmarks
+# same verdict, same energy ledger. Then sweeps the quick benchmarks
 # across three harvested environments against their continuous-power
-# oracles with zero tolerated violations. Wired into `make ci`.
+# oracles with zero tolerated violations. Finally sweeps a sabotaged
+# placement and requires the violation (exit 1): the power sweep shares
+# the hunt's and the model checker's exhaustion-baseline gate, and this
+# keeps the three modes from drifting apart. Wired into `make ci`.
 set -eu
 
 tmp=$(mktemp -d)
@@ -38,5 +41,14 @@ cmp -s "$tmp/rec.stats" "$tmp/rep.stats"
 # Harvested sweep: quick benchmarks x every technique under three
 # environments, classified against the continuous-power oracle.
 "$tmp/crashhunt" -benches crc,randmath -power solar -power rf -power duty -timeout 60s
+
+# A sabotaged placement must be reported (exit 1, not an infrastructure
+# error): its exhaustion baseline already diverges from the oracle.
+status=0
+"$tmp/crashhunt" -benches crc -techs Ratchet -sabotage 2 -power solar -timeout 60s || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "harvest-smoke: sabotaged placement: want exit 1, got $status" >&2
+    exit 1
+fi
 
 echo "harvest-smoke: ok"
