@@ -29,6 +29,10 @@
 //
 // The exit status is 0 only when the run completes; other verdicts
 // (stuck, poisoned, budget exceeded) exit 1 so scripts can rely on it.
+// Flag mistakes exit 2: a malformed or contradictory -power, -inject or
+// -tbpf, a -power naming two power sources (solar+rf), or a -record
+// that could not replay identically (a harvested run of a program with
+// MEMENTOS trigger checkpoints).
 package main
 
 import (
@@ -42,6 +46,7 @@ import (
 	"schematic/internal/emulator"
 	"schematic/internal/energy"
 	"schematic/internal/harvest"
+	"schematic/internal/ir"
 	"schematic/internal/obs"
 	"schematic/internal/trace"
 )
@@ -72,17 +77,20 @@ func main() {
 	fail(err)
 
 	cfg, err := buildConfig(*eb, *period, *inject, *power, *vmSize)
-	fail(err)
+	usage(err)
 	cfg.Inputs = trace.RandomInputs(m, rand.New(rand.NewSource(*seed)))
 
 	var rec *harvest.Recorder
 	if *record != "" {
 		if !cfg.Intermittent {
-			fail(fmt.Errorf("-record needs a power-constrained run: give -eb or -power"))
+			usage(fmt.Errorf("-record needs a power-constrained run: give -eb or -power"))
+		}
+		if spec, _ := cli.ParsePower(*power); spec.Harvested() && hasTriggers(m) {
+			usage(fmt.Errorf("-record: %s has MEMENTOS trigger checkpoints, which measure the harvested capacitor level; "+
+				"a failure-point trace cannot carry that level, so its replay would diverge", path))
 		}
 		rec = harvest.NewRecorder(cfg.Schedule, cfg.EB)
 		rec.SampleEvery = 5_000
-		cfg.Schedule = rec
 	}
 
 	var (
@@ -110,6 +118,9 @@ func main() {
 	if *sites {
 		col = obs.NewCollector()
 		observers = append(observers, col)
+	}
+	if rec != nil {
+		observers = append(observers, rec)
 	}
 	cfg.Observer = emulator.MultiObserver(observers...)
 
@@ -251,4 +262,17 @@ func parseInject(s string) ([]emulator.FailPoint, error) {
 	return out, nil
 }
 
-var fail = cli.Fail("iemu", 1)
+// hasTriggers reports whether m has a MEMENTOS trigger checkpoint.
+func hasTriggers(m *ir.Module) bool {
+	for _, ck := range ir.Checkpoints(m) {
+		if ck.Kind == ir.CkTrigger {
+			return true
+		}
+	}
+	return false
+}
+
+var (
+	fail  = cli.Fail("iemu", 1)
+	usage = cli.Fail("iemu", 2)
+)

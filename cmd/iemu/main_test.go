@@ -1,11 +1,18 @@
 package main
 
 import (
+	"context"
 	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"schematic/internal/baselines"
+	"schematic/internal/bench"
 	"schematic/internal/emulator"
+	"schematic/internal/ir"
 )
 
 // TestBuildConfigTBPFWithInject: -tbpf and -inject used together must
@@ -92,5 +99,85 @@ func TestBuildConfigPower(t *testing.T) {
 		if !strings.Contains(name, want) {
 			t.Errorf("composed schedule %q lacks %s member", name, want)
 		}
+	}
+}
+
+// placedIR writes crc placed by the named technique as textual IR and
+// returns its path and energy budget.
+func placedIR(t *testing.T, dir, tech string) string {
+	t.Helper()
+	h := bench.NewHarness()
+	h.ProfileRuns = 3
+	bm, err := bench.ByName("crc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := bm.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := h.Profile(context.Background(), bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range bench.Techniques() {
+		if tt.Name() != tech {
+			continue
+		}
+		m = ir.Clone(m)
+		if err := tt.Apply(m, baselines.Params{Model: h.Model, Budget: 3000, VMSize: h.VMSize, Profile: prof}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, tech+".ir")
+		if err := os.WriteFile(path, []byte(m.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	t.Fatalf("no technique %q", tech)
+	return ""
+}
+
+// TestExitStatus builds the command and checks the exit status of runs
+// and of the flag combinations it rejects with a usage error.
+func TestExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "iemu")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	mementos, ratchet := placedIR(t, dir, "Mementos"), placedIR(t, dir, "Ratchet")
+	record := filepath.Join(dir, "run.ndjson")
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		status int
+		stderr string // required on stderr
+	}{
+		{"harvested run", []string{"-eb", "3000", "-power", "solar", ratchet}, 0, "verdict:        completed"},
+		{"two power sources", []string{"-eb", "3000", "-power", "solar+rf", ratchet}, 2, `"solar" and "rf"`},
+		{"record harvested ratchet", []string{"-eb", "3000", "-power", "solar", "-record", record, ratchet}, 0, ""},
+		{"record exhausted mementos", []string{"-eb", "3000", "-record", record, mementos}, 0, ""},
+		{"record harvested mementos", []string{"-eb", "3000", "-power", "solar", "-record", record, mementos}, 2, "MEMENTOS trigger checkpoints"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stderr strings.Builder
+			cmd := exec.Command(bin, tc.args...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			status := 0
+			var ee *exec.ExitError
+			if errors.As(err, &ee) {
+				status = ee.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if status != tc.status {
+				t.Fatalf("iemu %s: exit status %d, want %d\nstderr: %s", strings.Join(tc.args, " "), status, tc.status, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Errorf("stderr does not contain %q:\n%s", tc.stderr, stderr.String())
+			}
+		})
 	}
 }

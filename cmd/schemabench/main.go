@@ -980,11 +980,11 @@ func measureHarvest(smoke bool) (*harvestReport, error) {
 		},
 	}
 
-	run := func(c *cell, sched emulator.PowerSchedule) (*emulator.Result, time.Duration, error) {
+	run := func(c *cell, sched emulator.PowerSchedule, observer emulator.Observer) (*emulator.Result, time.Duration, error) {
 		start := time.Now()
 		res, err := emulator.Run(c.mod, emulator.Config{
 			Model: h.Model, VMSize: h.VMSize, Intermittent: true,
-			EB: c.eb, Inputs: c.inputs, Schedule: sched,
+			EB: c.eb, Inputs: c.inputs, Schedule: sched, Observer: observer,
 		})
 		return res, time.Since(start), err
 	}
@@ -994,7 +994,7 @@ func measureHarvest(smoke bool) (*harvestReport, error) {
 	for iter := 0; iter <= iters; iter++ {
 		for i := range cells {
 			c := &cells[i]
-			ex, d, err := run(c, nil) // built-in exhaustion physics
+			ex, d, err := run(c, nil, nil) // built-in exhaustion physics
 			if err != nil {
 				return nil, err
 			}
@@ -1003,7 +1003,7 @@ func measureHarvest(smoke bool) (*harvestReport, error) {
 				exDur += d
 			}
 			for _, mk := range envs {
-				hv, d, err := run(c, mk(c.eb))
+				hv, d, err := run(c, mk(c.eb), nil)
 				if err != nil {
 					return nil, err
 				}
@@ -1025,9 +1025,10 @@ func measureHarvest(smoke bool) (*harvestReport, error) {
 	// Record one solar run into the versioned NDJSON trace and replay
 	// it; record and replay must produce bit-identical Results.
 	c := &cells[0]
-	rec := harvest.NewRecorder(envs[0](c.eb), c.eb)
+	solar := envs[0](c.eb)
+	rec := harvest.NewRecorder(solar, c.eb)
 	rec.SampleEvery = 10_000
-	recorded, _, err := run(c, rec)
+	recorded, _, err := run(c, solar, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -1039,7 +1040,7 @@ func measureHarvest(smoke bool) (*harvestReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	replayed, _, err := run(c, tr.Schedule())
+	replayed, _, err := run(c, tr.Schedule(), nil)
 	if err != nil {
 		return nil, err
 	}

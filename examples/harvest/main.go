@@ -68,10 +68,10 @@ func main() {
 	for i := range inputs["data"] {
 		inputs["data"][i] = int64((i*31 + 7) % 128)
 	}
-	run := func(sched emulator.PowerSchedule) *emulator.Result {
+	run := func(sched emulator.PowerSchedule, observer emulator.Observer) *emulator.Result {
 		res, err := emulator.Run(placed, emulator.Config{
 			Model: model, VMSize: 2048, Intermittent: true, EB: eb,
-			Inputs: inputs, Schedule: sched,
+			Inputs: inputs, Schedule: sched, Observer: observer,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -79,8 +79,8 @@ func main() {
 		return res
 	}
 
-	// Each environment is a deterministic nJ/cycle waveform; the
-	// capacitor integrates it against the per-instruction discharge.
+	// Each environment is a deterministic nJ/cycle waveform feeding the
+	// emulator's capacitor against the per-instruction discharge.
 	// Capacity = EB and Restart = 1 make every environment no harsher
 	// than the built-in exhaustion model — undersize either to stress a
 	// placement harder.
@@ -103,19 +103,19 @@ func main() {
 	fmt.Printf("%-18s %8s %8s %8s %12s  %s\n",
 		"environment", "verdict", "fails", "sleeps", "total µJ", "output")
 	for _, e := range envs {
-		res := run(e.sched)
+		res := run(e.sched, nil)
 		fmt.Printf("%-18s %8v %8d %8d %12.2f  %v\n",
 			e.name, res.Verdict, res.PowerFailures, res.Sleeps,
 			res.Energy.Total()/1000, res.Output)
 	}
 
-	// Record the solar run: the Recorder wraps any schedule, captures
-	// every refusal decision plus periodic capacitor telemetry, and
-	// serializes a versioned NDJSON trace.
-	rec := harvest.NewRecorder(
-		harvest.Capacitor{Env: harvest.Solar{Seed: 9}, Capacity: eb}.Schedule(), eb)
+	// Record the solar run: the Recorder observes the event stream,
+	// captures every power failure plus periodic capacitor telemetry,
+	// and serializes a versioned NDJSON trace.
+	solar := harvest.Capacitor{Env: harvest.Solar{Seed: 9}, Capacity: eb}.Schedule()
+	rec := harvest.NewRecorder(solar, eb)
 	rec.SampleEvery = 10_000
-	recorded := run(rec)
+	recorded := run(solar, rec)
 
 	var buf bytes.Buffer
 	if err := rec.Trace().Write(&buf); err != nil {
@@ -125,7 +125,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	replayed := run(tr.Schedule())
+	replayed := run(tr.Schedule(), nil)
 	fmt.Println("\nRight-sized environments match exhaustion exactly; the undersized")
 	fmt.Println("one pays real power failures and re-execution energy, yet the")
 	fmt.Println("output stays oracle-equal — the crash-consistency contract holds.")

@@ -22,10 +22,11 @@ import (
 // Kinds: exhaustion, periodic, stride, random (synthetic schedules);
 // solar, rf, piezo, duty (harvested environments behind a capacitor);
 // trace (a recorded NDJSON trace, replayed); csv (an imported
-// time-vs-power measurement behind a capacitor). Harvested members
-// carry their own physics; purely synthetic members get the built-in
-// exhaustion physics composed in automatically, matching the
-// emulator's default behavior.
+// time-vs-power measurement behind a capacitor). A spec names at most
+// one power source — exhaustion, a harvested environment, csv, or
+// trace — because a run has one capacitor. Purely synthetic members get
+// the built-in exhaustion physics composed in automatically, matching
+// the emulator's default behavior.
 //
 // String() renders the canonical form — every parameter resolved and
 // printed in a fixed order — so equal specs digest equally server-side.
@@ -104,6 +105,12 @@ var powerParams = map[string][]struct {
 
 var harvestKinds = map[string]bool{"solar": true, "rf": true, "piezo": true, "duty": true, "csv": true}
 
+// isSource reports whether a member kind is a power source: the
+// capacitor physics itself, or a replay of it.
+func isSource(kind string) bool {
+	return kind == "exhaustion" || kind == "trace" || harvestKinds[kind]
+}
+
 // ParsePower parses a power-schedule spec. The empty string parses to
 // an empty spec whose Build returns a nil schedule (the emulator's
 // default exhaustion physics).
@@ -113,10 +120,17 @@ func ParsePower(spec string) (*PowerSpec, error) {
 	if spec == "" {
 		return ps, nil
 	}
+	source := ""
 	for _, raw := range strings.Split(spec, "+") {
 		m, err := parseMember(strings.TrimSpace(raw))
 		if err != nil {
 			return nil, err
+		}
+		if isSource(m.kind) {
+			if source != "" {
+				return nil, fmt.Errorf("power spec names two power sources, %q and %q: a run has one capacitor, so give at most one of exhaustion, solar, rf, piezo, duty, csv and trace", source, m.kind)
+			}
+			source = m.kind
 		}
 		ps.members = append(ps.members, m)
 	}
@@ -283,11 +297,11 @@ func (s *PowerSpec) Build(eb float64) (emulator.PowerSchedule, error) {
 	var scheds []emulator.PowerSchedule
 	physics := false
 	for _, m := range s.members {
-		sched, selfPowered, err := m.build(eb)
+		sched, err := m.build(eb)
 		if err != nil {
 			return nil, err
 		}
-		physics = physics || selfPowered
+		physics = physics || isSource(m.kind)
 		scheds = append(scheds, sched)
 	}
 	if !physics {
@@ -310,53 +324,48 @@ func (m *powerMember) capacitor(env harvest.Environment, eb float64) (emulator.P
 	return harvest.Capacitor{Env: env, Capacity: capacity, Restart: m.num["restart"]}.Schedule(), nil
 }
 
-func (m *powerMember) build(eb float64) (emulator.PowerSchedule, bool, error) {
+func (m *powerMember) build(eb float64) (emulator.PowerSchedule, error) {
 	n := func(k string) int64 { return int64(m.num[k]) }
 	switch m.kind {
 	case "exhaustion":
-		return emulator.Exhaustion(), true, nil
+		return emulator.Exhaustion(), nil
 	case "periodic":
-		return emulator.Periodic(n("cycles")), false, nil
+		return emulator.Periodic(n("cycles")), nil
 	case "stride":
-		return emulator.StrideSchedule(n("n"), int(n("max"))), false, nil
+		return emulator.StrideSchedule(n("n"), int(n("max"))), nil
 	case "random":
-		return emulator.RandomSchedule(n("seed"), n("mean"), int(n("max"))), false, nil
+		return emulator.RandomSchedule(n("seed"), n("mean"), int(n("max"))), nil
 	case "solar":
-		sched, err := m.capacitor(harvest.Solar{
+		return m.capacitor(harvest.Solar{
 			Seed: n("seed"), Peak: m.num["peak"], Period: n("period"),
 			Day: m.num["day"], Cloud: m.num["cloud"], Window: n("window"),
 		}, eb)
-		return sched, true, err
 	case "rf":
-		sched, err := m.capacitor(harvest.RF{
+		return m.capacitor(harvest.RF{
 			Seed: n("seed"), Peak: m.num["power"], Burst: n("burst"), Gap: n("gap"),
 		}, eb)
-		return sched, true, err
 	case "piezo":
-		sched, err := m.capacitor(harvest.Piezo{Peak: m.num["peak"], Period: n("period")}, eb)
-		return sched, true, err
+		return m.capacitor(harvest.Piezo{Peak: m.num["peak"], Period: n("period")}, eb)
 	case "duty":
-		sched, err := m.capacitor(harvest.Duty{
+		return m.capacitor(harvest.Duty{
 			Peak: m.num["power"], Period: n("period"), Frac: m.num["duty"],
 		}, eb)
-		return sched, true, err
 	case "trace":
 		tr, err := harvest.LoadTrace(m.file)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		// A replay is self-contained: it reproduces the recorded
 		// physics' refusals itself.
-		return tr.Schedule(), true, nil
+		return tr.Schedule(), nil
 	case "csv":
 		env, err := harvest.ImportCSVFile(m.file, harvest.CSVOptions{
 			Hz: m.num["hz"], Scale: m.num["scale"],
 		})
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		sched, err := m.capacitor(env, eb)
-		return sched, true, err
+		return m.capacitor(env, eb)
 	}
-	return nil, false, fmt.Errorf("unknown power kind %q", m.kind)
+	return nil, fmt.Errorf("unknown power kind %q", m.kind)
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,6 +60,32 @@ func TestParsePowerErrors(t *testing.T) {
 	} {
 		if _, err := ParsePower(bad); err == nil {
 			t.Fatalf("ParsePower(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParsePowerOneSource: a run has one capacitor, so a spec naming two
+// power sources is rejected at parse time, naming both; synthetic
+// injection members still compose with any one source.
+func TestParsePowerOneSource(t *testing.T) {
+	for _, tc := range []struct{ spec, first, second string }{
+		{"solar+rf", "solar", "rf"},
+		{"exhaustion+duty", "exhaustion", "duty"},
+		{"piezo+periodic+csv:p.csv", "piezo", "csv"},
+		{"trace:run.ndjson+exhaustion", "trace", "exhaustion"},
+		{"solar:seed=1+solar:seed=2", "solar", "solar"},
+	} {
+		_, err := ParsePower(tc.spec)
+		if err == nil {
+			t.Fatalf("ParsePower(%q) accepted two power sources", tc.spec)
+		}
+		if want := fmt.Sprintf("%q and %q", tc.first, tc.second); !strings.Contains(err.Error(), want) {
+			t.Errorf("ParsePower(%q) = %v, want it to name %s", tc.spec, err, want)
+		}
+	}
+	for _, ok := range []string{"solar+periodic", "trace:run.ndjson+stride:n=9", "exhaustion+random", "periodic+stride"} {
+		if _, err := ParsePower(ok); err != nil {
+			t.Errorf("ParsePower(%q): %v", ok, err)
 		}
 	}
 }
@@ -125,11 +152,18 @@ func TestPowerSpecBuild(t *testing.T) {
 		t.Fatalf("cap= build: %v", err)
 	}
 
-	// Fresh instances per Build call.
-	a, _ := ps.Build(0)
-	b, _ := ps.Build(0)
-	if a == b {
-		t.Fatal("Build reused schedule state")
+	// Fresh instances per Build call. The capacitor is a stateless
+	// value (the emulator owns its level), so probe a stateful member:
+	// a one-shot stride fires on each build's first step.
+	ps, _ = ParsePower("solar:cap=1500+stride:n=1,max=1")
+	for i := 0; i < 2; i++ {
+		sched, err := ps.Build(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sched.Fail(emulator.Probe{Kind: emulator.PointStep, Step: 1}) {
+			t.Fatalf("build %d: the one-shot stride did not fire; Build reused schedule state", i)
+		}
 	}
 }
 
@@ -137,7 +171,7 @@ func TestPowerSpecBuildTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ndjson")
 	rec := harvest.NewRecorder(nil, 500)
-	rec.Fail(emulator.Probe{Kind: emulator.PointCharge, Occurrence: 1, Energy: 1000, Remaining: 2})
+	rec.Event(emulator.Event{Kind: emulator.EvPowerFailure, Energy: 1000, CapEnergy: 2})
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)

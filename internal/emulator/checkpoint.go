@@ -221,17 +221,19 @@ func (mc *machine) ckWait(ck *ir.Checkpoint) {
 		return
 	}
 
-	// Deep sleep: replenish; VM content is lost (paper, IV-D: "conservatively
-	// assuming that the platform goes into deep sleep and thus VM is lost").
+	// Deep sleep: recharge to full; VM content is lost (paper, IV-D:
+	// "conservatively assuming that the platform goes into deep sleep and
+	// thus VM is lost").
 	if mc.cfg.Intermittent {
+		mc.store.harvest(mc.res.TotalCycles)
 		if mc.obs != nil {
-			mc.emit(Event{Kind: EvSleepStart, Site: ck.ID, CapEnergy: mc.capEn})
+			mc.emit(Event{Kind: EvSleepStart, Site: ck.ID, CapEnergy: mc.store.level})
 		}
-		mc.capEn = mc.cfg.EB
+		mc.store.recharge(mc.store.capacity)
 		mc.cyclesSincePower = 0
 		mc.res.Sleeps++
 		if mc.obs != nil {
-			mc.emit(Event{Kind: EvSleepEnd, Site: ck.ID, CapEnergy: mc.capEn})
+			mc.emit(Event{Kind: EvSleepEnd, Site: ck.ID, CapEnergy: mc.store.level})
 		}
 	}
 	mc.clearVM()
@@ -323,8 +325,9 @@ func (mc *machine) ckRollback(ck *ir.Checkpoint) {
 	mc.bumpProgress()
 }
 
-// ckTrigger implements the MEMENTOS runtime: measure the remaining energy
-// and checkpoint only when it is below the threshold.
+// ckTrigger implements the MEMENTOS runtime: measure the capacitor level
+// and checkpoint only when it is below the threshold fraction of its
+// capacity.
 func (mc *machine) ckTrigger(ck *ir.Checkpoint) {
 	fr := mc.top()
 	if len(ck.Restore) > 0 && !mc.materializeRestore(ck) {
@@ -335,7 +338,7 @@ func (mc *machine) ckTrigger(ck *ir.Checkpoint) {
 		mc.powerFailure()
 		return
 	}
-	if mc.cfg.Intermittent && mc.capEn < mc.cfg.TriggerThreshold*mc.cfg.EB {
+	if mc.cfg.Intermittent && mc.store.level < mc.cfg.TriggerThreshold*mc.store.capacity {
 		saved := mc.residentSlots()
 		saveCost := mc.saveVarsCost(mc.cfg.Model.SaveRegsCost(), saved)
 		mc.res.SaveAttempts++
@@ -490,15 +493,19 @@ func (mc *machine) takeSnapshot(restores []int32, lazy bool, site int) {
 }
 
 // powerFailure models a supply outage: volatile state is lost, the
-// capacitor replenishes while the device is off, and execution resumes from
-// the last snapshot (or from scratch when none exists yet).
+// capacitor recharges to its restart level while the device is off, and
+// execution resumes from the last snapshot (or from scratch when none
+// exists yet).
 func (mc *machine) powerFailure() {
 	// The failure aborts whatever checkpoint was executing; recovery work
 	// below is attributed to the snapshot's site, not the aborted one.
 	mc.curSite = -1
 	mc.res.PowerFailures++
+	mc.store.harvest(mc.res.TotalCycles)
+	refused := mc.refused
+	mc.refused = 0
 	if mc.obs != nil {
-		ev := Event{Kind: EvPowerFailure, CapEnergy: mc.capEn, Site: -1}
+		ev := Event{Kind: EvPowerFailure, CapEnergy: mc.store.level, Energy: refused, Site: -1}
 		if mc.snap != nil {
 			ev.Site = mc.snap.site
 		}
@@ -533,7 +540,7 @@ func (mc *machine) powerFailure() {
 	}
 	mc.lastFailFurthest = mc.furthest
 
-	mc.capEn = mc.cfg.EB
+	mc.store.recharge(mc.store.restart)
 	mc.cyclesSincePower = 0
 	mc.clearVM()
 

@@ -22,8 +22,9 @@ const runSafety = 1e-3
 // reached. Every instruction executes through one of two executors:
 //
 //   - execBatch: when nothing can observe or interrupt the emulation
-//     between instructions — no Observer, no Hook, and no schedule
-//     beyond capacitor exhaustion, all fixed for the whole emulation —
+//     between instructions — no Observer, no Hook, no schedule beyond
+//     the capacitor, and no supply feeding it, all fixed for the whole
+//     emulation —
 //     each straight-line run (dispatch.Run, which may end with its
 //     block's Br/Jmp) whose precomputed total fits the capacitor with
 //     margin executes on that one decision. Ledger sums stay
@@ -34,15 +35,15 @@ const runSafety = 1e-3
 //     boundary.
 //
 // The gate is also what keeps batched energy accounting sound under
-// external power models: any non-nil Config.Schedule — including
-// harvested-capacitor schedules and trace replays (internal/harvest),
-// whose Fail decisions depend on seeing every probe — steps the whole
-// run. There is no "safe no-fire window" to negotiate per schedule;
-// scheduled runs simply never batch. The dispatch-equivalence suite
-// (internal/bench) pins both paths to one golden corpus, harvested
-// members included.
+// external power models: any schedule member beside the capacitor —
+// including trace replays (internal/harvest), whose Fail decisions
+// depend on seeing every probe — and any supply feeding the capacitor
+// steps the whole run. There is no "safe no-fire window" to negotiate;
+// scheduled and harvested runs simply never batch. The
+// dispatch-equivalence suite (internal/bench) pins both paths to one
+// golden corpus, harvested members included.
 func (mc *machine) run() (*Result, error) {
-	batch := mc.obs == nil && mc.hook == nil && mc.sched == nil
+	batch := mc.obs == nil && mc.hook == nil && mc.sched == nil && mc.store.supply == nil
 	for !mc.halted {
 		fr := mc.top()
 		if batch {
@@ -95,7 +96,7 @@ func (mc *machine) execBatch(fr *frame) error {
 	// their home moves from memory to registers — so every float result
 	// is bit-identical.
 	pc := fr.pc
-	capEn := mc.capEn
+	capEn := mc.store.level
 	comp := mc.res.Energy.Computation
 	reex := mc.res.Energy.Reexecution
 	noMem := mc.res.Energy.NoMemEnergy
@@ -118,7 +119,7 @@ batch:
 	for pc < len(code) {
 		r := &cb.Runs[pc]
 		if r.Len == 0 || steps+int64(r.Len) > mc.cfg.MaxSteps ||
-			(mc.exhaust && capEn < r.Energy+runSafety) {
+			(mc.store.enforce && capEn < r.Energy+runSafety) {
 			break
 		}
 		for n := r.Len; n > 0; n-- {
@@ -274,7 +275,7 @@ batch:
 		pc = 0
 	}
 	fr.pc = pc
-	mc.capEn = capEn
+	mc.store.level = capEn
 	mc.res.Energy.Computation = comp
 	mc.res.Energy.Reexecution = reex
 	mc.res.Energy.NoMemEnergy = noMem

@@ -2,14 +2,19 @@
 // infrastructure does: at IR level, under an intermittent power supply,
 // with precise energy monitoring.
 //
-// Power model. The platform owns a capacitor holding EB nanojoules when
-// full. Every executed instruction drains its energy; when the next
+// Power model. The platform owns one capacitor, holding EB nanojoules
+// when full. Every executed instruction drains its energy; when the next
 // instruction does not fit, a power failure occurs: all volatile state
 // (registers, call stack, VM variable contents) is lost and the capacitor
 // is replenished while the device is off. The paper's experiments use the
 // time between power failures (TBPF) as the control variable and set EB to
 // the average energy consumed over that interval (IV-C); the harness
 // performs that conversion, the emulator works in energy units throughout.
+//
+// A Capacitor member of Config.Schedule configures it: its size, the
+// level it reboots at after an outage, and a Supply harvesting energy in
+// (internal/harvest). The level that refuses draws is the one MEMENTOS
+// measures, probes report, observers see and traces record.
 //
 // Checkpoint runtimes. Checkpoint instructions carry their runtime kind:
 //
@@ -47,25 +52,28 @@ type Config struct {
 	// exceed it abort the run with a VM-overflow verdict.
 	VMSize int
 
-	// Intermittent enables the power-failure model; EB is the capacitor
-	// energy in nJ. When Intermittent is false the program runs to
+	// Intermittent enables the power-failure model; EB is the energy
+	// budget in nJ: the capacitor's size, unless the schedule's Capacitor
+	// member sets its own. When Intermittent is false the program runs to
 	// completion on stable power (checkpoints still execute their
 	// save/restore work so overheads remain visible).
 	Intermittent bool
 	EB           float64
 
 	// Schedule, when non-nil, replaces the power model for intermittent
-	// runs: the machine consults it at every injection point (instruction
+	// runs. Its Capacitor member (at most one; Exhaustion() or a
+	// harvested one) configures the machine's capacitor; the machine
+	// consults every other member at every injection point (instruction
 	// boundaries, energy draws, and the before/mid/after phases of each
-	// checkpoint save) and fails the supply when it says so. Capacitor
-	// exhaustion is then no longer implied — compose with Exhaustion()
-	// via Schedules to keep physics alongside induced failures. Ignored
-	// when Intermittent is false.
+	// checkpoint save) and fails the supply when it says so. Without a
+	// Capacitor member, capacitor physics is no longer implied — compose
+	// with one via Schedules to keep it alongside induced failures.
+	// Ignored when Intermittent is false.
 	Schedule PowerSchedule
 
 	// TriggerThreshold is the MEMENTOS trigger fraction: a CkTrigger
-	// checkpoint saves when remaining energy < TriggerThreshold × EB.
-	// Zero selects the default of 0.5.
+	// checkpoint saves when the capacitor level < TriggerThreshold × its
+	// capacity. Zero selects the default of 0.5.
 	TriggerThreshold float64
 
 	// Inputs overrides the initial values of input-annotated variables,
@@ -196,8 +204,10 @@ type Result struct {
 	// count). It is the ordinal space PointBeforeSave/PointMidSave/
 	// PointAfterSave schedules address.
 	SaveAttempts int64
-	// InjectedFailures counts power failures induced by the schedule at
-	// non-exhaustion points (PowerFailures also includes exhaustion).
+	// InjectedFailures counts power failures the schedule induced at
+	// instruction boundaries and save phases. PowerFailures also counts
+	// failures at energy draws, which are the capacitor's refusals (or
+	// their replay) and never injections.
 	InjectedFailures int
 
 	// UnsyncedReads counts reads of VM storage that was never restored
@@ -252,6 +262,15 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.MaxFailures < 0 {
 		return &ConfigError{Field: "MaxFailures", Reason: fmt.Sprintf("must not be negative, got %d", cfg.MaxFailures)}
+	}
+	var caps []string
+	for _, m := range members(cfg.Schedule) {
+		if _, ok := m.(Capacitor); ok {
+			caps = append(caps, m.Name())
+		}
+	}
+	if len(caps) > 1 {
+		return &ConfigError{Field: "Schedule", Reason: fmt.Sprintf("composes two capacitors, %s and %s; a run has one", caps[0], caps[1])}
 	}
 	if cfg.Resume != nil {
 		if len(cfg.Inputs) > 0 {

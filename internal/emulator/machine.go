@@ -43,11 +43,12 @@ type snapshot struct {
 }
 
 type machine struct {
-	mod   *ir.Module
-	prog  *dispatch.Program
-	cfg   Config
-	res   Result
-	capEn float64 // remaining capacitor energy
+	mod     *ir.Module
+	prog    *dispatch.Program
+	cfg     Config
+	res     Result
+	store   store   // the capacitor, split out of the resolved schedule
+	refused float64 // the draw a failed charge asked for, reported on its power failure
 
 	// obs is Config.Observer; nil on an unobserved run. Every emission
 	// site guards on nil so an unobserved run constructs no events at all.
@@ -124,12 +125,10 @@ type machine struct {
 	// for the Periodic schedule (Probe.CyclesSincePower).
 	cyclesSincePower int64
 
-	// exhaust/sched are the split of the run's resolved PowerSchedule:
-	// exhaust keeps capacitor physics as an inline comparison on the hot
-	// charge path, sched holds whatever else is scheduled (nil on default
-	// runs, so per-instruction probing costs nothing).
-	exhaust bool
-	sched   PowerSchedule
+	// sched is the run's resolved PowerSchedule without its capacitor
+	// member (nil on default runs, so per-instruction probing costs
+	// nothing).
+	sched PowerSchedule
 
 	// track enables incremental persistent-state hashing (Config.Hook):
 	// every NVM write, counter bump, and snapshot commit updates the
@@ -168,9 +167,10 @@ func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 		vmSpare:  make([][]int64, n),
 		seen:     make([]bool, n),
 		counters: map[int]int64{},
-		capEn:    cfg.EB,
 	}
-	mc.exhaust, mc.sched = splitExhaustion(resolveSchedule(cfg))
+	var c *Capacitor
+	c, mc.sched = splitExhaustion(cfg)
+	mc.store = newStore(c, cfg.EB)
 	mc.initNVM()
 	if cfg.PrewarmVM {
 		mc.prewarmVM()
@@ -293,16 +293,17 @@ const (
 
 // charge attempts to draw e nJ from the capacitor. It returns false when a
 // power failure occurs instead (intermittent mode only); the caller must
-// then abandon the current operation.
+// then abandon the current operation. A failure here is the capacitor's
+// refusal, or a replay of one: never an injection.
 func (mc *machine) charge(e float64, kind chargeKind) bool {
-	if mc.exhaust && mc.capEn+chargeEpsilon < e {
+	mc.store.harvest(mc.res.TotalCycles)
+	level := mc.store.level
+	if mc.store.enforce && level+chargeEpsilon < e ||
+		mc.sched != nil && mc.sched.Fail(mc.probe(PointCharge, mc.res.Steps, e)) {
+		mc.refused = e
 		return false
 	}
-	if mc.sched != nil && mc.sched.Fail(mc.probe(PointCharge, mc.res.Steps, e)) {
-		mc.induce(PointCharge, mc.curSite, mc.res.Steps)
-		return false
-	}
-	mc.capEn -= e
+	mc.store.level = max(level-e, 0)
 	var class ChargeClass
 	switch kind {
 	case chSave:
@@ -332,7 +333,7 @@ func (mc *machine) charge(e float64, kind chargeKind) bool {
 		}
 	}
 	if mc.obs != nil {
-		ev := Event{Kind: EvCharge, Class: class, Energy: e, Site: mc.chargeSite(class)}
+		ev := Event{Kind: EvCharge, Class: class, Energy: e, Site: mc.chargeSite(class), CapEnergy: level}
 		if len(mc.frames) > 0 {
 			fr := mc.top()
 			ev.Fn, ev.Block = fr.fn, fr.cb.IR
@@ -363,9 +364,11 @@ func (mc *machine) chargeSite(class ChargeClass) int {
 }
 
 // probe assembles the machine state handed to the schedule at an
-// injection point. Site is the checkpoint currently executing (-1
-// elsewhere), which is exactly the save site for the save-phase points.
+// injection point, bringing the capacitor level up to date first. Site
+// is the checkpoint currently executing (-1 elsewhere), which is exactly
+// the save site for the save-phase points.
 func (mc *machine) probe(kind PointKind, occurrence int64, energy float64) Probe {
+	mc.store.harvest(mc.res.TotalCycles)
 	return Probe{
 		Kind:             kind,
 		Step:             mc.res.Steps,
@@ -374,19 +377,19 @@ func (mc *machine) probe(kind PointKind, occurrence int64, energy float64) Probe
 		Occurrence:       occurrence,
 		Site:             mc.curSite,
 		Energy:           energy,
-		Remaining:        mc.capEn,
-		Failures:         mc.res.PowerFailures,
+		Remaining:        mc.store.level,
 	}
 }
 
-// induce records a schedule-induced power failure: the injection counter
-// and, for observers, an EvInjection immediately before the
-// EvPowerFailure the caller triggers. Exhaustion failures do not pass
-// through here — they are physics, not injections.
+// induce records a schedule-induced power failure at an instruction
+// boundary or save phase: the injection counter and, for observers, an
+// EvInjection immediately before the EvPowerFailure the caller
+// triggers. Failures at a charge do not pass through here — they are
+// physics, not injections.
 func (mc *machine) induce(kind PointKind, site int, seq int64) {
 	mc.res.InjectedFailures++
 	if mc.obs != nil {
-		mc.emit(Event{Kind: EvInjection, Point: kind, Seq: seq, Site: site, CapEnergy: mc.capEn})
+		mc.emit(Event{Kind: EvInjection, Point: kind, Seq: seq, Site: site, CapEnergy: mc.store.level})
 	}
 }
 

@@ -17,6 +17,7 @@ const (
 	// EvCharge fires for every draw from the capacitor, classified into
 	// the ledger bucket it fed (Class) and stamped with the attribution
 	// context: the executing block and the responsible checkpoint site.
+	// CapEnergy is the level the draw was taken from.
 	EvCharge
 	// EvCheckpointHit fires when a checkpoint instruction begins
 	// executing, whether or not it ends up saving.
@@ -33,7 +34,8 @@ const (
 	EvSleepEnd
 	// EvPowerFailure fires when the supply dies, with the remaining
 	// capacitor level and the site of the active recovery point (-1 when
-	// none exists yet).
+	// none exists yet). A failure at a draw carries the refused draw in
+	// Energy; an injected one (preceded by EvInjection) carries 0.
 	EvPowerFailure
 	// EvReexecStart / EvReexecEnd bracket a re-execution span: work
 	// repeated between a recovery point and the previous high-water mark.
@@ -45,8 +47,8 @@ const (
 	// restored — the signal of a broken transformation.
 	EvPoisonRead
 	// EvInjection fires when the configured PowerSchedule induces a power
-	// failure at a non-exhaustion point, immediately before the matching
-	// EvPowerFailure. Point carries the injection point kind and Seq its
+	// failure at an instruction boundary or save phase, immediately
+	// before the matching EvPowerFailure. Point carries the injection point kind and Seq its
 	// ordinal (the step index for step points, the save-attempt ordinal
 	// for save points); Site is the checkpoint site for save points.
 	EvInjection
@@ -134,11 +136,11 @@ type Event struct {
 	Var   *ir.Var // EvPoisonRead
 
 	Class  ChargeClass // EvCharge
-	Energy float64     // nJ: EvCharge, EvSave, EvRestore
+	Energy float64     // nJ: EvCharge, EvSave, EvRestore; EvPowerFailure: the refused draw
 	Site   int         // checkpoint site ID, -1 = none
 	Bytes  int         // EvSave/EvRestore: bytes moved (registers + variables)
 
-	CapEnergy float64 // remaining capacitor nJ: EvPowerFailure, EvSleepStart/End
+	CapEnergy float64 // capacitor level nJ: EvCharge, EvPowerFailure, EvSleepStart/End, EvInjection
 
 	Point PointKind // EvInjection: which injection point fired
 	Seq   int64     // EvInjection: the point's occurrence ordinal

@@ -24,7 +24,8 @@ const (
 	PointStep PointKind = iota
 	// PointCharge is an energy draw from the capacitor. Probe.Energy
 	// carries the requested amount and Probe.Remaining the capacitor
-	// level; the built-in exhaustion physics lives at this point.
+	// level. The capacitor's own refusals live at this point; a failure
+	// here is physics (or its replay), never an injection.
 	PointCharge
 	// PointBeforeSave fires when a checkpoint has decided to save, before
 	// any save energy is charged. Probe.Occurrence is the 1-based ordinal
@@ -92,9 +93,7 @@ type Probe struct {
 	Site int // checkpoint site for save points, -1 otherwise
 
 	Energy    float64 // PointCharge: requested draw, nJ
-	Remaining float64 // capacitor level, nJ
-
-	Failures int // power failures so far
+	Remaining float64 // capacitor level, nJ, with harvest-in integrated up to Cycle
 }
 
 // PowerSchedule decides when the supply dies. The machine consults the
@@ -104,8 +103,9 @@ type Probe struct {
 // of the previous run carries over.
 //
 // Setting Config.Schedule replaces the default power model entirely —
-// compose with Exhaustion() (via Schedules) to keep capacitor physics in
-// addition to induced failures.
+// compose with a Capacitor (Exhaustion(), or a harvested one from
+// internal/harvest) via Schedules to keep capacitor physics in addition
+// to induced failures.
 type PowerSchedule interface {
 	// Name identifies the schedule in reports and repro files.
 	Name() string
@@ -113,17 +113,117 @@ type PowerSchedule interface {
 	Fail(p Probe) bool
 }
 
-// ---- exhaustion (capacitor physics) ----
+// ---- the capacitor ----
 
-type exhaustion struct{}
+// SupplyQuantum is the supply's sampling grid, in cycles: harvest-in is
+// integrated piecewise-constantly at each quantum's starting power, so
+// it never depends on where the machine integrates.
+const SupplyQuantum = 64
 
-// Exhaustion is the default power model: a failure occurs exactly when a
-// requested energy draw no longer fits in the capacitor.
-func Exhaustion() PowerSchedule { return exhaustion{} }
+// maxOff bounds one simulated outage or sleep, in cycles, so a supply
+// that delivers nothing (solar at night) still reboots.
+const maxOff = 200_000_000
 
-func (exhaustion) Name() string { return "exhaustion" }
-func (exhaustion) Fail(p Probe) bool {
+// Supply is a harvested-power source: Power reports the incoming power
+// at an environment cycle, in nJ per cycle. It must be a pure function
+// of (receiver, cycle). internal/harvest provides the waveforms.
+type Supply interface {
+	Name() string
+	Power(cycle int64) float64
+}
+
+// Capacitor is the schedule member that configures the machine's one
+// capacitor; the machine takes it out of the schedule and applies it
+// itself. A draw the level cannot cover is a power failure (physics,
+// never an injection). Harvest-in from Supply is integrated before
+// every draw, probe, sleep and failure. An outage recharges the level to
+// Restart×Capacity and a wait-checkpoint sleep to full, on the supply
+// within maxOff cycles and then by clamping; without a supply both are
+// plain assignments. Run rejects two Capacitors. Without one, the level
+// is tracked from EB but never refuses a draw.
+type Capacitor struct {
+	Capacity float64 // nJ, starting full; 0 = Config.EB
+	Restart  float64 // reboot level after an outage, fraction of Capacity (0 = 1)
+	Supply   Supply  // harvest-in; nil = none
+}
+
+// Exhaustion is the default power model: a capacitor of Config.EB with
+// no supply, so a failure occurs exactly when a draw no longer fits.
+func Exhaustion() PowerSchedule { return Capacitor{} }
+
+func (c Capacitor) Name() string {
+	if c == (Capacitor{}) {
+		return "exhaustion"
+	}
+	supply := "none"
+	if c.Supply != nil {
+		supply = c.Supply.Name()
+	}
+	return fmt.Sprintf("harvest(%s,cap=%g,restart=%g)", supply, c.Capacity, c.restart())
+}
+
+func (c Capacitor) restart() float64 {
+	if c.Restart == 0 {
+		return 1
+	}
+	return c.Restart
+}
+
+// Fail reports the capacitor's refusal at a charge probe. The machine
+// never asks: it applies its capacitor member inline.
+func (Capacitor) Fail(p Probe) bool {
 	return p.Kind == PointCharge && p.Remaining+chargeEpsilon < p.Energy
+}
+
+// store is the machine's capacitor state (see Capacitor).
+type store struct {
+	level, capacity float64 // nJ; intermittent runs keep level within [0, capacity]
+	restart         float64 // reboot level after an outage, nJ
+	enforce         bool    // a Capacitor is scheduled: refuse draws the level cannot cover
+	supply          Supply
+	env, at         int64 // supply time (active plus off cycles); machine cycle integrated up to
+}
+
+// newStore builds the store a capacitor member (nil: none) configures
+// for a run with energy budget eb.
+func newStore(c *Capacitor, eb float64) store {
+	if c == nil {
+		return store{level: eb, capacity: eb, restart: eb}
+	}
+	capacity := eb
+	if c.Capacity > 0 {
+		capacity = c.Capacity
+	}
+	return store{level: capacity, capacity: capacity, restart: min(c.restart(), 1) * capacity,
+		enforce: true, supply: c.Supply}
+}
+
+// harvest integrates the supply over the active cycles up to machine
+// cycle now, clamping to capacity at every quantum.
+func (s *store) harvest(now int64) {
+	for s.supply != nil && s.at < now {
+		s.at += s.feed(now - s.at)
+		s.level = min(s.level, s.capacity)
+	}
+}
+
+// recharge simulates off time: the supply charges the level until it
+// reaches target or maxOff cycles pass, then the level clamps to target.
+func (s *store) recharge(target float64) {
+	for off := int64(0); s.supply != nil && s.level+chargeEpsilon < target && off < maxOff; {
+		off += s.feed(maxOff - off)
+	}
+	s.level = min(max(s.level, target), s.capacity)
+}
+
+// feed advances supply time to the end of the current quantum, or by
+// budget cycles if that is sooner, adding the harvest at the quantum's
+// sampled power. It returns the cycles advanced.
+func (s *store) feed(budget int64) int64 {
+	step := min(SupplyQuantum-s.env%SupplyQuantum, budget)
+	s.level += s.supply.Power(s.env-s.env%SupplyQuantum) * float64(step)
+	s.env += step
+	return step
 }
 
 // ---- periodic (TBPF) ----
@@ -313,47 +413,36 @@ func Schedules(ss ...PowerSchedule) PowerSchedule {
 	}
 }
 
-// resolveSchedule returns the run's effective schedule. A nil
-// Config.Schedule selects the default power model: capacitor exhaustion.
-func resolveSchedule(cfg Config) PowerSchedule {
-	if !cfg.Intermittent {
+// members lists a schedule's members: a composition's, or s itself.
+func members(s PowerSchedule) []PowerSchedule {
+	if c, ok := s.(comboSchedule); ok {
+		return c
+	}
+	if s == nil {
 		return nil
 	}
-	if cfg.Schedule != nil {
-		return cfg.Schedule
-	}
-	return Exhaustion()
+	return []PowerSchedule{s}
 }
 
-// splitExhaustion separates built-in exhaustion physics from the rest of
-// a resolved schedule, so the (very hot) per-charge check stays an inline
-// float comparison instead of an interface call. The remainder is nil
-// when nothing but exhaustion is scheduled — the common case, in which
-// per-instruction probing is skipped entirely.
-func splitExhaustion(s PowerSchedule) (exhaust bool, rest PowerSchedule) {
-	switch x := s.(type) {
-	case nil:
-		return false, nil
-	case exhaustion:
-		return true, nil
-	case comboSchedule:
-		var rem comboSchedule
-		for _, m := range x {
-			if _, ok := m.(exhaustion); ok {
-				exhaust = true
-				continue
-			}
-			rem = append(rem, m)
-		}
-		switch len(rem) {
-		case 0:
-			return exhaust, nil
-		case 1:
-			return exhaust, rem[0]
-		default:
-			return exhaust, rem
-		}
-	default:
-		return false, s
+// splitExhaustion resolves the run's schedule — a nil Config.Schedule
+// selects capacitor exhaustion — and takes its capacitor member (nil
+// when there is none) out, so the machine applies it inline. The rest
+// is nil when nothing but the capacitor is scheduled — the common case,
+// in which per-instruction probing is skipped entirely.
+func splitExhaustion(cfg Config) (c *Capacitor, rest PowerSchedule) {
+	if !cfg.Intermittent {
+		return nil, nil
 	}
+	if cfg.Schedule == nil {
+		return &Capacitor{}, nil
+	}
+	var others []PowerSchedule
+	for _, m := range members(cfg.Schedule) {
+		if x, ok := m.(Capacitor); ok && c == nil {
+			c = &x
+			continue
+		}
+		others = append(others, m)
+	}
+	return c, Schedules(others...)
 }

@@ -130,22 +130,33 @@ func TestSchedulesComposition(t *testing.T) {
 }
 
 func TestSplitExhaustion(t *testing.T) {
-	if ex, rest := splitExhaustion(nil); ex || rest != nil {
-		t.Errorf("nil: got %v, %v", ex, rest)
+	split := func(s PowerSchedule) (*Capacitor, PowerSchedule) {
+		return splitExhaustion(Config{Intermittent: true, Schedule: s})
 	}
-	if ex, rest := splitExhaustion(Exhaustion()); !ex || rest != nil {
-		t.Errorf("exhaustion alone: got %v, %v", ex, rest)
+	if c, rest := splitExhaustion(Config{Schedule: Exhaustion()}); c != nil || rest != nil {
+		t.Errorf("continuous: got %v, %v", c, rest)
+	}
+	if c, rest := split(nil); c == nil || *c != (Capacitor{}) || rest != nil {
+		t.Errorf("default: got %v, %v", c, rest)
+	}
+	if c, rest := split(Exhaustion()); c == nil || *c != (Capacitor{}) || rest != nil {
+		t.Errorf("exhaustion alone: got %v, %v", c, rest)
 	}
 	p := Periodic(50)
-	if ex, rest := splitExhaustion(Schedules(Exhaustion(), p)); !ex || rest != p {
-		t.Errorf("exhaustion+periodic: got %v, %v", ex, rest)
+	if c, rest := split(Schedules(Exhaustion(), p)); c == nil || rest != p {
+		t.Errorf("exhaustion+periodic: got %v, %v", c, rest)
 	}
 	tr := TraceSchedule(FailPoint{Kind: PointStep, N: 3})
-	if ex, rest := splitExhaustion(Schedules(Exhaustion(), p, tr)); !ex || rest == nil || rest.Name() != "periodic(50)+"+tr.Name() {
-		t.Errorf("three-way split: got %v, %v", ex, rest)
+	if c, rest := split(Schedules(Exhaustion(), p, tr)); c == nil || rest == nil || rest.Name() != "periodic(50)+"+tr.Name() {
+		t.Errorf("three-way split: got %v, %v", c, rest)
 	}
-	if ex, rest := splitExhaustion(tr); ex || rest != tr {
-		t.Errorf("trace alone: got %v, %v", ex, rest)
+	if c, rest := split(tr); c != nil || rest != tr {
+		t.Errorf("trace alone: got %v, %v", c, rest)
+	}
+	// A sized capacitor is split out the same way, wherever it sits.
+	sized := Capacitor{Capacity: 900, Restart: 0.5}
+	if c, rest := split(Schedules(p, sized)); c == nil || *c != sized || rest != p {
+		t.Errorf("periodic+sized capacitor: got %v, %v", c, rest)
 	}
 }
 
@@ -168,6 +179,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative VM size", "VMSize", Config{Model: model, VMSize: -2048}},
 		{"negative max steps", "MaxSteps", Config{Model: model, MaxSteps: -1}},
 		{"negative max failures", "MaxFailures", Config{Model: model, MaxFailures: -1}},
+		{"two capacitors", "Schedule", Config{Model: model, Intermittent: true, EB: 100,
+			Schedule: Schedules(Exhaustion(), Periodic(9), Capacitor{Capacity: 50})}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -306,8 +319,10 @@ func TestSavePhaseInjectionPoints(t *testing.T) {
 }
 
 // TestInjectionEvents: schedule-induced failures emit EvInjection with
-// the point kind and ordinal immediately before their EvPowerFailure;
-// exhaustion failures do not.
+// the point kind and ordinal immediately before their EvPowerFailure.
+// Failures at a charge — the capacitor refusing a draw, or a replay of
+// that — are physics: no EvInjection, no InjectedFailures, and their
+// EvPowerFailure carries the refused draw.
 func TestInjectionEvents(t *testing.T) {
 	m := ratchetLoopProgram(t, 50)
 	cfg := baseCfg()
@@ -333,25 +348,36 @@ func TestInjectionEvents(t *testing.T) {
 		t.Errorf("second event = %v, want power-failure", events[1].Kind)
 	}
 
-	// Plain exhaustion failures are physics, not injections.
-	cfg2 := baseCfg()
-	cfg2.Intermittent = true
-	cfg2.EB = 1500
-	saw := false
-	cfg2.Observer = obsFn(func(e Event) {
-		if e.Kind == EvInjection {
-			saw = true
+	for _, tc := range []struct {
+		eb    float64
+		sched PowerSchedule
+	}{
+		{1500, nil}, // the capacitor refuses
+		{1e9, Schedules(Exhaustion(), TraceSchedule(FailPoint{Kind: PointCharge, N: 40}))}, // a replayed refusal
+	} {
+		cfg2 := baseCfg()
+		cfg2.Intermittent = true
+		cfg2.EB = tc.eb
+		cfg2.Schedule = tc.sched
+		saw := false
+		cfg2.Observer = obsFn(func(e Event) {
+			if e.Kind == EvInjection {
+				saw = true
+			}
+			if e.Kind == EvPowerFailure && e.Energy <= 0 {
+				t.Errorf("EB=%g: power failure without its refused draw: %+v", tc.eb, e)
+			}
+		})
+		res, err := Run(ratchetLoopProgram(t, 50), cfg2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	res, err := Run(ratchetLoopProgram(t, 50), cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PowerFailures == 0 {
-		t.Fatalf("expected exhaustion failures at EB=1500")
-	}
-	if saw || res.InjectedFailures != 0 {
-		t.Errorf("exhaustion failures must not count as injections (saw=%v injected=%d)", saw, res.InjectedFailures)
+		if res.PowerFailures == 0 {
+			t.Fatalf("EB=%g: expected failures at a charge", tc.eb)
+		}
+		if saw || res.InjectedFailures != 0 {
+			t.Errorf("EB=%g: charge failures must not count as injections (saw=%v injected=%d)", tc.eb, saw, res.InjectedFailures)
+		}
 	}
 }
 

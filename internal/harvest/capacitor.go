@@ -1,158 +1,26 @@
 package harvest
 
-import (
-	"fmt"
+import "schematic/internal/emulator"
 
-	"schematic/internal/emulator"
-)
-
-const (
-	// levelEpsilon matches the emulator's charge tolerance so a
-	// capacitor sized exactly like EB admits exactly the same draws.
-	levelEpsilon = 1e-6
-
-	defaultQuantum = 64          // integration step, cycles
-	defaultMaxOff  = 200_000_000 // outage-simulation bound, cycles
-)
-
-// Capacitor adapts an Environment onto emulator.PowerSchedule: a
-// storage buffer that integrates harvested power in while the machine's
-// own accounting draws per-instruction energy out. The machine asks the
-// schedule before every energy draw (a PointCharge probe); the
-// capacitor fails the draw exactly when the stored level cannot cover
-// it, which triggers the machine's ordinary power-failure path.
+// Capacitor is a storage buffer that Env charges while the machine draws
+// energy out. It only sizes the emulator's own capacitor and supplies
+// power: the emulator keeps the level, fails the draws it cannot cover
+// and recharges after a brown-out to Restart×Capacity and after a
+// wait-checkpoint sleep to full (see emulator.Capacitor).
 //
-// Off periods are simulated from the probe stream alone: a rise in
-// Probe.Failures means the device browned out, so the environment is
-// integrated forward until the level reaches Restart×Capacity; a
-// CyclesSincePower reset without a failure means a planned checkpoint
-// sleep (ckWait), which recharges to full — mirroring the machine's own
-// capEn refill. Both recharges are bounded by MaxOff simulated cycles
-// and then clamped to their target, so runs always make progress even
-// under an environment that supplies nothing (e.g. solar at night).
-//
-// With the default Capacity equal to the run's energy budget EB the
-// capacitor is a strict superset of the built-in exhaustion physics:
-// it refills to at least the machine's own refill level and harvesting
-// only adds energy, so it never fails a draw plain exhaustion would
-// have allowed. Wait-style placements therefore keep their
-// zero-power-failure contract under any harvested environment.
+// With Capacity equal to the run's energy budget EB and Restart = 1,
+// harvesting only adds energy over the exhaustion physics, so it never
+// fails a draw exhaustion would have allowed: wait-style placements
+// keep their zero-power-failure contract under any environment.
 type Capacitor struct {
 	Env      Environment
-	Capacity float64 // storage size, nJ; the level starts full
+	Capacity float64 // storage size, nJ; the level starts full (0 = the run's EB)
 	Restart  float64 // post-outage boot threshold, fraction of Capacity (0 = 1.0)
-	MaxOff   int64   // simulated-outage bound per recharge, cycles (0 = 2e8)
-	Quantum  int64   // waveform integration step, cycles (0 = 64)
 }
 
-func (c Capacitor) norm() Capacitor {
-	c.Restart = defF(c.Restart, 1.0)
-	c.MaxOff = defI(c.MaxOff, defaultMaxOff)
-	c.Quantum = defI(c.Quantum, defaultQuantum)
-	return c
-}
-
-// Schedule returns a fresh, single-run PowerSchedule instance.
-// Schedules are stateful; never share one across runs or engines.
+// Schedule returns the capacitor as a schedule member. Compose it with
+// injection schedules through emulator.Schedules; a run takes at most
+// one capacitor.
 func (c Capacitor) Schedule() emulator.PowerSchedule {
-	c = c.norm()
-	return &capSchedule{
-		c:     c,
-		name:  fmt.Sprintf("harvest(%s,cap=%g,restart=%g)", c.Env.Name(), c.Capacity, c.Restart),
-		level: c.Capacity,
-	}
-}
-
-type capSchedule struct {
-	c     Capacitor
-	name  string
-	level float64
-
-	envCycle     int64 // environment time, cycles (active + simulated off)
-	lastCycle    int64 // machine TotalCycles at the previous probe
-	lastCSP      int64 // CyclesSincePower at the previous probe
-	lastFailures int   // PowerFailures at the previous probe
-}
-
-func (s *capSchedule) Name() string { return s.name }
-
-func (s *capSchedule) Fail(p emulator.Probe) bool {
-	// Active time advanced since the last probe: harvest over it.
-	// TotalCycles is monotonic across failures, so the delta is always
-	// the active cycles executed in between.
-	if d := p.Cycle - s.lastCycle; d > 0 {
-		s.integrate(d)
-		s.lastCycle = p.Cycle
-	}
-	switch {
-	case p.Failures > s.lastFailures:
-		// The device browned out (this capacitor refusing a draw, or a
-		// composed schedule injecting a failure): recharge off-line to
-		// the boot threshold.
-		s.lastFailures = p.Failures
-		s.recharge(s.c.Restart * s.c.Capacity)
-	case p.CyclesSincePower < s.lastCSP:
-		// CyclesSincePower reset without a failure: a planned ckWait
-		// sleep. The machine refills capEn to EB; mirror it with a
-		// recharge to full.
-		s.recharge(s.c.Capacity)
-	}
-	s.lastCSP = p.CyclesSincePower
-	if p.Kind != emulator.PointCharge {
-		return false // physics only ever refuses energy draws
-	}
-	if s.level+levelEpsilon < p.Energy {
-		return true
-	}
-	s.level -= p.Energy
-	if s.level < 0 {
-		s.level = 0
-	}
-	return false
-}
-
-// integrate advances environment time by d cycles, accumulating
-// harvested energy. The waveform is sampled piecewise-constant on the
-// Quantum grid (at each window's start), so the result is independent
-// of how callers slice the same span.
-func (s *capSchedule) integrate(d int64) {
-	q := s.c.Quantum
-	for d > 0 {
-		step := q - s.envCycle%q
-		if step > d {
-			step = d
-		}
-		s.level += s.c.Env.Power(s.envCycle-s.envCycle%q) * float64(step)
-		if s.level > s.c.Capacity {
-			s.level = s.c.Capacity
-		}
-		s.envCycle += step
-		d -= step
-	}
-}
-
-// recharge simulates an off period: environment time passes (bounded by
-// MaxOff) until the level reaches target, then clamps to target so the
-// device always boots even when the environment supplies nothing.
-func (s *capSchedule) recharge(target float64) {
-	if target > s.c.Capacity {
-		target = s.c.Capacity
-	}
-	budget := s.c.MaxOff
-	q := s.c.Quantum
-	for s.level+levelEpsilon < target && budget > 0 {
-		step := q - s.envCycle%q
-		if step > budget {
-			step = budget
-		}
-		s.level += s.c.Env.Power(s.envCycle-s.envCycle%q) * float64(step)
-		s.envCycle += step
-		budget -= step
-	}
-	if s.level < target {
-		s.level = target
-	}
-	if s.level > s.c.Capacity {
-		s.level = s.c.Capacity
-	}
+	return emulator.Capacitor{Capacity: c.Capacity, Restart: c.Restart, Supply: c.Env}
 }

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"schematic/internal/emulator"
 )
 
 // CSVOptions controls how an external time-vs-power measurement trace
@@ -73,9 +75,9 @@ func ImportCSV(r io.Reader, opts CSVOptions) (Environment, error) {
 		return nil, fmt.Errorf("harvest: csv has no samples")
 	}
 	// The final sample holds for as long as the previous segment did
-	// (or one default quantum for a single-sample trace), defining the
+	// (or one supply quantum for a single-sample trace), defining the
 	// waveform's loop length.
-	last := int64(defaultQuantum)
+	last := int64(emulator.SupplyQuantum)
 	if n := len(cycles); n > 1 {
 		if d := cycles[n-1] - cycles[n-2]; d > 0 {
 			last = d

@@ -1,32 +1,32 @@
 // Package harvest models harvested-energy environments for the
 // intermittent emulator: deterministic incoming-power waveforms (solar
 // diurnal cycles with cloud noise, bursty RF, piezo vibration,
-// duty-cycled regulators, imported measurement traces), a capacitor
-// that integrates harvest-in against the per-instruction discharge the
-// machine already charges, and a trace recorder/replayer that turns any
-// run's failure history into a versioned NDJSON artifact reproducing
-// the original Result byte-identically.
+// duty-cycled regulators, imported measurement traces), a Capacitor
+// that feeds one of them into the emulator's own capacitor, and a trace
+// recorder/replayer that turns any run's failure history into a
+// versioned NDJSON artifact reproducing the original Result
+// byte-identically.
 //
-// Everything adapts onto emulator.PowerSchedule, so every existing
-// surface (iemu, crashtest, verify, /v1/emulate, /v1/grid) gains
-// harvested scenarios without per-surface work.
+// Harvest only supplies power: the emulator owns the one capacitor
+// level, which is what refuses draws, what MEMENTOS measures and what
+// traces record. Everything adapts onto emulator.PowerSchedule, so
+// every existing surface (iemu, crashtest, verify, /v1/emulate,
+// /v1/grid) gains harvested scenarios without per-surface work.
 package harvest
 
 import (
 	"fmt"
 	"math"
+
+	"schematic/internal/emulator"
 )
 
 // Environment is a deterministic harvested-power waveform: Power
 // reports the incoming power at an environment cycle, in nJ per cycle
 // (the same unit energy.Model charges per instruction). Power must be a
-// pure function of (receiver, cycle) — no internal state — so the
-// capacitor can integrate it in arbitrary slices, recording and replay
-// see the same waveform, and identical seeds yield identical runs.
-type Environment interface {
-	Name() string
-	Power(cycle int64) float64
-}
+// pure function of (receiver, cycle) — no internal state — so identical
+// seeds yield identical runs and a replay needs no waveform at all.
+type Environment = emulator.Supply
 
 // noise01 hashes (seed, index) into [0, 1) with a splitmix64-style
 // finalizer: stateless, so waveform noise is a pure function of time.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,6 +19,17 @@ import (
 // TBPF 10k, and inputs.
 func placed(t *testing.T, h *bench.Harness, bm *bench.Benchmark) (*ir.Module, float64, map[string][]int64) {
 	t.Helper()
+	m, eb, inputs := placedWith(t, h, bm, "")
+	if m == nil {
+		t.Fatalf("%s: no technique applies", bm.Name)
+	}
+	return m, eb, inputs
+}
+
+// placedWith is placed for the named technique ("" = the first that
+// applies). The module is nil when the technique declines.
+func placedWith(t *testing.T, h *bench.Harness, bm *bench.Benchmark, tech string) (*ir.Module, float64, map[string][]int64) {
+	t.Helper()
 	m, err := bm.Module()
 	if err != nil {
 		t.Fatal(err)
@@ -33,19 +43,18 @@ func placed(t *testing.T, h *bench.Harness, bm *bench.Benchmark) (*ir.Module, fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tech := range bench.Techniques() {
-		if !tech.SupportsVM(m, h.VMSize) {
+	for _, tt := range bench.Techniques() {
+		if tech != "" && tt.Name() != tech || !tt.SupportsVM(m, h.VMSize) {
 			continue
 		}
 		clone := ir.Clone(m)
-		if err := tech.Apply(clone, baselines.Params{
+		if err := tt.Apply(clone, baselines.Params{
 			Model: h.Model, Budget: eb, VMSize: h.VMSize, Profile: prof,
 		}); err != nil {
 			continue
 		}
 		return clone, eb, inputs
 	}
-	t.Fatalf("%s: no technique applies", bm.Name)
 	return nil, 0, nil
 }
 
@@ -67,11 +76,11 @@ func testBenches(t *testing.T) []*bench.Benchmark {
 	return bms
 }
 
-func runCfg(t *testing.T, m *ir.Module, eb float64, inputs map[string][]int64, sched emulator.PowerSchedule) *emulator.Result {
+func runCfg(t *testing.T, m *ir.Module, eb float64, inputs map[string][]int64, sched emulator.PowerSchedule, observer emulator.Observer) *emulator.Result {
 	t.Helper()
 	res, err := emulator.Run(m, emulator.Config{
 		Model: bench.NewHarness().Model, VMSize: 1 << 20,
-		Intermittent: true, EB: eb, Inputs: inputs, Schedule: sched,
+		Intermittent: true, EB: eb, Inputs: inputs, Schedule: sched, Observer: observer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +108,8 @@ func TestHarvestDeterminism(t *testing.T) {
 			c := Capacitor{Env: env, Capacity: eb}
 			rec1 := NewRecorder(c.Schedule(), eb)
 			rec2 := NewRecorder(c.Schedule(), eb)
-			res1 := runCfg(t, m, eb, inputs, rec1)
-			res2 := runCfg(t, m, eb, inputs, rec2)
+			res1 := runCfg(t, m, eb, inputs, c.Schedule(), rec1)
+			res2 := runCfg(t, m, eb, inputs, c.Schedule(), rec2)
 			label := fmt.Sprintf("%s/%s", bm.Name, env.Name())
 			if !reflect.DeepEqual(res1, res2) {
 				t.Fatalf("%s: same seed, different results:\n%+v\n%+v", label, res1, res2)
@@ -124,9 +133,9 @@ func TestHarvestNeverWorseThanExhaustion(t *testing.T) {
 	h.ProfileRuns = 3
 	for _, bm := range testBenches(t) {
 		m, eb, inputs := placed(t, h, bm)
-		base := runCfg(t, m, eb, inputs, nil)
+		base := runCfg(t, m, eb, inputs, nil, nil)
 		for _, env := range []Environment{Solar{Seed: 2, Period: 400_000}, RF{Seed: 2}, Piezo{}} {
-			res := runCfg(t, m, eb, inputs, Capacitor{Env: env, Capacity: eb}.Schedule())
+			res := runCfg(t, m, eb, inputs, Capacitor{Env: env, Capacity: eb}.Schedule(), nil)
 			if res.Verdict != emulator.Completed {
 				t.Fatalf("%s/%s: verdict %v", bm.Name, env.Name(), res.Verdict)
 			}
@@ -141,80 +150,46 @@ func TestHarvestNeverWorseThanExhaustion(t *testing.T) {
 	}
 }
 
-// Property test: under an arbitrary probe stream the capacitor level
-// stays within [0, Capacity], and a failed draw leaves the level
-// untouched.
-func TestCapacitorLevelBounds(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		env := []Environment{
-			Solar{Seed: int64(trial), Period: 50_000},
-			RF{Seed: int64(trial)},
-			Piezo{Period: 1_000},
-			Duty{Period: 5_000},
-		}[trial%4]
-		cap := Capacitor{Env: env, Capacity: 200 + r.Float64()*2000, Restart: 0.25 + r.Float64()*0.75, MaxOff: 1_000_000}
-		s := cap.Schedule().(*capSchedule)
-		var cycle, csp int64
-		failures := 0
-		for i := int64(0); i < 3000; i++ {
-			adv := r.Int63n(500)
-			cycle += adv
-			csp += adv
-			p := emulator.Probe{
-				Kind: emulator.PointCharge, Step: i, Cycle: cycle,
-				CyclesSincePower: csp, Occurrence: i,
-				Energy: r.Float64() * s.c.Capacity * 0.4, Failures: failures,
+// A MEMENTOS trigger measures the one capacitor level that decides
+// refusals. Under a supply that covers every draw (10 nJ/cycle against
+// the model's 0.4) that level never falls to the trigger threshold, so
+// no trigger checkpoint ever saves.
+func TestSupplyCoveringDrawNeverTriggers(t *testing.T) {
+	h := bench.NewHarness()
+	h.ProfileRuns = 3
+	for _, bm := range testBenches(t) {
+		m, eb, inputs := placedWith(t, h, bm, "Mementos")
+		if m == nil {
+			continue
+		}
+		triggers := map[int]bool{}
+		for _, ck := range ir.Checkpoints(m) {
+			if ck.Kind == ir.CkTrigger {
+				triggers[ck.ID] = true
 			}
-			if r.Intn(10) == 0 {
-				p.Kind = emulator.PointStep
-				p.Energy = 0
-			}
-			before := s.level
-			failed := s.Fail(p)
-			if s.level < 0 || s.level > s.c.Capacity+levelEpsilon {
-				t.Fatalf("trial %d probe %d: level %g outside [0, %g]", trial, i, s.level, s.c.Capacity)
-			}
-			if failed {
-				if p.Kind != emulator.PointCharge {
-					t.Fatalf("trial %d: non-charge probe failed", trial)
+		}
+		if len(triggers) == 0 {
+			t.Fatalf("%s: MEMENTOS placed no trigger checkpoint", bm.Name)
+		}
+		saves := 0
+		res := runCfg(t, m, eb, inputs, Capacitor{Env: Duty{Peak: 10, Frac: 1}, Capacity: eb}.Schedule(),
+			observerFunc(func(e emulator.Event) {
+				if e.Kind == emulator.EvSave && triggers[e.Site] {
+					saves++
 				}
-				if s.level < before-levelEpsilon {
-					t.Fatalf("trial %d: failed draw still drained the level", trial)
-				}
-				failures++
-				csp = 0
-			} else if r.Intn(40) == 0 {
-				csp = 0 // planned sleep
-			}
+			}))
+		if res.Verdict != emulator.Completed {
+			t.Fatalf("%s: verdict %v", bm.Name, res.Verdict)
+		}
+		if saves != 0 {
+			t.Errorf("%s: %d trigger saves under a supply that covers every draw", bm.Name, saves)
 		}
 	}
 }
 
-// The integral of the waveform must not depend on how the active-time
-// delta is sliced across probes.
-func TestIntegrateSliceIndependent(t *testing.T) {
-	mk := func() *capSchedule {
-		return (&Capacitor{Env: Solar{Seed: 5, Period: 10_000}, Capacity: 1e9}).Schedule().(*capSchedule)
-	}
-	a, b := mk(), mk()
-	a.level, b.level = 0, 0
-	a.integrate(9_777)
-	r := rand.New(rand.NewSource(3))
-	for left := int64(9_777); left > 0; {
-		d := 1 + r.Int63n(300)
-		if d > left {
-			d = left
-		}
-		b.integrate(d)
-		left -= d
-	}
-	// The sampling grid is slice-independent; float summation order is
-	// only equal up to rounding.
-	if d := a.level - b.level; d > 1e-9 || d < -1e-9 || a.envCycle != b.envCycle {
-		t.Fatalf("slicing changed the integral: %g/%d vs %g/%d", a.level, a.envCycle, b.level, b.envCycle)
-	}
-}
+type observerFunc func(emulator.Event)
+
+func (f observerFunc) Event(e emulator.Event) { f(e) }
 
 // Harvested members compose with the existing Schedules() combinator:
 // injected failure points fire on top of capacitor physics, and the run
@@ -235,7 +210,7 @@ func TestSchedulesCombinatorWithHarvest(t *testing.T) {
 		Capacitor{Env: RF{Seed: 4}, Capacity: eb}.Schedule(),
 		emulator.TraceSchedule(emulator.FailPoint{Kind: emulator.PointStep, N: 120}),
 	)
-	res := runCfg(t, m, eb, inputs, sched)
+	res := runCfg(t, m, eb, inputs, sched, nil)
 	if res.Verdict != emulator.Completed {
 		t.Fatalf("verdict %v", res.Verdict)
 	}
@@ -247,24 +222,42 @@ func TestSchedulesCombinatorWithHarvest(t *testing.T) {
 	}
 }
 
-// Record → serialize → parse → replay must reproduce the original
-// Result byte-identically on every benchmark, both for harvested
-// physics and for recorded plain exhaustion.
+// Record → serialize → parse → replay must reproduce the bare run's
+// Result byte-identically on every benchmark: the recorder only
+// observes, so the bare and the recorded run agree, and the replay
+// fires the recorded failures at the same probes. Cases: the first
+// technique (Ratchet) under harvested physics and plain exhaustion,
+// MEMENTOS under exhaustion (its trigger reads the capacitor level,
+// which a replay without a supply reproduces), and SCHEMATIC under
+// harvested physics.
 func TestRecordReplayByteIdentical(t *testing.T) {
 	h := bench.NewHarness()
 	h.ProfileRuns = 3
+	solar := func(eb float64) emulator.PowerSchedule {
+		return Capacitor{Env: Solar{Seed: 9, Period: 300_000}, Capacity: eb}.Schedule()
+	}
+	exhaustion := func(float64) emulator.PowerSchedule { return nil }
+	cases := []struct {
+		tech, power string
+		sched       func(eb float64) emulator.PowerSchedule
+	}{
+		{"", "solar", solar},
+		{"", "exhaustion", exhaustion},
+		{"Mementos", "exhaustion", exhaustion},
+		{"Schematic", "solar", solar},
+	}
 	for _, bm := range testBenches(t) {
-		m, eb, inputs := placed(t, h, bm)
-		inners := []func() emulator.PowerSchedule{
-			func() emulator.PowerSchedule {
-				return Capacitor{Env: Solar{Seed: 9, Period: 300_000}, Capacity: eb}.Schedule()
-			},
-			func() emulator.PowerSchedule { return nil }, // plain exhaustion
-		}
-		for i, mk := range inners {
-			rec := NewRecorder(mk(), eb)
+		for _, c := range cases {
+			m, eb, inputs := placedWith(t, h, bm, c.tech)
+			if m == nil {
+				continue // the technique declines this benchmark
+			}
+			label := fmt.Sprintf("%s/%s/%s", bm.Name, c.tech, c.power)
+			bare := runCfg(t, m, eb, inputs, c.sched(eb), nil)
+			sched := c.sched(eb)
+			rec := NewRecorder(sched, eb)
 			rec.SampleEvery = 10_000
-			orig := runCfg(t, m, eb, inputs, rec)
+			recorded := runCfg(t, m, eb, inputs, sched, rec)
 
 			var buf bytes.Buffer
 			if err := rec.Trace().Write(&buf); err != nil {
@@ -274,9 +267,12 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed := runCfg(t, m, eb, inputs, tr.Schedule())
-			if !reflect.DeepEqual(orig, replayed) {
-				t.Fatalf("%s inner %d: replay diverges:\nrecorded: %+v\nreplayed: %+v", bm.Name, i, orig, replayed)
+			replayed := runCfg(t, m, eb, inputs, tr.Schedule(), nil)
+			if !reflect.DeepEqual(bare, recorded) {
+				t.Fatalf("%s: recording changed the Result:\nbare:     %+v\nrecorded: %+v", label, bare, recorded)
+			}
+			if !reflect.DeepEqual(recorded, replayed) {
+				t.Fatalf("%s: replay diverges:\nrecorded: %+v\nreplayed: %+v", label, recorded, replayed)
 			}
 		}
 	}

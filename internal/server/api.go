@@ -197,17 +197,27 @@ func knownTechnique(name string) bool {
 	return false
 }
 
+// engineRevision names what the engine computes for a request. It is
+// part of every digest, so bump it whenever a change alters a result
+// for the same request: entries a -store directory kept from the older
+// engine are then orphaned (never served, reclaimed by capacity GC)
+// instead of served under an unchanged digest. Revision 1: harvested
+// power feeds the emulator's one capacitor, which changes harvested
+// MEMENTOS emulations.
+const engineRevision = 1
+
 // digest is the request's content address: SHA-256 over the canonical
-// JSON encoding of (kind, name, source, normalized options). Two
-// requests with the same digest are interchangeable, which is what makes
-// single-flight caching sound.
+// JSON encoding of (engine revision, kind, name, source, normalized
+// options). Two requests with the same digest are interchangeable,
+// which is what makes single-flight caching sound.
 func (r *Request) digest(kind string) string {
 	canon := struct {
-		Kind    string  `json:"kind"`
-		Name    string  `json:"name"`
-		Source  string  `json:"source"`
-		Options Options `json:"options"`
-	}{kind, r.Name, r.Source, r.Options}
+		Revision int     `json:"revision"`
+		Kind     string  `json:"kind"`
+		Name     string  `json:"name"`
+		Source   string  `json:"source"`
+		Options  Options `json:"options"`
+	}{engineRevision, kind, r.Name, r.Source, r.Options}
 	b, _ := json.Marshal(canon) // struct of plain fields: cannot fail
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])

@@ -84,9 +84,9 @@ func TestPowerDigestNormalization(t *testing.T) {
 	}
 }
 
-// TestPowerRejections: malformed specs and file-reading specs fail at
-// normalization (400); a harvested spec on an unconstrained run is a
-// program error (422).
+// TestPowerRejections: malformed specs, specs naming two power sources
+// and file-reading specs fail at normalization (400); a harvested spec
+// on an unconstrained run is a program error (422).
 func TestPowerRejections(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
@@ -96,6 +96,7 @@ func TestPowerRejections(t *testing.T) {
 		{"warp:speed=9", http.StatusBadRequest},
 		{"trace:run.ndjson", http.StatusBadRequest},
 		{"csv:file=prof.csv", http.StatusBadRequest},
+		{"solar+rf", http.StatusBadRequest}, // a run has one capacitor
 	} {
 		o := fastOpts("schematic")
 		o.Power = tc.power
@@ -168,5 +169,14 @@ func TestGridPowersAxis(t *testing.T) {
 	})
 	if code != http.StatusBadRequest || !strings.Contains(string(body), "local files") {
 		t.Errorf("trace: power axis: status %d, body %s", code, body)
+	}
+
+	// So are entries naming two power sources, both named.
+	code, body, _ = postGrid(t, ts, GridRequest{
+		Benches: []string{"crc"}, Techniques: []string{"schematic"}, TBPFs: []int64{500},
+		Powers: []string{"solar", "duty+exhaustion"},
+	})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), `\"duty\" and \"exhaustion\"`) {
+		t.Errorf("two-source power axis: status %d, body %s", code, body)
 	}
 }

@@ -2,6 +2,9 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -77,6 +80,51 @@ func TestStoreRestartHit(t *testing.T) {
 	}
 	if cs := s2.CacheStats(); cs.Hits != 1 {
 		t.Fatalf("warm repeat cache stats %+v, want 1 hit", cs)
+	}
+}
+
+// TestStoreStaleRevisionNotServed: the digest canon carries the engine
+// revision, so a result a -store directory kept from before the last
+// revision bump — filed under the request's old digest, the canon
+// without a revision — is never served for that request; the request
+// recomputes under its new digest.
+func TestStoreStaleRevisionNotServed(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{Name: "sum", Source: sumProg, Options: fastOpts("mementos")}
+	norm := req
+	if err := norm.normalize("emulate"); err != nil {
+		t.Fatal(err)
+	}
+	oldCanon, _ := json.Marshal(struct {
+		Kind    string  `json:"kind"`
+		Name    string  `json:"name"`
+		Source  string  `json:"source"`
+		Options Options `json:"options"`
+	}{"emulate", norm.Name, norm.Source, norm.Options})
+	sum := sha256.Sum256(oldCanon)
+	oldDigest := hex.EncodeToString(sum[:])
+	if oldDigest == norm.digest("emulate") {
+		t.Fatal("the digest canon ignores the engine revision")
+	}
+	stale, _ := json.Marshal(&EmulateResponse{Digest: oldDigest, Name: "sum", Verdict: "stale", Output: []int64{424242}})
+	env, _ := json.Marshal(storedResult{Kind: "emulate", Body: stale})
+	if err := openTestStore(t, dir).Put(oldDigest, env); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Store: openTestStore(t, dir)})
+	var ran atomic.Int64
+	s.gate = func(string) { ran.Add(1) }
+	code, body, hdr := post(t, ts, "emulate", req)
+	if code != http.StatusOK {
+		t.Fatalf("status %d, body %s", code, body)
+	}
+	got := decode[EmulateResponse](t, body)
+	if got.Verdict == "stale" || got.Digest == oldDigest || hdr.Get("X-Schematic-Digest") == oldDigest {
+		t.Fatalf("served the pre-revision store entry: %+v", got)
+	}
+	if ran.Load() != 1 {
+		t.Fatalf("ran %d jobs, want 1 (recompute)", ran.Load())
 	}
 }
 

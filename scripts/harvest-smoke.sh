@@ -5,8 +5,12 @@
 # refusals are routine), runs it under a short-period solar profile
 # whose nights outlast the capacitor — real refusal decisions land in
 # the recorded NDJSON trace — then replays the trace and requires the
-# replay to reproduce the recorded run exactly: same program output,
-# same verdict, same energy ledger. Then sweeps the quick benchmarks
+# bare run, the recorded run and the replay to agree exactly: same
+# program output, same verdict, same energy ledger (recording only
+# observes). It checks two usage errors (exit 2): a -power naming two
+# power sources, and recording a harvested run of a MEMENTOS placement,
+# whose trigger checkpoints measure a level no trace carries. Then
+# sweeps the quick benchmarks
 # across three harvested environments against their continuous-power
 # oracles with zero tolerated violations. Finally sweeps a sabotaged
 # placement and requires the violation (exit 1): the power sweep shares
@@ -21,6 +25,19 @@ go build -o "$tmp" ./cmd/schematicc ./cmd/iemu ./cmd/crashhunt
 
 "$tmp/schematicc" -technique ratchet -budget 3000 \
     -o "$tmp/crc.ir" internal/bench/programs/crc.mc 2>/dev/null
+"$tmp/schematicc" -technique mementos -budget 3000 \
+    -o "$tmp/crc-mementos.ir" internal/bench/programs/crc.mc 2>/dev/null
+
+# usage_error CMD...: the command must exit 2.
+usage_error() {
+    status=0
+    "$@" >/dev/null 2>"$tmp/usage.err" || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "harvest-smoke: $*: want exit 2, got $status" >&2
+        cat "$tmp/usage.err" >&2
+        exit 1
+    fi
+}
 
 # Record. period=20000,day=0.3 gives 14000-cycle nights against a
 # 3000 nJ capacitor (~7500 cycles of charge): failures are guaranteed.
@@ -31,12 +48,23 @@ grep -q '"kind":"harvest-trace"' "$tmp/run.ndjson"
 grep -q '"k":"fail"' "$tmp/run.ndjson"
 grep -q '^verdict: *completed$' "$tmp/rec.stats"
 
+# Recording only observes: the bare run prints the same stats block.
+"$tmp/iemu" -eb 3000 -power solar:period=20000,day=0.3,window=2000 \
+    "$tmp/crc.ir" >"$tmp/bare.out" 2>"$tmp/bare.stats"
+cmp -s "$tmp/bare.out" "$tmp/rec.out"
+cmp -s "$tmp/bare.stats" "$tmp/rec.stats"
+
 # Replay must reproduce the run byte for byte: the program output and
 # the full stats block (verdict, cycles, ledger, failure counts).
 "$tmp/iemu" -eb 3000 -power "trace:$tmp/run.ndjson" "$tmp/crc.ir" \
     >"$tmp/rep.out" 2>"$tmp/rep.stats"
 cmp -s "$tmp/rec.out" "$tmp/rep.out"
 cmp -s "$tmp/rec.stats" "$tmp/rep.stats"
+
+# One capacitor per run: two power sources are a usage error, and so
+# is recording a harvested MEMENTOS run.
+usage_error "$tmp/iemu" -eb 3000 -power solar+rf "$tmp/crc.ir"
+usage_error "$tmp/iemu" -eb 3000 -power solar -record "$tmp/m.ndjson" "$tmp/crc-mementos.ir"
 
 # Harvested sweep: quick benchmarks x every technique under three
 # environments, classified against the continuous-power oracle.
