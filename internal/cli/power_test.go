@@ -171,7 +171,8 @@ func TestPowerSpecBuildTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ndjson")
 	rec := harvest.NewRecorder(nil, 500)
-	rec.Event(emulator.Event{Kind: emulator.EvPowerFailure, Energy: 1000, CapEnergy: 2})
+	rec.Event(emulator.Event{Kind: emulator.EvPowerFailure, Energy: 1000, CapEnergy: 2,
+		Point: emulator.PointCharge, Seq: 1})
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +190,7 @@ func TestPowerSpecBuildTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(sched.Name(), "replay(") {
+	if want := "trace(charge@1)"; sched.Name() != want {
 		t.Fatalf("trace build name %q", sched.Name())
 	}
 	if _, err := ParsePower("trace:/does/not/exist.ndjson"); err != nil {

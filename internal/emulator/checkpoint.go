@@ -503,9 +503,12 @@ func (mc *machine) powerFailure() {
 	mc.res.PowerFailures++
 	mc.store.harvest(mc.res.TotalCycles)
 	refused := mc.refused
-	mc.refused = 0
+	mc.refused = false
 	if mc.obs != nil {
-		ev := Event{Kind: EvPowerFailure, CapEnergy: mc.store.level, Energy: refused, Site: -1}
+		ev := Event{Kind: EvPowerFailure, CapEnergy: mc.store.level, Site: -1}
+		if refused {
+			ev.Energy, ev.Point, ev.Seq = mc.draw, PointCharge, mc.charges
+		}
 		if mc.snap != nil {
 			ev.Site = mc.snap.site
 		}

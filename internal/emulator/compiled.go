@@ -36,12 +36,12 @@ const runSafety = 1e-3
 //
 // The gate is also what keeps batched energy accounting sound under
 // external power models: any schedule member beside the capacitor —
-// including trace replays (internal/harvest), whose Fail decisions
-// depend on seeing every probe — and any supply feeding the capacitor
-// steps the whole run. There is no "safe no-fire window" to negotiate;
-// scheduled and harvested runs simply never batch. The
-// dispatch-equivalence suite (internal/bench) pins both paths to one
-// golden corpus, harvested members included.
+// including TraceSchedule, which replays recorded harvest traces too
+// and addresses points by ordinals only the stepped path numbers — and
+// any supply feeding the capacitor steps the whole run. There is no
+// "safe no-fire window" to negotiate; scheduled and harvested runs
+// simply never batch. The dispatch-equivalence suite (internal/bench)
+// pins both paths to one golden corpus, harvested members included.
 func (mc *machine) run() (*Result, error) {
 	batch := mc.obs == nil && mc.hook == nil && mc.sched == nil && mc.store.supply == nil
 	for !mc.halted {

@@ -17,7 +17,8 @@ const (
 	// EvCharge fires for every draw from the capacitor, classified into
 	// the ledger bucket it fed (Class) and stamped with the attribution
 	// context: the executing block and the responsible checkpoint site.
-	// CapEnergy is the level the draw was taken from.
+	// CapEnergy is the level the draw was taken from; Point is
+	// PointCharge and Seq the draw's charge ordinal.
 	EvCharge
 	// EvCheckpointHit fires when a checkpoint instruction begins
 	// executing, whether or not it ends up saving.
@@ -35,7 +36,8 @@ const (
 	// EvPowerFailure fires when the supply dies, with the remaining
 	// capacitor level and the site of the active recovery point (-1 when
 	// none exists yet). A failure at a draw carries the refused draw in
-	// Energy; an injected one (preceded by EvInjection) carries 0.
+	// Energy, PointCharge in Point and the draw's charge ordinal in Seq;
+	// an injected one (preceded by EvInjection) carries none of them.
 	EvPowerFailure
 	// EvReexecStart / EvReexecEnd bracket a re-execution span: work
 	// repeated between a recovery point and the previous high-water mark.
@@ -48,9 +50,10 @@ const (
 	EvPoisonRead
 	// EvInjection fires when the configured PowerSchedule induces a power
 	// failure at an instruction boundary or save phase, immediately
-	// before the matching EvPowerFailure. Point carries the injection point kind and Seq its
-	// ordinal (the step index for step points, the save-attempt ordinal
-	// for save points); Site is the checkpoint site for save points.
+	// before the matching EvPowerFailure. Point carries the injection
+	// point kind and Seq its ordinal (the step index for step points, the
+	// save-attempt ordinal for save points); Site is the checkpoint site
+	// for save points.
 	EvInjection
 )
 
@@ -142,8 +145,11 @@ type Event struct {
 
 	CapEnergy float64 // capacitor level nJ: EvCharge, EvPowerFailure, EvSleepStart/End, EvInjection
 
-	Point PointKind // EvInjection: which injection point fired
-	Seq   int64     // EvInjection: the point's occurrence ordinal
+	// Point and Seq name a probe by kind and ordinal (Probe.Occurrence):
+	// the injection point that fired (EvInjection), or the draw
+	// (EvCharge, and the EvPowerFailure of a refused draw).
+	Point PointKind
+	Seq   int64
 
 	Call   bool // EvBlockEnter: entry pushed a new frame
 	Resume bool // EvBlockEnter: replay of a restored frame after a failure

@@ -51,6 +51,110 @@ func TestTraceScheduleLatchesAndCoalesces(t *testing.T) {
 	}
 }
 
+// TestTraceScheduleSemantics: each point fires at the first probe of its
+// kind whose ordinal reaches N, in whatever order the points are given;
+// points that hit one probe coalesce into one failure; a point past the
+// run's last probe never fires.
+func TestTraceScheduleSemantics(t *testing.T) {
+	type probe struct {
+		kind       PointKind
+		step, occ  int64
+		wantToFail bool
+	}
+	step := func(n int64, fail bool) probe { return probe{PointStep, n, n, fail} }
+	cases := []struct {
+		name   string
+		points []FailPoint
+		probes []probe
+	}{
+		{"unsorted input",
+			[]FailPoint{{PointStep, 9}, {PointStep, 3}, {PointStep, 6}},
+			[]probe{step(2, false), step(3, true), step(4, false), step(6, true), step(8, false), step(9, true), step(10, false)}},
+		{"duplicate points",
+			[]FailPoint{{PointStep, 4}, {PointStep, 4}, {PointStep, 4}},
+			[]probe{step(3, false), step(4, true), step(4, false), step(5, false)}},
+		{"skipped ordinals coalesce",
+			[]FailPoint{{PointStep, 5}, {PointStep, 3}},
+			[]probe{step(2, false), step(7, true), step(8, false)}},
+		{"interleaved kinds",
+			[]FailPoint{{PointMidSave, 2}, {PointStep, 5}, {PointBeforeSave, 1}, {PointStep, 2}},
+			[]probe{
+				step(1, false), {PointBeforeSave, 1, 1, true}, step(2, true),
+				{PointMidSave, 2, 1, false}, step(4, false), {PointBeforeSave, 4, 2, false},
+				{PointMidSave, 4, 2, true}, step(5, true), {PointMidSave, 6, 3, false},
+			}},
+		{"past the last probe",
+			[]FailPoint{{PointStep, 100}, {PointAfterSave, 9}},
+			[]probe{step(1, false), step(50, false), {PointAfterSave, 50, 8, false}}},
+		{"charge ordinals sharing a step",
+			[]FailPoint{{PointCharge, 4}, {PointCharge, 2}},
+			[]probe{
+				{PointCharge, 1, 1, false}, {PointCharge, 2, 2, true}, {PointCharge, 2, 3, false},
+				{PointCharge, 2, 4, true}, step(3, false), {PointCharge, 3, 5, false},
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := TraceSchedule(tc.points...)
+			for i, p := range tc.probes {
+				got := s.Fail(Probe{Kind: p.kind, Step: p.step, Occurrence: p.occ})
+				if got != p.wantToFail {
+					t.Errorf("probe %d (%v@%d, step %d): fail = %v, want %v", i, p.kind, p.occ, p.step, got, p.wantToFail)
+				}
+			}
+		})
+	}
+}
+
+// TestChargePointAddressesDrawOrdinal: a charge point names the run's
+// draw ordinal, not its step. Several draws share a checkpoint's step,
+// and the failure lands on the addressed one.
+func TestChargePointAddressesDrawOrdinal(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Intermittent = true
+	cfg.EB = 1e9
+	var draws []Event
+	cfg.Observer = obsFn(func(e Event) {
+		if e.Kind == EvCharge {
+			draws = append(draws, e)
+		}
+	})
+	if _, err := Run(loopProgram(t, 20, 1, true), cfg); err != nil {
+		t.Fatal(err)
+	}
+	var target Event
+	for i, e := range draws {
+		if e.Point != PointCharge || e.Seq != int64(i+1) {
+			t.Fatalf("draw %d: point %v seq %d, want charge ordinal %d", i, e.Point, e.Seq, i+1)
+		}
+		if i > 0 && draws[i-1].Step == e.Step && target.Seq == 0 {
+			target = e
+		}
+	}
+	if target.Seq == 0 || target.Seq == target.Step {
+		t.Fatalf("no draw sharing its step with an earlier one (target %+v)", target)
+	}
+
+	cfg.Schedule = Schedules(Exhaustion(), TraceSchedule(FailPoint{Kind: PointCharge, N: target.Seq}))
+	var fails []Event
+	cfg.Observer = obsFn(func(e Event) {
+		if e.Kind == EvPowerFailure {
+			fails = append(fails, e)
+		}
+	})
+	res, err := Run(loopProgram(t, 20, 1, true), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Completed || res.InjectedFailures != 0 || len(fails) != 1 {
+		t.Fatalf("verdict %v, injected %d, failures %d: want one replayed refusal", res.Verdict, res.InjectedFailures, len(fails))
+	}
+	if f := fails[0]; f.Point != PointCharge || f.Seq != target.Seq || f.Step != target.Step || f.Energy != target.Energy {
+		t.Errorf("failure at %v@%d step %d draw %g, want charge@%d step %d draw %g",
+			f.Point, f.Seq, f.Step, f.Energy, target.Seq, target.Step, target.Energy)
+	}
+}
+
 // TestTraceScheduleFiresPastTarget covers recovery jitter: when the exact
 // occurrence is skipped (e.g. the run re-executes a shorter path), the
 // point still fires at the first occurrence at or past N.

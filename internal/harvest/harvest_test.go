@@ -302,7 +302,7 @@ func TestTraceFormat(t *testing.T) {
 		t.Fatalf("records mangled:\n%+v\n%+v", got.Records, tr.Records)
 	}
 	sched := got.Schedule()
-	if want := "replay(harvest(x),n=2)"; sched.Name() != want {
+	if want := "trace(charge@321,mid-save@2)"; sched.Name() != want {
 		t.Fatalf("replay name %q, want %q", sched.Name(), want)
 	}
 

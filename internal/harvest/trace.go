@@ -27,7 +27,8 @@ type Header struct {
 // Record is one NDJSON event line. K "fail" records a power failure
 // fired at a probe; K "sample" records a periodic energy-history
 // snapshot (the capacitor level at a charge probe) and is ignored by
-// replay.
+// replay. Ordinals are the machine's Probe.Occurrence: a charge's is the
+// run's 1-based draw ordinal, refused draws included.
 type Record struct {
 	K     string  `json:"k"`
 	Point string  `json:"point,omitempty"` // fail: probe kind ("step", "charge", ...)
@@ -43,17 +44,6 @@ type Record struct {
 type Trace struct {
 	Header  Header
 	Records []Record
-}
-
-// fails returns the replayable subset, preserving order.
-func (t *Trace) fails() []Record {
-	out := make([]Record, 0, len(t.Records))
-	for _, r := range t.Records {
-		if r.K == "fail" {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Write emits the trace as versioned NDJSON: one header line, then one
@@ -108,8 +98,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 		switch rec.K {
 		case "fail":
-			if _, err := parsePoint(rec.Point); err != nil {
-				return nil, fmt.Errorf("harvest: trace line %d: %w", line, err)
+			if _, ok := emulator.LookupPointKind(rec.Point); !ok {
+				return nil, fmt.Errorf("harvest: trace line %d: unknown probe point %q", line, rec.Point)
 			}
 		case "sample":
 		default:
@@ -133,27 +123,13 @@ func LoadTrace(path string) (*Trace, error) {
 	return ReadTrace(f)
 }
 
-// parsePoint maps a trace point name to a PointKind. Unlike
-// emulator.ParsePointKind it accepts "charge": recorded traces replay
-// the built-in physics' own refusals, which user-authored injection
-// specs may not schedule.
-func parsePoint(s string) (emulator.PointKind, error) {
-	for _, k := range []emulator.PointKind{
-		emulator.PointStep, emulator.PointCharge,
-		emulator.PointBeforeSave, emulator.PointMidSave, emulator.PointAfterSave,
-	} {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("harvest: unknown probe point %q", s)
-}
-
 // Recorder is an emulator.Observer that records a run's power history:
-// every power failure, keyed by (probe kind, per-kind ordinal), plus
-// optional periodic capacitor-level samples. It only reads the event
-// stream, so a recorded run computes the same Result as the bare run,
-// and replaying its Trace reproduces that Result byte-identically.
+// every power failure, keyed by its probe kind and the ordinal the
+// machine gave it (Event.Point and Event.Seq), plus optional periodic
+// capacitor-level samples. It keeps no count of its own. It only reads
+// the event stream, so a recorded run computes the same Result as the
+// bare run, and replaying its Trace reproduces that Result
+// byte-identically.
 //
 // A trace carries failure points, not the capacitor level, and a replay
 // has no supply. MEMENTOS trigger checkpoints measure that level, so a
@@ -163,13 +139,11 @@ func parsePoint(s string) (emulator.PointKind, error) {
 // A Recorder is single-run state: attach a fresh one to every run.
 type Recorder struct {
 	// SampleEvery, when positive, emits a capacitor-level "sample"
-	// record every SampleEvery charge probes.
+	// record at every charge ordinal that is a multiple of it.
 	SampleEvery int64
 
 	schedule string
 	eb       float64
-	chargeN  int64
-	injected bool // the next EvPowerFailure is the injection just recorded
 	records  []Record
 }
 
@@ -183,32 +157,27 @@ func NewRecorder(sched emulator.PowerSchedule, eb float64) *Recorder {
 	return &Recorder{schedule: sched.Name(), eb: eb}
 }
 
-// Event implements emulator.Observer. An EvInjection names its probe
-// kind and per-kind ordinal. Every other power failure is a refused
-// draw; several draws share a step, so the recorder numbers charge
-// probes itself — every draw (EvCharge) and every refused one — the way
-// the replay schedule counts them.
+// Event implements emulator.Observer. The machine names every power
+// failure's point and ordinal: an EvInjection its step or save point, a
+// refused draw's EvPowerFailure its charge ordinal. Only EvCharge and
+// that EvPowerFailure carry PointCharge, so the EvPowerFailure after an
+// injection is not recorded twice.
 func (r *Recorder) Event(e emulator.Event) {
 	switch {
 	case e.Kind == emulator.EvInjection:
-		r.injected = true
 		r.records = append(r.records, Record{
 			K: "fail", Point: e.Point.String(), N: e.Seq, Step: e.Step, Cycle: e.Cycle, Level: e.CapEnergy,
 		})
 		return
-	case e.Kind == emulator.EvPowerFailure && r.injected:
-		r.injected = false
-		return
-	case e.Kind != emulator.EvCharge && e.Kind != emulator.EvPowerFailure:
+	case e.Point != emulator.PointCharge:
 		return
 	}
-	r.chargeN++
-	if r.SampleEvery > 0 && r.chargeN%r.SampleEvery == 0 {
-		r.records = append(r.records, Record{K: "sample", N: r.chargeN, Cycle: e.Cycle, Level: e.CapEnergy})
+	if r.SampleEvery > 0 && e.Seq%r.SampleEvery == 0 {
+		r.records = append(r.records, Record{K: "sample", N: e.Seq, Cycle: e.Cycle, Level: e.CapEnergy})
 	}
 	if e.Kind == emulator.EvPowerFailure {
 		r.records = append(r.records, Record{
-			K: "fail", Point: emulator.PointCharge.String(), N: r.chargeN,
+			K: "fail", Point: e.Point.String(), N: e.Seq,
 			Step: e.Step, Cycle: e.Cycle, Level: e.CapEnergy, Draw: e.Energy,
 		})
 	}
@@ -222,45 +191,18 @@ func (r *Recorder) Trace() *Trace {
 	}
 }
 
-// Schedule returns a fresh replay schedule that fires the trace's
-// failures at exactly the probes that produced them. Replaying against
-// the same program and configuration reproduces the recorded run's
-// Result byte-identically.
+// Schedule returns a fresh replay of the trace: an
+// emulator.TraceSchedule over its fail records, each firing at the
+// probe of its kind and ordinal. Replaying against the same program and
+// configuration reproduces the recorded run's Result byte-identically.
+// A fail record naming no point kind (ReadTrace rejects those) is
+// skipped.
 func (t *Trace) Schedule() emulator.PowerSchedule {
-	fails := t.fails()
-	inner := t.Header.Schedule
-	if inner == "" {
-		inner = "trace"
-	}
-	return &replaySchedule{
-		name:  fmt.Sprintf("replay(%s,n=%d)", inner, len(fails)),
-		fails: fails,
-	}
-}
-
-type replaySchedule struct {
-	name    string
-	fails   []Record
-	next    int
-	chargeN int64
-}
-
-func (s *replaySchedule) Name() string { return s.name }
-
-func (s *replaySchedule) Fail(p emulator.Probe) bool {
-	var ord int64
-	if p.Kind == emulator.PointCharge {
-		s.chargeN++
-		ord = s.chargeN
-	} else {
-		ord = p.Occurrence
-	}
-	if s.next < len(s.fails) {
-		f := &s.fails[s.next]
-		if f.Point == p.Kind.String() && f.N == ord {
-			s.next++
-			return true
+	var points []emulator.FailPoint
+	for _, r := range t.Records {
+		if k, ok := emulator.LookupPointKind(r.Point); ok && r.K == "fail" {
+			points = append(points, emulator.FailPoint{Kind: k, N: r.N})
 		}
 	}
-	return false
+	return emulator.TraceSchedule(points...)
 }
