@@ -45,6 +45,7 @@ import (
 	"syscall"
 	"time"
 
+	"schematic/internal/bench"
 	"schematic/internal/cli"
 	"schematic/internal/crashtest"
 	"schematic/internal/verify"
@@ -341,10 +342,12 @@ func parseTechs(spec string) ([]string, error) {
 		return crashtest.TechniqueNames(), nil
 	}
 	names := cli.SplitList(spec)
-	for _, n := range names {
-		if _, err := crashtest.TechniqueByName(n); err != nil {
+	for i, n := range names {
+		t, err := bench.TechniqueByName(n)
+		if err != nil {
 			return nil, err
 		}
+		names[i] = t.Name()
 	}
 	return names, nil
 }

@@ -18,11 +18,6 @@ import (
 	"strings"
 
 	"schematic/internal/baselines"
-	"schematic/internal/baselines/alfred"
-	"schematic/internal/baselines/allnvm"
-	"schematic/internal/baselines/mementos"
-	"schematic/internal/baselines/ratchet"
-	"schematic/internal/baselines/rockclimb"
 	"schematic/internal/bench"
 	"schematic/internal/cli"
 	schematic "schematic/internal/core"
@@ -112,21 +107,8 @@ func main() {
 			rep.Render(os.Stderr)
 		}
 	default:
-		var tech baselines.Technique
-		switch *technique {
-		case "allnvm":
-			tech = allnvm.AllNVM{}
-		case "ratchet":
-			tech = ratchet.Ratchet{}
-		case "mementos":
-			tech = mementos.Mementos{}
-		case "rockclimb":
-			tech = rockclimb.Rockclimb{}
-		case "alfred":
-			tech = alfred.Alfred{}
-		default:
-			fail(fmt.Errorf("unknown technique %q", *technique))
-		}
+		tech, err := bench.TechniqueByName(*technique)
+		fail(err)
 		fail(tech.Apply(m, baselines.Params{
 			Model: model, Budget: eb, VMSize: *vmSize, Profile: prof,
 		}))
@@ -170,12 +152,10 @@ func runTransval(name, src, technique string, tbpf int64, vmSize int, seed int64
 		VMSize:   vmSize,
 		Coverage: transval.NewCoverage(),
 	}
-	opts.SkipPlacement = true
-	for _, t := range bench.Techniques() {
-		if strings.EqualFold(t.Name(), technique) {
-			opts.Techniques = []string{t.Name()}
-			opts.SkipPlacement = false
-		}
+	if t, err := bench.TechniqueByName(technique); err == nil {
+		opts.Techniques = []string{t.Name()}
+	} else {
+		opts.SkipPlacement = true
 	}
 	f, err := transval.Validate(transval.Case{Name: name, Source: src, InputSeed: seed}, opts)
 	if _, skip := err.(*transval.SkipError); skip {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"schematic/internal/emulator"
@@ -210,6 +211,28 @@ func TestShaMatchesReferenceCompression(t *testing.T) {
 	for i := range want {
 		if res.Output[i] != want[i] {
 			t.Fatalf("sha state %d = %d, want %d (full out %v)", i, res.Output[i], want[i], res.Output)
+		}
+	}
+}
+
+// TestTechniqueByName: every technique resolves by its display name and
+// by its lowercase hyphen-free spelling; nothing else does.
+func TestTechniqueByName(t *testing.T) {
+	for _, tech := range append(Techniques(), AllNVMTechnique()) {
+		lower := strings.ToLower(strings.ReplaceAll(tech.Name(), "-", ""))
+		for _, name := range []string{tech.Name(), lower} {
+			got, err := TechniqueByName(name)
+			if err != nil || got.Name() != tech.Name() {
+				t.Errorf("TechniqueByName(%q) = %v, %v; want %s", name, got, err, tech.Name())
+			}
+		}
+	}
+	if tech, err := TechniqueByName("allnvm"); err != nil || tech.Name() != "All-NVM" {
+		t.Errorf("allnvm resolves to %v, %v", tech, err)
+	}
+	for _, bad := range []string{"", "none", "all-nvm", "RATCHET", "quantum"} {
+		if _, err := TechniqueByName(bad); err == nil {
+			t.Errorf("TechniqueByName(%q) resolved", bad)
 		}
 	}
 }

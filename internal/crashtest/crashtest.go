@@ -160,17 +160,6 @@ type SkipError struct{ Reason string }
 
 func (e *SkipError) Error() string { return "crashtest: case skipped: " + e.Reason }
 
-// TechniqueByName resolves one of the five techniques of the evaluation
-// by its display name (Ratchet, Mementos, Rockclimb, Alfred, Schematic).
-func TechniqueByName(name string) (baselines.Technique, error) {
-	for _, t := range bench.Techniques() {
-		if t.Name() == name {
-			return t, nil
-		}
-	}
-	return nil, fmt.Errorf("crashtest: unknown technique %q", name)
-}
-
 // WaitOnly reports whether every checkpoint in the module is wait-style
 // (CkWait): the placement's failure contract is then "failures only at
 // checkpoints", enforced at run time by sleeping until the capacitor is
@@ -309,9 +298,9 @@ func build(cs Case, opts Options) (*Built, error) {
 	}).Validate(); err != nil {
 		return nil, fmt.Errorf("crashtest: case %s: %w", cs.Name, err)
 	}
-	tech, err := TechniqueByName(cs.Technique)
+	tech, err := bench.TechniqueByName(cs.Technique)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("crashtest: %w", err)
 	}
 	clone := ir.Clone(m)
 	if !tech.SupportsVM(clone, cs.VMSize) {

@@ -190,11 +190,7 @@ func DigestOf(kind string, req Request) (string, error) {
 }
 
 func knownTechnique(name string) bool {
-	switch name {
-	case "schematic", "ratchet", "mementos", "rockclimb", "alfred", "allnvm", "none":
-		return true
-	}
-	return false
+	return name == "none" || techniqueFor(name) != nil
 }
 
 // engineRevision names what the engine computes for a request. It is

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"schematic/internal/baselines"
@@ -34,20 +33,10 @@ func progErrorf(format string, args ...any) error {
 }
 
 // techniqueFor resolves a normalized technique name to its placement
-// pass; "none" resolves to nil (front end only).
+// pass; "none" (and any unknown name) resolves to nil (front end only).
 func techniqueFor(name string) baselines.Technique {
-	if name == "none" {
-		return nil
-	}
-	if name == "allnvm" {
-		return bench.AllNVMTechnique()
-	}
-	for _, t := range bench.Techniques() {
-		if strings.EqualFold(t.Name(), name) {
-			return t
-		}
-	}
-	return nil // unreachable after normalize
+	t, _ := bench.TechniqueByName(name)
+	return t
 }
 
 // prepared is the shared front half of compile and emulate: the

@@ -204,6 +204,18 @@ func TestHuntEndpoint(t *testing.T) {
 	}
 }
 
+// TestAllNVMEveryEndpoint: allnvm is a documented technique value, so
+// every job endpoint resolves it through the one technique lookup.
+func TestAllNVMEveryEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, endpoint := range []string{"compile", "emulate", "validate", "hunt", "verify"} {
+		code, body, _ := post(t, ts, endpoint, Request{Name: "sum", Source: sumProg, Options: fastOpts("allnvm")})
+		if code != http.StatusOK {
+			t.Errorf("%s allnvm: status %d, body %s", endpoint, code, body)
+		}
+	}
+}
+
 func TestVerifyEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 

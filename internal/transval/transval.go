@@ -294,9 +294,9 @@ func validate(cs Case, opts Options) (*Finding, error) {
 	}
 	eb := prof.EBForTBPF(opts.TBPF)
 	for _, name := range opts.Techniques {
-		tech, err := techniqueByName(name)
+		tech, err := bench.TechniqueByName(name)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("transval: %w", err)
 		}
 		placed := ir.Clone(work)
 		if !tech.SupportsVM(placed, opts.VMSize) {
@@ -400,17 +400,6 @@ func runStage(m *ir.Module, inputs map[string][]int64, opts Options, vmSize int,
 		// verdict is an observable defect of the stage.
 		return observable{verdict: res.Verdict.String()}, res.Steps, nil
 	}
-}
-
-// techniqueByName resolves one of the evaluation's techniques by display
-// name.
-func techniqueByName(name string) (baselines.Technique, error) {
-	for _, t := range bench.Techniques() {
-		if t.Name() == name {
-			return t, nil
-		}
-	}
-	return nil, fmt.Errorf("transval: unknown technique %q", name)
 }
 
 // shrink minimizes a fuzz-generated counterexample by regenerating the
