@@ -7,9 +7,11 @@
 # the recorded NDJSON trace — then replays the trace and requires the
 # bare run, the recorded run and the replay to agree exactly: same
 # program output, same verdict, same energy ledger (recording only
-# observes). It checks two usage errors (exit 2): a -power naming two
-# power sources, and recording a harvested run of a MEMENTOS placement,
-# whose trigger checkpoints measure a level no trace carries. Then
+# observes). It checks three usage errors (exit 2): a -power naming two
+# power sources, recording a harvested run of a MEMENTOS placement,
+# whose trigger checkpoints measure a level no trace carries, and an
+# -inject at a charge point, which only the capacitor (or a replay of a
+# recorded trace) may fail. Then
 # sweeps the quick benchmarks
 # across three harvested environments against their continuous-power
 # oracles with zero tolerated violations. Finally sweeps a sabotaged
@@ -62,9 +64,11 @@ cmp -s "$tmp/rec.out" "$tmp/rep.out"
 cmp -s "$tmp/rec.stats" "$tmp/rep.stats"
 
 # One capacitor per run: two power sources are a usage error, and so
-# is recording a harvested MEMENTOS run.
+# is recording a harvested MEMENTOS run. Refused draws are physics:
+# a trace replays them, but charge is no injection point.
 usage_error "$tmp/iemu" -eb 3000 -power solar+rf "$tmp/crc.ir"
 usage_error "$tmp/iemu" -eb 3000 -power solar -record "$tmp/m.ndjson" "$tmp/crc-mementos.ir"
+usage_error "$tmp/iemu" -eb 3000 -inject charge@5 "$tmp/crc.ir"
 
 # Harvested sweep: quick benchmarks x every technique under three
 # environments, classified against the continuous-power oracle.
