@@ -56,49 +56,33 @@ func newRunState(kind, digest, name, technique string) *runState {
 	}
 }
 
-func (rs *runState) finish(resp *EmulateResponse, err error) {
-	rs.mu.Lock()
-	rs.finished = time.Now()
-	if err != nil {
-		rs.status = "error"
-		rs.errMsg = err.Error()
-	} else {
-		rs.status = "done"
-		rs.result = resp
-		rs.verdict = resp.Verdict
-	}
-	close(rs.done)
-	rs.mu.Unlock()
-}
-
-// finishVerdict publishes a terminal state with no emulate result — the
-// verify path, whose product is a verdict, not an event stream.
-func (rs *runState) finishVerdict(verdict string, err error) {
-	rs.mu.Lock()
-	rs.finished = time.Now()
-	if err != nil {
-		rs.status = "error"
-		rs.errMsg = err.Error()
-	} else {
-		rs.status = "done"
-		rs.verdict = verdict
-	}
-	close(rs.done)
-	rs.mu.Unlock()
-}
-
-// finishGrid publishes a grid's terminal state. Grid errors are
-// per-cell, inside the response, so the run itself always lands "done";
-// the verdict summarizes the cell outcomes.
-func (rs *runState) finishGrid(resp *GridResponse) {
+// finish publishes the run's terminal state: the error, or the product
+// and the verdict it carries. An emulate response is the run's result; a
+// verify response leaves only its verdict; a grid keeps its table, and
+// its verdict summarizes the cells (cell errors live inside the table,
+// so a grid always lands "done").
+func (rs *runState) finish(product any, err error) {
 	rs.mu.Lock()
 	rs.finished = time.Now()
 	rs.status = "done"
-	rs.gridResult = resp
-	if resp.CellErrors > 0 {
-		rs.verdict = fmt.Sprintf("%d/%d cells failed", resp.CellErrors, resp.CellsTotal)
+	if err != nil {
+		rs.status = "error"
+		rs.errMsg = err.Error()
 	} else {
-		rs.verdict = "complete"
+		switch p := product.(type) {
+		case *EmulateResponse:
+			rs.result, rs.verdict = p, p.Verdict
+		case *VerifyResponse:
+			rs.verdict = p.Verdict
+			if rs.verdict == "" && p.Skipped != "" {
+				rs.verdict = "skipped"
+			}
+		case *GridResponse:
+			rs.gridResult, rs.verdict = p, "complete"
+			if p.CellErrors > 0 {
+				rs.verdict = fmt.Sprintf("%d/%d cells failed", p.CellErrors, p.CellsTotal)
+			}
+		}
 	}
 	close(rs.done)
 	rs.mu.Unlock()
@@ -108,13 +92,6 @@ func (rs *runState) running() bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return rs.status == "running"
-}
-
-// snapshot returns the terminal fields; valid once done is closed.
-func (rs *runState) snapshot() (status string, result *EmulateResponse, errMsg string) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.status, rs.result, rs.errMsg
 }
 
 func (rs *runState) summary() RunSummary {
@@ -177,10 +154,8 @@ func (rs *runState) detail() RunDetail {
 		}
 		rs.hub.Sync(read)
 	}
-	_, result, _ := rs.snapshot() // result is nil while still running
-	d.Result = result
 	rs.mu.Lock()
-	d.Grid = rs.gridResult
+	d.Result, d.Grid = rs.result, rs.gridResult // nil while still running
 	rs.mu.Unlock()
 	return d
 }
@@ -344,14 +319,7 @@ func (s *Server) runVerifyJob(ctx context.Context, req *Request, digest string) 
 	rs := s.runs.register(newRunState("verify", digest, req.Name, req.Options.Technique))
 	resp, err := runVerify(ctx, req, digest)
 	if rs != nil {
-		verdict := ""
-		if resp != nil {
-			verdict = resp.Verdict
-			if verdict == "" && resp.Skipped != "" {
-				verdict = "skipped"
-			}
-		}
-		rs.finishVerdict(verdict, err)
+		rs.finish(resp, err)
 	}
 	if resp != nil {
 		s.verifyStates.Add(int64(resp.States))
@@ -422,59 +390,22 @@ func (e *sseWriter) comment(text string) {
 	e.flush()
 }
 
-// terminal writes the run's closing record — kind "result" with the
-// emulate response, or kind "error" — with id one past the last event
-// seq, so a resume from the terminal id replays nothing but it.
-func (e *sseWriter) terminal(rs *runState) {
-	id := int64(0)
-	if rs.hub != nil {
-		id = rs.hub.Emitted()
-	}
-	_, result, errMsg := rs.snapshot()
-	var data []byte
-	kind := "result"
-	if errMsg != "" {
-		kind = "error"
-		data, _ = json.Marshal(struct {
-			I     int64  `json:"i"`
-			K     string `json:"k"`
-			Error string `json:"error"`
-		}{id, "error", errMsg})
-	} else {
-		data, _ = json.Marshal(struct {
-			I      int64            `json:"i"`
-			K      string           `json:"k"`
-			Result *EmulateResponse `json:"result"`
-		}{id, "result", result})
-	}
-	e.writef("id: %d\nevent: %s\ndata: %s\n\n", id, kind, data)
-	e.flush()
-}
-
-// gridTerminal writes a grid run's closing record: kind "result" with
-// the assembled table, id one past the last cell event.
-func (e *sseWriter) gridTerminal(rs *runState, lastID int64) {
+// terminal writes the run's closing record: kind "error", or kind
+// "result" carrying the emulate response (null for a verify run) or, for
+// a grid, the assembled table under "grid". Its id is one past the last
+// event's, so a resume from the terminal id replays nothing but it.
+func (e *sseWriter) terminal(rs *runState, id int64) {
 	rs.mu.Lock()
-	grid, errMsg := rs.gridResult, rs.errMsg
-	rs.mu.Unlock()
-	id := lastID + 1
-	var data []byte
-	kind := "result"
-	if errMsg != "" {
-		kind = "error"
-		data, _ = json.Marshal(struct {
-			I     int64  `json:"i"`
-			K     string `json:"k"`
-			Error string `json:"error"`
-		}{id, "error", errMsg})
-	} else {
-		data, _ = json.Marshal(struct {
-			I    int64         `json:"i"`
-			K    string        `json:"k"`
-			Grid *GridResponse `json:"grid"`
-		}{id, "result", grid})
+	kind, key, val := "result", "result", any(rs.result)
+	if rs.kind == "grid" {
+		key, val = "grid", rs.gridResult
 	}
-	e.writef("id: %d\nevent: %s\ndata: %s\n\n", id, kind, data)
+	if rs.errMsg != "" {
+		kind, key, val = "error", "error", rs.errMsg
+	}
+	rs.mu.Unlock()
+	data, _ := json.Marshal(val)
+	e.writef("id: %d\nevent: %s\ndata: {\"i\":%d,\"k\":\"%s\",\"%s\":%s}\n\n", id, kind, id, kind, key, data)
 	e.flush()
 }
 
@@ -562,7 +493,7 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) int {
 				esw.flush()
 			}
 			if closed {
-				esw.gridTerminal(rs, int64(next))
+				esw.terminal(rs, int64(next)+1)
 				return http.StatusOK
 			}
 			select {
@@ -584,7 +515,7 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) int {
 		for {
 			select {
 			case <-rs.done:
-				esw.terminal(rs)
+				esw.terminal(rs, 0)
 				return http.StatusOK
 			case <-hb.C:
 				esw.comment("hb")
@@ -613,7 +544,7 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) int {
 			}
 			esw.flush()
 			if !open {
-				esw.terminal(rs)
+				esw.terminal(rs, rs.hub.Emitted())
 				return http.StatusOK
 			}
 			break

@@ -247,31 +247,41 @@ var (
 	errDeadline  = context.DeadlineExceeded
 )
 
-// admit takes a worker slot, waiting in the bounded queue if the pool is
-// busy. It returns a release func, or a non-zero HTTP status when the
-// request cannot be admitted.
-func (s *Server) admit(rctx context.Context) (release func(), code int) {
-	release = func() { <-s.slots }
+// errLeft ends a follower whose client went away before its leader
+// finished.
+var errLeft = errors.New("request cancelled while coalesced")
+
+// admit takes a worker slot and returns its release. When the pool is
+// busy, a request (queue true) waits in the bounded admission queue:
+// errQueueFull when the queue is full, errDeadline when ctx ends first.
+// A grid cell (queue false) waits for a slot outside the queue, because
+// its grid was admitted as one request.
+func (s *Server) admit(ctx context.Context, queue bool) (release func(), err error) {
 	select {
 	case s.slots <- struct{}{}:
-		return release, 0
 	default:
+		if queue {
+			if s.queued.Add(1) > int64(s.cfg.QueueCap) {
+				s.queued.Add(-1)
+				s.met.reject()
+				return nil, errQueueFull
+			}
+			defer s.queued.Add(-1)
+		}
+		select {
+		case s.slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, errDeadline
+		}
 	}
-	if s.queued.Add(1) > int64(s.cfg.QueueCap) {
-		s.queued.Add(-1)
-		s.met.reject()
-		return nil, http.StatusTooManyRequests
-	}
-	defer s.queued.Add(-1)
-	select {
-	case s.slots <- struct{}{}:
-		return release, 0
-	case <-rctx.Done():
-		return nil, http.StatusGatewayTimeout
-	}
+	s.inflight.Add(1)
+	return func() {
+		s.inflight.Add(-1)
+		<-s.slots
+	}, nil
 }
 
-// serveJob is the common path of the four POST endpoints; it returns the
+// serveJob is the common path of the five POST endpoints; it returns the
 // HTTP status it wrote, for the metrics ledger.
 func (s *Server) serveJob(kind string, w http.ResponseWriter, r *http.Request) int {
 	if !s.enter() {
@@ -292,62 +302,80 @@ func (s *Server) serveJob(kind string, w http.ResponseWriter, r *http.Request) i
 	}
 
 	digest := req.digest(kind)
+	val, _, err := s.resolve(r.Context(), kind, &req, digest, true)
+	if errors.Is(err, errLeft) {
+		// Nobody reads the response body, but the ledger still records
+		// the outcome.
+		return writeError(w, http.StatusGatewayTimeout, err.Error())
+	}
+	return s.respond(w, digest, val, err)
+}
+
+// resolve answers one job, for a request and a grid cell alike, and
+// says where the answer came from: a completed cache entry ("cache"),
+// an identical in-flight leader ("coalesced"), the disk store ("store"),
+// or a worker slot and a pipeline run ("computed"). A follower stops
+// waiting for its leader with errLeft when ctx ends; queue says how the
+// leader takes its slot (see admit).
+func (s *Server) resolve(ctx context.Context, kind string, req *Request, digest string, queue bool) (val any, source string, err error) {
 	e, leader := s.cache.begin(digest)
 	if !leader {
+		source = "coalesced"
+		if e.completed() {
+			source = "cache"
+		}
 		select {
 		case <-e.done:
-		case <-r.Context().Done():
-			// The client went away; nobody reads the response body, but
-			// the ledger still records the outcome.
-			return writeError(w, http.StatusGatewayTimeout, "request cancelled while coalesced")
+			return e.val, source, e.err
+		case <-ctx.Done():
+			return nil, source, errLeft
 		}
-		return s.respond(w, digest, e.val, e.err)
 	}
 
 	// Consult the disk tier before taking a worker slot: a store hit
 	// costs a read and a checksum, not a pipeline run.
 	if val, ok := s.storeGet(kind, digest); ok {
 		s.cache.completeFromStore(digest, e, val)
-		return s.respond(w, digest, val, nil)
+		return val, "store", nil
 	}
 
-	release, code := s.admit(r.Context())
-	if code != 0 {
-		err := errQueueFull
-		if code == http.StatusGatewayTimeout {
-			err = errDeadline
-		}
+	release, err := s.admit(ctx, queue)
+	if err != nil {
 		// Wake any coalesced followers with the same outcome.
 		s.cache.complete(digest, e, nil, err, false)
-		return s.respond(w, digest, nil, err)
+		return nil, "", err
 	}
-	val, err := s.runJob(kind, &req, digest)
+	val, err = s.runJob(kind, req, digest)
 	release()
 	// Cancellation says nothing about the request itself — do not cache.
-	cacheable := err == nil ||
-		(!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded))
+	cacheable := !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 	s.cache.complete(digest, e, val, err, cacheable)
 	if s.cfg.Logf != nil {
-		s.cfg.Logf("%s %s name=%s err=%v", kind, digest[:12], req.Name, err)
+		s.cfg.Logf("%s %s name=%s err=%v", kind, short(digest), req.Name, err)
 	}
-	return s.respond(w, digest, val, err)
+	return val, "computed", err
 }
 
-// runJob executes the pipeline for one leader under the job deadline.
-// The job context derives from the server (not the HTTP request): a
-// leader's disconnect must not kill the run its followers wait on.
-func (s *Server) runJob(kind string, req *Request, digest string) (any, error) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
+// jobContext derives a job's context from the server, not the HTTP
+// request: a leader's disconnect must not kill the run its followers
+// wait on. The deadline is the smaller of JobTimeout and the request's
+// timeout_ms, and it is already running when the test gate is called.
+func (s *Server) jobContext(kind string, timeoutMS int64) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.JobTimeout
-	if t := time.Duration(req.Options.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
+	if t := time.Duration(timeoutMS) * time.Millisecond; t > 0 && t < timeout {
 		timeout = t
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
-	defer cancel()
 	if s.gate != nil {
 		s.gate(kind)
 	}
+	return ctx, cancel
+}
+
+// runJob executes the pipeline for one leader under the job deadline.
+func (s *Server) runJob(kind string, req *Request, digest string) (any, error) {
+	ctx, cancel := s.jobContext(kind, req.Options.TimeoutMS)
+	defer cancel()
 	switch kind {
 	case "compile":
 		return valOrNil(runCompile(ctx, req, digest))
@@ -380,31 +408,18 @@ func valOrNil[T any](v *T, err error) (any, error) {
 // admission but bypass the cache — the byte stream is the product.
 func (s *Server) serveStream(kind string, w http.ResponseWriter, r *http.Request, req *Request) int {
 	digest := req.digest(kind)
-	release, code := s.admit(r.Context())
-	if code != 0 {
-		err := errQueueFull
-		if code == http.StatusGatewayTimeout {
-			err = errDeadline
-		}
+	release, err := s.admit(r.Context(), true)
+	if err != nil {
 		return s.respond(w, digest, nil, err)
 	}
 	defer release()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Schematic-Digest", digest)
 	w.WriteHeader(http.StatusOK)
 
-	timeout := s.cfg.JobTimeout
-	if t := time.Duration(req.Options.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
-		timeout = t
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	ctx, cancel := s.jobContext(kind, req.Options.TimeoutMS)
 	defer cancel()
-	if s.gate != nil {
-		s.gate(kind)
-	}
 	sw := obs.NewStreamWriter(w)
 	resp, err := s.runEmulateJob(ctx, req, digest, sw)
 	if ferr := sw.Flush(); ferr != nil && err == nil {
