@@ -149,12 +149,6 @@ func (r *Request) normalize(kind string) error {
 	if o.MaxStates < 0 || o.MaxDepth < 0 {
 		return fmt.Errorf("max_states and max_depth must not be negative")
 	}
-	// A placement technique needs a budget; emulation of a placed
-	// program needs one too. "none" runs on continuous power unless the
-	// request asks otherwise.
-	if o.Technique != "none" && o.TBPF == 0 && o.EB == 0 {
-		o.TBPF = 10_000
-	}
 	if o.Power != "" {
 		ps, err := cli.ParsePower(o.Power)
 		if err != nil {
@@ -165,15 +159,30 @@ func (r *Request) normalize(kind string) error {
 		}
 		o.Power = ps.String()
 	}
+	// Options an endpoint does not read must not split its digest:
+	// validate, hunt and verify check at the checkers' own 1 MiB SVM
+	// without options.optimize, and validate derives its budget from
+	// tbpf alone.
+	switch kind {
+	case "validate":
+		o.VMSize, o.EB, o.Optimize = 0, 0, false
+	case "hunt", "verify":
+		o.VMSize, o.Optimize = 0, false
+	}
 	if kind != "emulate" {
 		o.Stream = false
 		o.Observe = false
 		o.Power = ""
 	}
-	// Verify-only knobs must not perturb other endpoints' digests.
 	if kind != "verify" {
 		o.MaxStates = 0
 		o.MaxDepth = 0
+	}
+	// A placement technique needs a budget; emulation of a placed
+	// program needs one too. "none" runs on continuous power unless the
+	// request asks otherwise.
+	if o.Technique != "none" && o.TBPF == 0 && o.EB == 0 {
+		o.TBPF = 10_000
 	}
 	return nil
 }

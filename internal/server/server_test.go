@@ -372,6 +372,31 @@ func TestDigestNormalization(t *testing.T) {
 	if cs.Misses != 1 || cs.Hits != 1 {
 		t.Errorf("cache stats %+v, want 1 miss + 1 hit", cs)
 	}
+
+	// Options an endpoint does not read leave its digest alone; options
+	// it reads split it.
+	digest := func(kind string, o Options) string {
+		t.Helper()
+		d, err := DigestOf(kind, Request{Name: "sum", Source: sumProg, Options: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	vm := func(size int) Options {
+		o := fastOpts("ratchet")
+		o.VMSize = size
+		return o
+	}
+	if digest("hunt", vm(2048)) != digest("hunt", vm(4096)) {
+		t.Error("vm_size split a hunt digest; hunts run at their own SVM")
+	}
+	if digest("emulate", vm(2048)) == digest("emulate", vm(4096)) {
+		t.Error("vm_size did not split an emulate digest")
+	}
+	if digest("validate", Options{EB: 500}) != digest("validate", Options{}) {
+		t.Error("eb_nj split a validate digest; validate derives its budget from tbpf")
+	}
 }
 
 // TestSingleFlightDedup: N identical concurrent submissions run the
