@@ -240,9 +240,6 @@ func (b *Built) Model() *energy.Model { return b.model }
 // Inputs is the case's deterministic workload (do not mutate).
 func (b *Built) Inputs() map[string][]int64 { return b.inputs }
 
-// Oracle is the continuous-power reference run.
-func (b *Built) Oracle() *emulator.Result { return b.oracle }
-
 // EB is the derived capacitor budget in nJ.
 func (b *Built) EB() float64 { return b.eb }
 

@@ -269,13 +269,3 @@ func (m *Model) BlockExecEnergy(b *ir.Block, vm map[*ir.Var]bool) float64 {
 	}
 	return e
 }
-
-// Budget describes the platform's energy buffer: a capacitor storing EB
-// nanojoules when fully charged (paper, II-B).
-type Budget struct {
-	EB float64 // usable energy of a full capacitor, nJ
-}
-
-// Usable returns the energy available for program execution between two
-// full-capacitor states.
-func (b Budget) Usable() float64 { return b.EB }

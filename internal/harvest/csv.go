@@ -24,15 +24,12 @@ type CSVOptions struct {
 	// physical default for a watts column: 1e9/Hz (W = nJ/ns scaled to
 	// the cycle length).
 	Scale float64
-	// Hold keeps the last sample's power forever instead of looping the
-	// waveform once past its end.
-	Hold bool
 }
 
 // ImportCSV parses "time,power" CSV rows (seconds, watts by default)
 // into a step-function Environment. Header rows and lines starting with
-// '#' are skipped; times must be non-decreasing. By default the
-// waveform loops past its end; set Hold to clamp at the final sample.
+// '#' are skipped; times must be non-decreasing. The waveform loops past
+// its end.
 func ImportCSV(r io.Reader, opts CSVOptions) (Environment, error) {
 	hz := defF(opts.Hz, 8e6)
 	scale := defF(opts.Scale, 1e9/hz)
@@ -92,7 +89,6 @@ func ImportCSV(r io.Reader, opts CSVOptions) (Environment, error) {
 		cycles: cycles,
 		power:  power,
 		length: cycles[len(cycles)-1] + last,
-		hold:   opts.Hold,
 	}, nil
 }
 
@@ -113,16 +109,12 @@ type sampleEnv struct {
 	cycles []int64
 	power  []float64
 	length int64
-	hold   bool
 }
 
 func (e *sampleEnv) Name() string { return e.name }
 
 func (e *sampleEnv) Power(cycle int64) float64 {
 	if cycle >= e.length {
-		if e.hold {
-			return e.power[len(e.power)-1]
-		}
 		cycle %= e.length
 	}
 	if cycle < e.cycles[0] {

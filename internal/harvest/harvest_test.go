@@ -369,13 +369,6 @@ func TestImportCSV(t *testing.T) {
 	if got := env.Power(30_001); got != 4 {
 		t.Fatalf("looped Power = %g, want 4", got)
 	}
-	held, err := ImportCSV(strings.NewReader(src), CSVOptions{Hz: 1e6, Hold: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := held.Power(1_000_000); got != 0 {
-		t.Fatalf("held Power = %g, want 0", got)
-	}
 
 	for _, bad := range []string{"", "1\n", "0,1\n-1,2\n", "0,1\n0.1,-3\n", "0,1\n1,abc\n"} {
 		if _, err := ImportCSV(strings.NewReader(bad), CSVOptions{}); err == nil {

@@ -42,9 +42,6 @@ func (o Op) String() string { return opNames[o] }
 // IsUnary reports whether the operator takes a single operand.
 func (o Op) IsUnary() bool { return o == OpNeg || o == OpNot }
 
-// IsCompare reports whether the operator is a comparison producing 0 or 1.
-func (o Op) IsCompare() bool { return o >= OpEq && o <= OpGe }
-
 // OpByName resolves a textual operator name; ok is false if unknown.
 func OpByName(name string) (Op, bool) {
 	for i, n := range opNames {
