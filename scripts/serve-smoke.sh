@@ -6,9 +6,9 @@
 # content-addressed cache dedups a repeat, scrapes /metrics, exercises
 # the live console (dashboard page, observed emulation, run registry,
 # SSE stream followed to its terminal result), round-trips an exhaustive
-# verification through POST /v1/verify (cached on resubmission), and
-# checks the daemon drains cleanly on SIGTERM (exit 0). Wired into
-# `make ci`.
+# verification through POST /v1/verify (cached on resubmission), tails a
+# grid and a failed emulation to their terminal records, and checks the
+# daemon drains cleanly on SIGTERM (exit 0). Wired into `make ci`.
 set -eu
 
 tmp=$(mktemp -d)
@@ -106,6 +106,29 @@ grep -q 'schematicd_requests_total{endpoint="verify",code="200"} 2' "$tmp/metric
 grep -q 'schematicd_cache_hits_total 2' "$tmp/metrics3.txt"
 grep -q 'schematicd_cache_misses_total 4' "$tmp/metrics3.txt"
 grep 'schematicd_verify_states_total' "$tmp/metrics3.txt" | grep -qv ' 0$'
+
+# --- terminal records of a grid and of a failed run ---
+
+# A 2-cell grid's stream ends with the assembled table.
+ctl grid -benches crc -techniques schematic,ratchet -tbpfs 2000 -profile-runs 2 -o "$tmp/grid.json"
+grid_digest=$(grep -m1 '"digest"' "$tmp/grid.json" | cut -d'"' -f4)
+[ -n "$grid_digest" ]
+ctl tail "$grid_digest" >"$tmp/grid.ndjson"
+tail -1 "$tmp/grid.ndjson" | grep -q '"k":"result"'
+tail -1 "$tmp/grid.ndjson" | grep -q '"cells_total":2'
+
+# MEMENTOS cannot place dijkstra in 2048 bytes of SVM: 422, and the
+# run's stream ends with an error record that makes tail exit 1.
+st=0
+ctl emulate -bench dijkstra -tech mementos -vmsize 2048 -profile-runs 2 >/dev/null 2>"$tmp/failed.err" || st=$?
+[ "$st" -eq 1 ]
+grep -q '422' "$tmp/failed.err"
+failed_digest=$(ctl runs | grep -o '"digest":"[0-9a-f]*","name":"dijkstra"' | head -1 | cut -d'"' -f4)
+[ -n "$failed_digest" ]
+st=0
+ctl tail "$failed_digest" >"$tmp/failed.ndjson" || st=$?
+[ "$st" -eq 1 ]
+tail -1 "$tmp/failed.ndjson" | grep -q '"k":"error"'
 
 kill -TERM "$pid"
 if ! wait "$pid"; then
