@@ -16,7 +16,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the wire bytes under testdata/wire from the current server")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current server")
 
 // wireGolden compares got with testdata/wire/name, rewriting it under
 // -update. The files are the daemon's wire format: regenerate them only
