@@ -19,7 +19,7 @@ var latencyBuckets = [...]float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2
 // 0.0.4) — the stdlib-only stand-in for the client library. It tracks
 // per-endpoint request counts and latency histograms plus the
 // queue/worker gauges; cache counters are scraped live from the result
-// cache, runtime gauges from the server.
+// cache and the stage caches, runtime gauges from the server.
 type metrics struct {
 	mu         sync.Mutex
 	requests   map[[2]string]int64 // {endpoint, code} -> count
@@ -117,9 +117,14 @@ type gridStats struct {
 	cellsInflight  int64
 }
 
+// stageStats are the counters of prepare's two stage caches.
+type stageStats struct {
+	front, profile CacheStats
+}
+
 // write renders the exposition text. Series are sorted so scrapes are
 // deterministic and diffable.
-func (m *metrics) write(w io.Writer, cache CacheStats, disk store.Stats, grid gridStats, g gauges) {
+func (m *metrics) write(w io.Writer, cache CacheStats, stages stageStats, disk store.Stats, grid gridStats, g gauges) {
 	req, sum, cnt, buckets, rejected := m.snapshot()
 
 	fmt.Fprintln(w, "# HELP schematicd_requests_total Finished requests by endpoint and HTTP status.")
@@ -178,6 +183,16 @@ func (m *metrics) write(w io.Writer, cache CacheStats, disk store.Stats, grid gr
 	counter("schematicd_cache_misses_total", "Requests that had to run the pipeline.", cache.Misses)
 	counter("schematicd_cache_coalesced_total", "Requests coalesced onto an in-flight identical run.", cache.Coalesced)
 	counter("schematicd_cache_evictions_total", "Cache entries dropped by the LRU bound.", cache.Evictions)
+	fmt.Fprintln(w, "# HELP schematicd_stage_cache_total Lookups of the shared front-end and profile stages, by stage and outcome.")
+	fmt.Fprintln(w, "# TYPE schematicd_stage_cache_total counter")
+	for _, st := range []struct {
+		name string
+		c    CacheStats
+	}{{"front", stages.front}, {"profile", stages.profile}} {
+		fmt.Fprintf(w, "schematicd_stage_cache_total{stage=%q,result=\"coalesced\"} %d\n", st.name, st.c.Coalesced)
+		fmt.Fprintf(w, "schematicd_stage_cache_total{stage=%q,result=\"hit\"} %d\n", st.name, st.c.Hits)
+		fmt.Fprintf(w, "schematicd_stage_cache_total{stage=%q,result=\"miss\"} %d\n", st.name, st.c.Misses)
+	}
 	counter("schematicd_verify_states_total", "Persistent states explored across POST /v1/verify jobs.", g.verifyStates)
 	counter("schematicd_verify_dedup_hits_total", "Hash-dedup hits across POST /v1/verify jobs.", g.verifyDedup)
 	counter("schematicd_power_runs_total", "Emulate jobs run under an options.power environment.", g.powerRuns)

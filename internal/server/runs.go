@@ -302,7 +302,7 @@ func (s *Server) runEmulateJob(ctx context.Context, req *Request, digest string,
 	rs.hub = hub
 	rs.coll = coll
 	rs = s.runs.register(rs)
-	resp, err := runEmulate(ctx, req, digest, observer)
+	resp, err := s.runEmulate(ctx, req, digest, observer)
 	if rs != nil {
 		rs.finish(resp, err)
 	}

@@ -101,6 +101,10 @@ type Server struct {
 	store *store.Store // disk tier; nil when not configured
 	met   *metrics
 
+	// front and profile are prepare's stage caches: in memory only,
+	// outside every digest (see prepare).
+	front, profile *resultCache
+
 	slots    chan struct{} // worker-pool semaphore
 	queued   atomic.Int64  // leaders waiting for a slot
 	inflight atomic.Int64  // jobs holding a slot
@@ -143,6 +147,8 @@ func New(cfg Config) *Server {
 		cache:      newResultCache(cfg.CacheCap),
 		store:      cfg.Store,
 		met:        newMetrics(),
+		front:      newResultCache(stageCap),
+		profile:    newResultCache(stageCap),
 		runs:       newRunRegistry(cfg.RunsCap),
 		slots:      make(chan struct{}, cfg.Workers),
 		drainCh:    make(chan struct{}),
@@ -378,7 +384,7 @@ func (s *Server) runJob(kind string, req *Request, digest string) (any, error) {
 	defer cancel()
 	switch kind {
 	case "compile":
-		return valOrNil(runCompile(ctx, req, digest))
+		return valOrNil(s.runCompile(ctx, req, digest))
 	case "emulate":
 		if req.Options.Power != "" {
 			s.powerRuns.Add(1)
@@ -518,7 +524,7 @@ func (s *Server) serveHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w, s.cache.Stats(), s.StoreStats(), gridStats{
+	s.met.write(w, s.cache.Stats(), stageStats{s.front.Stats(), s.profile.Stats()}, s.StoreStats(), gridStats{
 		runs:           s.gridRuns.Load(),
 		cellsComputed:  s.gridCellComputed.Load(),
 		cellsCache:     s.gridCellCache.Load(),

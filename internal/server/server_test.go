@@ -710,7 +710,7 @@ func TestRunEmulateValidatesEarly(t *testing.T) {
 	req := &Request{Name: "sum", Source: sumProg}
 	req.Options.Technique = "none"
 	req.Options.VMSize = -8
-	_, err := runEmulate(context.Background(), req, "digest", nil)
+	_, err := New(Config{}).runEmulate(context.Background(), req, "digest", nil)
 	if !errors.Is(err, emulator.ErrInvalidConfig) {
 		t.Fatalf("runEmulate with vm_size=-8: got %v, want ErrInvalidConfig", err)
 	}
