@@ -7,8 +7,9 @@
 # the live console (dashboard page, observed emulation, run registry,
 # SSE stream followed to its terminal result), round-trips an exhaustive
 # verification through POST /v1/verify (cached on resubmission), tails a
-# grid and a failed emulation to their terminal records, and checks the
-# daemon drains cleanly on SIGTERM (exit 0). Wired into `make ci`.
+# grid and a failed emulation to their terminal records, checks which
+# of them shared the compile and profile stages, and checks the daemon
+# drains cleanly on SIGTERM (exit 0). Wired into `make ci`.
 set -eu
 
 tmp=$(mktemp -d)
@@ -117,6 +118,12 @@ ctl tail "$grid_digest" >"$tmp/grid.ndjson"
 tail -1 "$tmp/grid.ndjson" | grep -q '"k":"result"'
 tail -1 "$tmp/grid.ndjson" | grep -q '"cells_total":2'
 
+# The compile, both emulates and the ratchet cell shared one crc front
+# end and one crc profile (the schematic cell was a result-cache hit).
+ctl metrics >"$tmp/metrics4.txt"
+grep -q 'schematicd_stage_cache_total{stage="front",result="miss"} 1' "$tmp/metrics4.txt"
+grep -q 'schematicd_stage_cache_total{stage="profile",result="miss"} 1' "$tmp/metrics4.txt"
+
 # MEMENTOS cannot place dijkstra in 2048 bytes of SVM: 422, and the
 # run's stream ends with an error record that makes tail exit 1.
 st=0
@@ -129,6 +136,11 @@ st=0
 ctl tail "$failed_digest" >"$tmp/failed.ndjson" || st=$?
 [ "$st" -eq 1 ]
 tail -1 "$tmp/failed.ndjson" | grep -q '"k":"error"'
+
+# The rejection compiled dijkstra but never profiled it.
+ctl metrics >"$tmp/metrics5.txt"
+grep -q 'schematicd_stage_cache_total{stage="front",result="miss"} 2' "$tmp/metrics5.txt"
+grep -q 'schematicd_stage_cache_total{stage="profile",result="miss"} 1' "$tmp/metrics5.txt"
 
 kill -TERM "$pid"
 if ! wait "$pid"; then
