@@ -9,15 +9,17 @@
 // content-addressed (SHA-256 over a canonical encoding of source +
 // options) into a single-flight LRU result cache, so N identical
 // concurrent submissions trigger exactly one pipeline run and repeats
-// are cache hits. With Config.Store set, successful results also write
-// through to a disk-backed content-addressed store, so hits survive
-// restarts and replicas sharing one store directory share work; and
-// POST /v1/grid expands a benchmark×technique×TBPF matrix into cells
-// that reuse the same two cache tiers. Execution goes through a bounded
-// worker pool with an admission queue (429 + Retry-After when full),
-// per-request deadlines propagated as context.Context, Prometheus
-// metrics, and graceful drain (stop accepting, finish every in-flight
-// job, flush metrics).
+// are cache hits. Beneath it, compile and emulate jobs share their front
+// end and execution profile across techniques and budgets through two
+// in-memory stage caches. With Config.Store set, successful results
+// also write through to a disk-backed content-addressed store, so hits
+// survive restarts and replicas sharing one store directory share
+// work; and POST /v1/grid expands a benchmark×technique×TBPF matrix
+// into cells that reuse the same two cache tiers. Execution goes
+// through a bounded worker pool with an admission queue (429 +
+// Retry-After when full), per-request deadlines propagated as
+// context.Context, Prometheus metrics, and graceful drain (stop
+// accepting, finish every in-flight job, flush metrics).
 package server
 
 import (
