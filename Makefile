@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: ci fmt vet build test race short cover crashhunt-smoke verify-smoke harvest-smoke fuzz-smoke transval-smoke serve-smoke store-smoke loadtest-smoke bench bench-smoke
+.PHONY: ci fmt vet perfbench-vet build test race short cover crashhunt-smoke verify-smoke harvest-smoke fuzz-smoke transval-smoke serve-smoke store-smoke loadtest-smoke bench bench-smoke
 
-ci: fmt vet build race fuzz-smoke transval-smoke crashhunt-smoke verify-smoke harvest-smoke serve-smoke store-smoke loadtest-smoke bench-smoke
+ci: fmt vet perfbench-vet build race fuzz-smoke transval-smoke crashhunt-smoke verify-smoke harvest-smoke serve-smoke store-smoke loadtest-smoke bench-smoke
 
 # Fail when any file is not gofmt-clean (prints the offenders).
 fmt:
@@ -10,6 +10,13 @@ fmt:
 
 vet:
 	go vet ./...
+
+# The benchmark under perfbench/ is its own module and compiles against
+# this tree's packages (server.CacheStats, emulator.Config, bench.Harness
+# and more); vet it here so a change to one of those shapes fails CI
+# instead of the benchmark run. Runs offline.
+perfbench-vet:
+	cd perfbench && go vet ./...
 
 build:
 	go build ./...

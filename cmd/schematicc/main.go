@@ -69,22 +69,29 @@ func main() {
 		}
 	}
 
+	// "none" is the front end alone: nothing is placed, so nothing is
+	// sized or profiled.
+	var tech baselines.Technique
+	if *technique != "none" {
+		tech, err = bench.TechniqueByName(*technique)
+		fail(err)
+	}
+	_, isSchematic := tech.(bench.Schematic)
 	model := energy.MSP430FR5969()
 	var prof *trace.Profile
-	needsProfile := *technique == "schematic" || *technique == "allnvm" || *tbpf > 0
-	if needsProfile && *technique != "none" {
+	if tech != nil && (isSchematic || tech == bench.AllNVMTechnique() || *tbpf > 0) {
 		prof, err = trace.Collect(m, trace.Options{Runs: *profileRuns, Seed: *seed, Model: model})
 		fail(err)
 	}
 	eb := *budget
-	if *tbpf > 0 {
+	if prof != nil && *tbpf > 0 {
 		eb = prof.EBForTBPF(*tbpf)
 		fmt.Fprintf(os.Stderr, "schematicc: EB = %.1f nJ (TBPF = %d cycles)\n", eb, *tbpf)
 	}
 
-	switch *technique {
-	case "none":
-	case "schematic":
+	switch {
+	case tech == nil:
+	case isSchematic:
 		st, err := schematic.Apply(m, schematic.Config{
 			Model: model, Budget: eb, VMSize: *vmSize, Profile: prof,
 		})
@@ -107,15 +114,13 @@ func main() {
 			rep.Render(os.Stderr)
 		}
 	default:
-		tech, err := bench.TechniqueByName(*technique)
-		fail(err)
 		fail(tech.Apply(m, baselines.Params{
 			Model: model, Budget: eb, VMSize: *vmSize, Profile: prof,
 		}))
 	}
 
 	if *validate {
-		runTransval(name, string(src), *technique, *tbpf, *vmSize, *seed, *stats)
+		runTransval(name, string(src), tech, *tbpf, *vmSize, *seed, *stats)
 	}
 
 	if *dot != "" {
@@ -144,16 +149,17 @@ func main() {
 // runTransval differentially validates the whole pipeline for this
 // program: the AST reference interpreter against the emulator after
 // lowering, after each optimizer pass, and after the selected placement
-// technique. Independent of the compilation above — it recompiles from
-// source — so a divergence here indicts the pipeline, not this driver.
-func runTransval(name, src, technique string, tbpf int64, vmSize int, seed int64, stats bool) {
+// technique (none when tech is nil). Independent of the compilation
+// above — it recompiles from source — so a divergence here indicts the
+// pipeline, not this driver.
+func runTransval(name, src string, tech baselines.Technique, tbpf int64, vmSize int, seed int64, stats bool) {
 	opts := transval.Options{
 		TBPF:     tbpf,
 		VMSize:   vmSize,
 		Coverage: transval.NewCoverage(),
 	}
-	if t, err := bench.TechniqueByName(technique); err == nil {
-		opts.Techniques = []string{t.Name()}
+	if tech != nil {
+		opts.Techniques = []string{tech.Name()}
 	} else {
 		opts.SkipPlacement = true
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"schematic/internal/emulator"
+	"schematic/internal/trace"
 )
 
 // TestRunGridCancellation: a cancelled context makes a grid run return
@@ -82,5 +83,53 @@ func TestProfileRespectsContext(t *testing.T) {
 	}
 	if cs := h.CacheStats(); cs.ProfileMisses+cs.RefMisses != 0 {
 		t.Fatalf("done ctx still touched the caches: %+v", cs)
+	}
+}
+
+// TestProfileFollowerRespectsContext: a caller that finds the profile in
+// flight stops waiting when its own context ends, and the leader's
+// profile is still cached for the next caller.
+func TestProfileFollowerRespectsContext(t *testing.T) {
+	h := NewHarness()
+	h.ProfileRuns = 2
+	b, err := ByName("randmath")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test leads the profile entry, so the call below can only
+	// follow it, and its deadline passes while it waits.
+	key := profileKey{bench: b.Name, runs: h.ProfileRuns, seed: h.Seed, model: h.Model}
+	e, leader := h.profiles.Begin(key)
+	if !leader {
+		t.Fatal("fresh harness already has a profile entry")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.Profile(ctx, b)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("follower past its deadline: got %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower still waiting 10s after its context ended")
+	}
+
+	m, err := b.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := trace.Collect(m, trace.Options{Runs: key.runs, Seed: key.seed, Model: key.model})
+	h.profiles.Complete(key, e, p, err, true)
+	got, err := h.Profile(context.Background(), b)
+	if err != nil || got != p {
+		t.Fatalf("after the leader completed: got %p, %v; want the leader's profile %p", got, err, p)
+	}
+	if cs := h.CacheStats(); cs.ProfileMisses != 1 || cs.ProfileHits != 2 {
+		t.Errorf("profile cache traffic = %d misses / %d hits, want 1/2", cs.ProfileMisses, cs.ProfileHits)
 	}
 }

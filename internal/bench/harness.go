@@ -16,6 +16,7 @@ import (
 	schematic "schematic/internal/core"
 	"schematic/internal/emulator"
 	"schematic/internal/energy"
+	"schematic/internal/flight"
 	"schematic/internal/ir"
 	"schematic/internal/obs"
 	"schematic/internal/trace"
@@ -93,22 +94,6 @@ type refKey struct {
 	model *energy.Model
 }
 
-// profileEntry / refEntry are single-flight cache slots: the map lookup
-// is guarded by Harness.mu, the (expensive) computation runs exactly once
-// under the entry's own sync.Once, and concurrent requesters block on it
-// rather than duplicating work.
-type profileEntry struct {
-	once sync.Once
-	p    *trace.Profile
-	err  error
-}
-
-type refEntry struct {
-	once sync.Once
-	res  *emulator.Result
-	err  error
-}
-
 // CacheStats counts harness cache traffic; useful both for the run report
 // and for regression tests that assert work is not silently reused (or
 // silently duplicated).
@@ -151,13 +136,19 @@ type Harness struct {
 	// before the first Run.
 	CellObserver func(bench, technique string, tbpf int64) emulator.Observer
 
-	mu       sync.Mutex
-	profiles map[profileKey]*profileEntry
-	refs     map[refKey]*refEntry // all-data-in-VM references (Table II)
-	cellRefs map[refKey]*refEntry // untransformed correctness references
-	stats    CacheStats
-	report   *RunReport
+	profiles *flight.Cache[profileKey, *trace.Profile]
+	refs     *flight.Cache[refKey, *emulator.Result] // all-data-in-VM references (Table II)
+	cellRefs *flight.Cache[refKey, *emulator.Result] // untransformed correctness references
+
+	mu     sync.Mutex // guards report
+	report *RunReport
 }
+
+// cacheCap bounds each harness cache. A full suite at one configuration
+// fills 10 entries per cache; the rest leaves room for changing Seed,
+// ProfileRuns or Model between runs before the least recently used
+// entry is dropped.
+const cacheCap = 64
 
 // NewHarness builds a harness with the paper's platform defaults.
 func NewHarness() *Harness {
@@ -166,9 +157,9 @@ func NewHarness() *Harness {
 		VMSize:      2048,
 		ProfileRuns: 50,
 		Seed:        1,
-		profiles:    map[profileKey]*profileEntry{},
-		refs:        map[refKey]*refEntry{},
-		cellRefs:    map[refKey]*refEntry{},
+		profiles:    flight.New[profileKey, *trace.Profile](cacheCap),
+		refs:        flight.New[refKey, *emulator.Result](cacheCap),
+		cellRefs:    flight.New[refKey, *emulator.Result](cacheCap),
 	}
 }
 
@@ -180,18 +171,23 @@ func (h *Harness) validate() error {
 	return emulator.Config{Model: h.Model, VMSize: h.VMSize}.Validate()
 }
 
-// CacheStats returns a snapshot of the cache hit/miss counters.
+// CacheStats returns a snapshot of the cache hit/miss counters. A hit
+// is a completed entry or a joined in-flight one.
 func (h *Harness) CacheStats() CacheStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
+	p, r, c := h.profiles.Stats(), h.refs.Stats(), h.cellRefs.Stats()
+	return CacheStats{
+		ProfileHits: p.Hits + p.Coalesced, ProfileMisses: p.Misses,
+		RefHits: r.Hits + r.Coalesced, RefMisses: r.Misses,
+		CellRefHits: c.Hits + c.Coalesced, CellRefMisses: c.Misses,
+	}
 }
 
 // Profile returns the benchmark's execution profile, computed at most
 // once per (benchmark, ProfileRuns, Seed, Model) configuration. The
 // context gates admission: a done context returns its error without
-// touching the cache (an in-flight computation joined earlier still runs
-// to completion, since its result is shared with other waiters).
+// touching the cache, and a caller that finds the profile in flight
+// stops waiting when its context ends (the computation still completes
+// for the other callers).
 func (h *Harness) Profile(ctx context.Context, b *Benchmark) (*trace.Profile, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -200,69 +196,38 @@ func (h *Harness) Profile(ctx context.Context, b *Benchmark) (*trace.Profile, er
 		return nil, err
 	}
 	key := profileKey{bench: b.Name, runs: h.ProfileRuns, seed: h.Seed, model: h.Model}
-	h.mu.Lock()
-	if h.profiles == nil {
-		h.profiles = map[profileKey]*profileEntry{}
-	}
-	e, ok := h.profiles[key]
-	if !ok {
-		e = &profileEntry{}
-		h.profiles[key] = e
-		h.stats.ProfileMisses++
-	} else {
-		h.stats.ProfileHits++
-	}
-	h.mu.Unlock()
-	e.once.Do(func() {
+	return h.profiles.Do(ctx, key, func() (*trace.Profile, error) {
 		m, err := b.Module()
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		p, err := trace.Collect(m, trace.Options{Runs: key.runs, Seed: key.seed, Model: key.model})
 		if err != nil {
-			e.err = fmt.Errorf("profile %s: %w", b.Name, err)
-			return
+			return nil, fmt.Errorf("profile %s: %w", b.Name, err)
 		}
-		e.p = p
+		return p, nil
 	})
-	return e.p, e.err
 }
 
 // ReferenceAllVM runs the untransformed benchmark on continuous power with
 // all data in VM — the execution-time reference of Table II ("in clock
 // cycles, with all data in VM"). Computed at most once per (benchmark,
-// Seed, Model) configuration.
+// Seed, Model) configuration; the context works as in Profile.
 func (h *Harness) ReferenceAllVM(ctx context.Context, b *Benchmark) (*emulator.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	key := refKey{bench: b.Name, seed: h.Seed, model: h.Model}
-	h.mu.Lock()
-	if h.refs == nil {
-		h.refs = map[refKey]*refEntry{}
-	}
-	e, ok := h.refs[key]
-	if !ok {
-		e = &refEntry{}
-		h.refs[key] = e
-		h.stats.RefMisses++
-	} else {
-		h.stats.RefHits++
-	}
-	h.mu.Unlock()
-	e.once.Do(func() {
+	return h.refs.Do(ctx, key, func() (*emulator.Result, error) {
 		m, err := b.Module()
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		clone := ir.Clone(m)
 		baselines.AllocAllVM(clone)
 		inputs, err := b.Inputs(key.seed)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		// PrewarmVM: the untransformed module has no checkpoints to
 		// restore the VM-allocated data, so the boot copy is assumed done
@@ -270,64 +235,39 @@ func (h *Harness) ReferenceAllVM(ctx context.Context, b *Benchmark) (*emulator.R
 		// VM", not the cost of getting it there).
 		res, err := emulator.Run(clone, emulator.Config{Model: key.model, Inputs: inputs, PrewarmVM: true})
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		if res.Verdict != emulator.Completed {
-			e.err = fmt.Errorf("reference %s: %v", b.Name, res.Verdict)
-			return
+			return nil, fmt.Errorf("reference %s: %v", b.Name, res.Verdict)
 		}
 		if res.UnsyncedReads > 0 {
-			e.err = fmt.Errorf("reference %s: %d unsynced VM reads", b.Name, res.UnsyncedReads)
-			return
+			return nil, fmt.Errorf("reference %s: %d unsynced VM reads", b.Name, res.UnsyncedReads)
 		}
-		e.res = res
+		return res, nil
 	})
-	return e.res, e.err
 }
 
 // referenceOutput runs the untransformed benchmark on continuous power
 // with its as-compiled allocation — the correctness reference each
 // experiment cell compares against. It is computed once per (benchmark,
 // Seed, Model) and shared across all (technique, TBPF) cells; the
-// returned Result is immutable.
+// returned Result is immutable. The context works as in Profile.
 func (h *Harness) referenceOutput(ctx context.Context, b *Benchmark) (*emulator.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	key := refKey{bench: b.Name, seed: h.Seed, model: h.Model}
-	h.mu.Lock()
-	if h.cellRefs == nil {
-		h.cellRefs = map[refKey]*refEntry{}
-	}
-	e, ok := h.cellRefs[key]
-	if !ok {
-		e = &refEntry{}
-		h.cellRefs[key] = e
-		h.stats.CellRefMisses++
-	} else {
-		h.stats.CellRefHits++
-	}
-	h.mu.Unlock()
-	e.once.Do(func() {
+	return h.cellRefs.Do(ctx, key, func() (*emulator.Result, error) {
 		m, err := b.Module()
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		inputs, err := b.Inputs(key.seed)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		res, err := emulator.Run(m, emulator.Config{Model: key.model, Inputs: inputs})
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.res = res
+		return emulator.Run(m, emulator.Config{Model: key.model, Inputs: inputs})
 	})
-	return e.res, e.err
 }
 
 // CellStats records the per-cell observability of one Run: wall time and

@@ -256,13 +256,11 @@ func Prepare(cs Case, opts Options) (*Built, error) {
 func build(cs Case, opts Options) (*Built, error) {
 	cs = cs.normalized()
 	if cs.Fuzz != nil {
-		prog, ok := cs.Fuzz.Regenerate()
-		if !ok {
-			return nil, fmt.Errorf("crashtest: case %s: stored source does not match fuzz seed %d", cs.Name, cs.Fuzz.Seed)
+		src, err := cs.Fuzz.CaseSource(cs.Source)
+		if err != nil {
+			return nil, fmt.Errorf("crashtest: case %s: %w", cs.Name, err)
 		}
-		if cs.Source == "" {
-			cs.Source = prog.Source
-		}
+		cs.Source = src
 	}
 	if cs.Source == "" {
 		return nil, fmt.Errorf("crashtest: case %s: no source", cs.Name)

@@ -342,7 +342,7 @@ func ShrinkProgram(ctx context.Context, f *Finding, opts Options) *Finding {
 	best := f
 	for pass := 0; pass < 8; pass++ {
 		improved := false
-		for _, next := range reductions(best.Case.Fuzz.Options) {
+		for _, next := range best.Case.Fuzz.Options.Reductions() {
 			if ctx.Err() != nil {
 				return best
 			}
@@ -366,32 +366,6 @@ func ShrinkProgram(ctx context.Context, f *Finding, opts Options) *Finding {
 		}
 	}
 	return best
-}
-
-// reductions yields the one-step tightenings of generator options.
-func reductions(o fuzzgen.Options) []fuzzgen.Options {
-	var out []fuzzgen.Options
-	if o.MaxFuncs > 0 {
-		r := o
-		r.MaxFuncs--
-		out = append(out, r)
-	}
-	if o.MaxStmts > 1 {
-		r := o
-		r.MaxStmts--
-		out = append(out, r)
-	}
-	if o.MaxDepth > 1 {
-		r := o
-		r.MaxDepth--
-		out = append(out, r)
-	}
-	if o.MaxLoopIter > 1 {
-		r := o
-		r.MaxLoopIter /= 2
-		out = append(out, r)
-	}
-	return out
 }
 
 // FuzzCases derives a reproducible stream of fuzz-generated cases, one

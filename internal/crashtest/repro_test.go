@@ -58,4 +58,15 @@ func TestReplayRejectsTamperedFuzzSource(t *testing.T) {
 	if _, err := Replay(f, Options{}); err == nil {
 		t.Fatal("replay accepted a repro whose source does not match its fuzz seed")
 	}
+
+	// The source the case compiles is checked too, not only the copy its
+	// provenance carries.
+	cs := FuzzCases(1, 1, []string{"Ratchet"}, 1)[0]
+	cs.Source += "\nfunc int extra() { return 1; }\n"
+	if _, err := Replay(Finding{Case: cs, Schedule: ScheduleSpec{Exhaust: true}, Class: ClassDivergence}, Options{}); err == nil {
+		t.Error("replay accepted a repro whose case source does not match its fuzz seed")
+	}
+	if _, err := Prepare(cs, Options{}); err == nil {
+		t.Error("Prepare accepted a case whose source does not match its fuzz seed")
+	}
 }

@@ -176,48 +176,62 @@ func (mc *machine) addCkCycles(e float64) {
 	mc.cyclesSincePower += c
 }
 
-// ckWait implements the SCHEMATIC/ROCKCLIMB runtime of Fig. 3: save
-// volatile data, sleep until the capacitor is full, restore, resume.
-func (mc *machine) ckWait(ck *ir.Checkpoint) {
-	fr := mc.top()
-	saved := mc.saveSet(ck)
-	saveCost := mc.saveVarsCost(mc.cfg.Model.SaveRegsCostFor(regCount(ck)), saved)
+// save is the one save protocol of the three checkpoint runtimes, so
+// every technique's checkpoints pay the same steps: count the attempt,
+// probe before the save, charge it, probe mid-save, then write the slots
+// to NVM and count the save. liveRegs is the refined register count (-1
+// = the full file). It reports false when power failed.
+func (mc *machine) save(ck *ir.Checkpoint, liveRegs int, slots []int32) bool {
+	cost := mc.saveVarsCost(mc.cfg.Model.SaveRegsCostFor(liveRegs), slots)
 	mc.res.SaveAttempts++
-	if mc.probeSave(PointBeforeSave, ck.ID) {
+	// A failure mid-save is a torn checkpoint: the save energy is spent
+	// but the partial NVM write never becomes a recovery point — nothing
+	// reaches NVM, no snapshot is taken, the previous recovery point
+	// stays in force.
+	if mc.probeSave(PointBeforeSave, ck.ID) || !mc.charge(cost, chSave) || mc.probeSave(PointMidSave, ck.ID) {
 		mc.powerFailure()
-		return
-	}
-	if !mc.charge(saveCost, chSave) {
-		mc.powerFailure()
-		return
-	}
-	if mc.probeSave(PointMidSave, ck.ID) {
-		// Torn checkpoint: the save energy is spent but the partial NVM
-		// write never becomes a recovery point — nothing reaches NVM, no
-		// snapshot is taken, the previous recovery point stays in force.
-		mc.powerFailure()
-		return
+		return false
 	}
 	if mc.obs != nil {
-		mc.emit(Event{Kind: EvSave, Site: ck.ID, Energy: saveCost,
-			Bytes: mc.checkpointBytes(regCount(ck), saved), Fn: fr.fn, Block: fr.cb.IR})
+		fr := mc.top()
+		mc.emit(Event{Kind: EvSave, Site: ck.ID, Energy: cost,
+			Bytes: mc.checkpointBytes(liveRegs, slots), Fn: fr.fn, Block: fr.cb.IR})
 	}
-	mc.addCkCycles(saveCost)
-	for _, slot := range saved {
+	mc.addCkCycles(cost)
+	for _, slot := range slots {
 		if arr := mc.vm[slot]; arr != nil {
 			mc.commitSlot(slot, arr)
+			mc.dirty[slot] = false
 		}
 	}
 	mc.res.Saves++
-	restores := mc.restoreSet(ck, saved)
+	return true
+}
 
-	// Snapshot the post-restore state: resume at the next instruction with
-	// only the restore set resident in VM.
-	fr.pc++
-	mc.takeSnapshot(restores, false, ck.ID)
-	fr.pc--
+// commitPoint makes a completed save the recovery point: it steps past
+// the checkpoint, snapshots with the restores slots resident in VM, and
+// probes after the save. It reports false when power failed.
+func (mc *machine) commitPoint(ck *ir.Checkpoint, restores []int32, lazy bool) bool {
+	mc.top().pc++
+	mc.takeSnapshot(restores, lazy, ck.ID)
 	if !mc.halted && mc.probeSave(PointAfterSave, ck.ID) {
 		mc.powerFailure()
+		return false
+	}
+	return true
+}
+
+// ckWait implements the SCHEMATIC/ROCKCLIMB runtime of Fig. 3: save
+// volatile data, sleep until the capacitor is full, restore, resume.
+func (mc *machine) ckWait(ck *ir.Checkpoint) {
+	saved := mc.saveSet(ck)
+	if !mc.save(ck, regCount(ck), saved) {
+		return
+	}
+	// The recovery point is the post-restore state: resume at the next
+	// instruction with only the restore set resident in VM.
+	restores := mc.restoreSet(ck, saved)
+	if !mc.commitPoint(ck, restores, false) {
 		return
 	}
 
@@ -245,6 +259,7 @@ func (mc *machine) ckWait(ck *ir.Checkpoint) {
 	}
 	mc.res.Restores++
 	if mc.obs != nil {
+		fr := mc.top()
 		mc.emit(Event{Kind: EvRestore, Site: ck.ID, Energy: restoreCost,
 			Bytes: mc.checkpointBytes(regCount(ck), restores), Fn: fr.fn, Block: fr.cb.IR})
 	}
@@ -254,7 +269,6 @@ func (mc *machine) ckWait(ck *ir.Checkpoint) {
 			return
 		}
 	}
-	fr.pc++
 	mc.bumpProgress()
 }
 
@@ -284,52 +298,22 @@ func (mc *machine) materializeRestore(ck *ir.Checkpoint) bool {
 
 // ckRollback implements the RATCHET/ALFRED runtime: save and continue.
 func (mc *machine) ckRollback(ck *ir.Checkpoint) {
-	fr := mc.top()
 	if len(ck.Restore) > 0 && !mc.materializeRestore(ck) {
 		return
 	}
-	saved := mc.saveSet(ck)
-	saveCost := mc.saveVarsCost(mc.cfg.Model.SaveRegsCostFor(regCount(ck)), saved)
-	mc.res.SaveAttempts++
-	if mc.probeSave(PointBeforeSave, ck.ID) {
-		mc.powerFailure()
-		return
+	if mc.save(ck, regCount(ck), mc.saveSet(ck)) && mc.commitPoint(ck, mc.residentSlots(), ck.Lazy) {
+		mc.bumpProgress()
 	}
-	if !mc.charge(saveCost, chSave) {
-		mc.powerFailure()
-		return
-	}
-	if mc.probeSave(PointMidSave, ck.ID) {
-		// Torn checkpoint: energy spent, nothing committed (see ckWait).
-		mc.powerFailure()
-		return
-	}
-	if mc.obs != nil {
-		mc.emit(Event{Kind: EvSave, Site: ck.ID, Energy: saveCost,
-			Bytes: mc.checkpointBytes(regCount(ck), saved), Fn: fr.fn, Block: fr.cb.IR})
-	}
-	mc.addCkCycles(saveCost)
-	for _, slot := range saved {
-		if arr := mc.vm[slot]; arr != nil {
-			mc.commitSlot(slot, arr)
-			mc.dirty[slot] = false
-		}
-	}
-	mc.res.Saves++
-	fr.pc++
-	mc.takeSnapshot(mc.residentSlots(), ck.Lazy, ck.ID)
-	if !mc.halted && mc.probeSave(PointAfterSave, ck.ID) {
-		mc.powerFailure()
-		return
-	}
-	mc.bumpProgress()
 }
 
+// triggerThreshold is the MEMENTOS trigger fraction: a trigger
+// checkpoint saves when the capacitor level is below this fraction of
+// its capacity.
+const triggerThreshold = 0.5
+
 // ckTrigger implements the MEMENTOS runtime: measure the capacitor level
-// and checkpoint only when it is below the threshold fraction of its
-// capacity.
+// and checkpoint only when it is below triggerThreshold of its capacity.
 func (mc *machine) ckTrigger(ck *ir.Checkpoint) {
-	fr := mc.top()
 	if len(ck.Restore) > 0 && !mc.materializeRestore(ck) {
 		return
 	}
@@ -338,43 +322,14 @@ func (mc *machine) ckTrigger(ck *ir.Checkpoint) {
 		mc.powerFailure()
 		return
 	}
-	if mc.cfg.Intermittent && mc.store.level < mc.cfg.TriggerThreshold*mc.store.capacity {
+	if mc.cfg.Intermittent && mc.store.level < triggerThreshold*mc.store.capacity {
 		saved := mc.residentSlots()
-		saveCost := mc.saveVarsCost(mc.cfg.Model.SaveRegsCost(), saved)
-		mc.res.SaveAttempts++
-		if mc.probeSave(PointBeforeSave, ck.ID) {
-			mc.powerFailure()
-			return
+		if mc.save(ck, -1, saved) && mc.commitPoint(ck, saved, false) {
+			mc.bumpProgress()
 		}
-		if !mc.charge(saveCost, chSave) {
-			mc.powerFailure()
-			return
-		}
-		if mc.probeSave(PointMidSave, ck.ID) {
-			// Torn checkpoint: energy spent, nothing committed (see ckWait).
-			mc.powerFailure()
-			return
-		}
-		if mc.obs != nil {
-			mc.emit(Event{Kind: EvSave, Site: ck.ID, Energy: saveCost,
-				Bytes: mc.checkpointBytes(-1, saved), Fn: fr.fn, Block: fr.cb.IR})
-		}
-		mc.addCkCycles(saveCost)
-		for _, slot := range saved {
-			mc.commitSlot(slot, mc.vm[slot])
-			mc.dirty[slot] = false
-		}
-		mc.res.Saves++
-		fr.pc++
-		mc.takeSnapshot(saved, false, ck.ID)
-		if !mc.halted && mc.probeSave(PointAfterSave, ck.ID) {
-			mc.powerFailure()
-			return
-		}
-		mc.bumpProgress()
 		return
 	}
-	fr.pc++
+	mc.top().pc++
 	mc.bumpProgress()
 }
 

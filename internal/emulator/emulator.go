@@ -71,11 +71,6 @@ type Config struct {
 	// Ignored when Intermittent is false.
 	Schedule PowerSchedule
 
-	// TriggerThreshold is the MEMENTOS trigger fraction: a CkTrigger
-	// checkpoint saves when the capacitor level < TriggerThreshold × its
-	// capacity. Zero selects the default of 0.5.
-	TriggerThreshold float64
-
 	// Inputs overrides the initial values of input-annotated variables,
 	// keyed by variable name. Missing entries keep the declared Init.
 	Inputs map[string][]int64
@@ -238,8 +233,8 @@ func (e *ConfigError) Error() string {
 func (e *ConfigError) Unwrap() error { return ErrInvalidConfig }
 
 // Validate checks a Config for field-level mistakes. Zero values that
-// select documented defaults (TriggerThreshold 0 → 0.5, VMSize 0 →
-// unlimited, MaxSteps/MaxFailures 0 → defaults) remain valid.
+// select documented defaults (VMSize 0 → unlimited, MaxSteps/MaxFailures
+// 0 → defaults) remain valid.
 func (cfg Config) Validate() error {
 	if cfg.Model == nil {
 		return &ConfigError{Field: "Model", Reason: "must not be nil"}
@@ -249,10 +244,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.Intermittent && cfg.EB <= 0 {
 		return &ConfigError{Field: "EB", Reason: "intermittent run needs EB > 0"}
-	}
-	if cfg.TriggerThreshold < 0 || cfg.TriggerThreshold > 1 {
-		return &ConfigError{Field: "TriggerThreshold",
-			Reason: fmt.Sprintf("must be in (0,1] (0 selects the default), got %g", cfg.TriggerThreshold)}
 	}
 	if cfg.VMSize < 0 {
 		return &ConfigError{Field: "VMSize", Reason: fmt.Sprintf("must not be negative (0 = unlimited), got %d", cfg.VMSize)}
@@ -300,9 +291,6 @@ func Run(m *ir.Module, cfg Config) (*Result, error) {
 	}
 	if cfg.MaxFailures == 0 {
 		cfg.MaxFailures = 10_000_000
-	}
-	if cfg.TriggerThreshold == 0 {
-		cfg.TriggerThreshold = 0.5
 	}
 	mach, err := newMachine(m, cfg)
 	if err != nil {

@@ -278,8 +278,6 @@ func TestConfigValidate(t *testing.T) {
 		{"nil model", "Model", Config{}},
 		{"negative EB", "EB", Config{Model: model, EB: -1}},
 		{"intermittent without EB", "EB", Config{Model: model, Intermittent: true}},
-		{"negative trigger threshold", "TriggerThreshold", Config{Model: model, TriggerThreshold: -0.1}},
-		{"trigger threshold above one", "TriggerThreshold", Config{Model: model, TriggerThreshold: 1.5}},
 		{"negative VM size", "VMSize", Config{Model: model, VMSize: -2048}},
 		{"negative max steps", "MaxSteps", Config{Model: model, MaxSteps: -1}},
 		{"negative max failures", "MaxFailures", Config{Model: model, MaxFailures: -1}},

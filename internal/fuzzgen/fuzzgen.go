@@ -86,6 +86,47 @@ func (p Program) Regenerate() (Program, bool) {
 	return q, p.Source == "" || q.Source == p.Source
 }
 
+// CaseSource is the one provenance check of a case generated from p: it
+// returns the source the case compiles, which is the regenerated one.
+// source is the case's own source, and empty takes the regenerated one.
+// A source, or p's stored Source, that differs from the regeneration is
+// an error, so a replay never compiles a program its provenance does
+// not describe.
+func (p Program) CaseSource(source string) (string, error) {
+	q, ok := p.Regenerate()
+	if !ok || source != "" && source != q.Source {
+		return "", fmt.Errorf("stored source does not match fuzz seed %d", p.Seed)
+	}
+	return q.Source, nil
+}
+
+// Reductions yields the one-step tightenings of the options, the
+// candidates a shrinker regenerates a counterexample's seed under.
+func (o Options) Reductions() []Options {
+	var out []Options
+	if o.MaxFuncs > 0 {
+		r := o
+		r.MaxFuncs--
+		out = append(out, r)
+	}
+	if o.MaxStmts > 1 {
+		r := o
+		r.MaxStmts--
+		out = append(out, r)
+	}
+	if o.MaxDepth > 1 {
+		r := o
+		r.MaxDepth--
+		out = append(out, r)
+	}
+	if o.MaxLoopIter > 1 {
+		r := o
+		r.MaxLoopIter /= 2
+		out = append(out, r)
+	}
+	return out
+}
+
 // Corpus derives n reproducible programs from a base seed. Seeds are
 // spaced so corpora with different bases do not trivially overlap.
 func Corpus(baseSeed int64, n int, opts Options) []Program {

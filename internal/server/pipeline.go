@@ -83,35 +83,15 @@ func compileFront(req *Request) (*ir.Module, error) {
 	return m, nil
 }
 
-// share answers one stage through its cache: the first caller of a key
-// computes it, and a caller that finds it in flight waits within its
-// own job context. A stage takes no context and fails only on the
-// program, so every outcome it completes is cacheable.
-func share[T any](ctx context.Context, c *resultCache, key string, compute func() (T, error)) (T, error) {
-	e, leader := c.begin(key)
-	if leader {
-		v, err := compute()
-		c.complete(key, e, v, err, true)
-		return v, err
-	}
-	select {
-	case <-e.done:
-		v, _ := e.val.(T)
-		return v, e.err
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
-	}
-}
-
 // prepare compiles, optimizes, profiles, and applies the placement
 // technique, checking ctx between the expensive phases. The front end
 // and the profile read neither the technique nor the budget, so they
 // come from the server's stage caches, shared by every technique and
-// TBPF of one program; the technique is applied to a clone.
+// TBPF of one program; the technique is applied to a clone. A stage
+// fails only on the program, so its errors are cached too.
 func (s *Server) prepare(ctx context.Context, req *Request) (*prepared, error) {
 	o := req.Options
-	m, err := share(ctx, s.front, frontKey(req), func() (*ir.Module, error) { return compileFront(req) })
+	m, err := s.front.Do(ctx, frontKey(req), func() (*ir.Module, error) { return compileFront(req) })
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +105,7 @@ func (s *Server) prepare(ctx context.Context, req *Request) (*prepared, error) {
 	if !tech.SupportsVM(m, o.VMSize) {
 		return nil, progErrorf("technique %s does not support vm_size %d for this program", tech.Name(), o.VMSize)
 	}
-	prof, err := share(ctx, s.profile, profileKey(req), func() (*trace.Profile, error) {
+	prof, err := s.profile.Do(ctx, profileKey(req), func() (*trace.Profile, error) {
 		prof, err := trace.Collect(m, trace.Options{Runs: o.ProfileRuns, Seed: o.Seed, Model: energy.MSP430FR5969()})
 		if err != nil {
 			return nil, &progError{err}

@@ -11,8 +11,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"schematic/internal/flight"
+	"schematic/internal/ir"
 	"schematic/internal/obs"
 	"schematic/internal/store"
+	"schematic/internal/trace"
 )
 
 // maxBody bounds request bodies; MiniC sources are small.
@@ -97,13 +100,14 @@ func (c Config) withDefaults() Config {
 // Drain on shutdown.
 type Server struct {
 	cfg   Config
-	cache *resultCache
-	store *store.Store // disk tier; nil when not configured
+	cache *flight.Cache[string, any] // job results by request digest
+	store *store.Store               // disk tier; nil when not configured
 	met   *metrics
 
 	// front and profile are prepare's stage caches: in memory only,
 	// outside every digest (see prepare).
-	front, profile *resultCache
+	front   *flight.Cache[string, *ir.Module]
+	profile *flight.Cache[string, *trace.Profile]
 
 	slots    chan struct{} // worker-pool semaphore
 	queued   atomic.Int64  // leaders waiting for a slot
@@ -144,19 +148,16 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		cache:      newResultCache(cfg.CacheCap),
+		cache:      flight.New[string, any](cfg.CacheCap),
 		store:      cfg.Store,
 		met:        newMetrics(),
-		front:      newResultCache(stageCap),
-		profile:    newResultCache(stageCap),
+		front:      flight.New[string, *ir.Module](stageCap),
+		profile:    flight.New[string, *trace.Profile](stageCap),
 		runs:       newRunRegistry(cfg.RunsCap),
 		slots:      make(chan struct{}, cfg.Workers),
 		drainCh:    make(chan struct{}),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-	}
-	if s.store != nil {
-		s.cache.persist = s.storePut
 	}
 	return s
 }
@@ -188,6 +189,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.serveMetrics)
 	return mux
 }
+
+// CacheStats is a snapshot of one of the server's caches' counters.
+type CacheStats = flight.Stats
 
 // CacheStats snapshots the result-cache counters (also exported on
 // /metrics; used directly by tests and schemactl).
@@ -324,38 +328,41 @@ func (s *Server) serveJob(kind string, w http.ResponseWriter, r *http.Request) i
 // waiting for its leader with errLeft when ctx ends; queue says how the
 // leader takes its slot (see admit).
 func (s *Server) resolve(ctx context.Context, kind string, req *Request, digest string, queue bool) (val any, source string, err error) {
-	e, leader := s.cache.begin(digest)
+	e, leader := s.cache.Begin(digest)
 	if !leader {
 		source = "coalesced"
-		if e.completed() {
+		if e.Completed() {
 			source = "cache"
 		}
-		select {
-		case <-e.done:
-			return e.val, source, e.err
-		case <-ctx.Done():
-			return nil, source, errLeft
+		if val, err = e.Wait(ctx); err != nil && ctx.Err() != nil {
+			err = errLeft
 		}
+		return val, source, err
 	}
 
 	// Consult the disk tier before taking a worker slot: a store hit
 	// costs a read and a checksum, not a pipeline run.
 	if val, ok := s.storeGet(kind, digest); ok {
-		s.cache.completeFromStore(digest, e, val)
+		s.cache.Complete(digest, e, val, nil, true)
 		return val, "store", nil
 	}
 
 	release, err := s.admit(ctx, queue)
 	if err != nil {
 		// Wake any coalesced followers with the same outcome.
-		s.cache.complete(digest, e, nil, err, false)
+		s.cache.Complete(digest, e, nil, err, false)
 		return nil, "", err
 	}
 	val, err = s.runJob(kind, req, digest)
 	release()
-	// Cancellation says nothing about the request itself — do not cache.
+	// Cancellation says nothing about the request itself: neither cache
+	// nor persist it, or a restarted daemon would serve it to followers
+	// that were promised a retry.
 	cacheable := !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-	s.cache.complete(digest, e, val, err, cacheable)
+	s.cache.Complete(digest, e, val, err, cacheable)
+	if cacheable && err == nil {
+		s.storePut(digest, val)
+	}
 	if s.cfg.Logf != nil {
 		s.cfg.Logf("%s %s name=%s err=%v", kind, short(digest), req.Name, err)
 	}

@@ -215,7 +215,7 @@ func TestStageSharing(t *testing.T) {
 		// The test leads the front stage, so the request waits as its
 		// follower until its deadline passes.
 		key := frontKey(&req)
-		e, leader := s.front.begin(key)
+		e, leader := s.front.Begin(key)
 		if !leader {
 			t.Fatal("fresh front stage already has an entry")
 		}
@@ -226,7 +226,7 @@ func TestStageSharing(t *testing.T) {
 			t.Errorf("front %+v, want the request coalesced", f)
 		}
 		m, err := compileFront(&req)
-		s.front.complete(key, e, m, err, true)
+		s.front.Complete(key, e, m, err, true)
 		ok(t, ts, "emulate", req)
 		if c := s.CacheStats(); c.Misses != 2 || c.Hits != 0 {
 			t.Errorf("result cache %+v: the 504 was cached", c)

@@ -6,13 +6,12 @@ import (
 	"schematic/internal/store"
 )
 
-// The disk tier: when Config.Store is set, every successful job result
-// is written through the result cache's persist hook into the
-// content-addressed store, and every cache-missing leader consults the
-// store before taking a worker slot. Results therefore survive
-// restarts, and N replicas pointed at one -store directory share each
-// other's work — a cell computed by any replica is a cross-process hit
-// everywhere else.
+// The disk tier: when Config.Store is set, resolve writes every
+// cacheable successful job result through to the content-addressed
+// store, and every cache-missing leader consults the store before
+// taking a worker slot. Results therefore survive restarts, and N
+// replicas pointed at one -store directory share each other's work — a
+// cell computed by any replica is a cross-process hit everywhere else.
 
 // storedResult is the envelope persisted per digest. Kind pins the
 // payload to its endpoint so a digest collision across kinds (or a
@@ -60,8 +59,8 @@ func newResult(kind string) any {
 	return nil
 }
 
-// storePut is the write-through hook installed on the result cache: it
-// serializes a successful result and commits it under its digest.
+// storePut serializes a successful result and commits it under its
+// digest.
 // Store trouble is logged, never surfaced — the in-memory tier already
 // holds the result and the client already has its answer.
 func (s *Server) storePut(digest string, val any) {

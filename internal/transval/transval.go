@@ -325,13 +325,11 @@ func validate(cs Case, opts Options) (*Finding, error) {
 // AST (for the interpreter) and the lowered, verified module.
 func frontend(cs Case) (Case, *minic.File, *ir.Module, error) {
 	if cs.Fuzz != nil {
-		prog, ok := cs.Fuzz.Regenerate()
-		if !ok {
-			return cs, nil, nil, fmt.Errorf("transval: case %s: stored source does not match fuzz seed %d", cs.Name, cs.Fuzz.Seed)
+		src, err := cs.Fuzz.CaseSource(cs.Source)
+		if err != nil {
+			return cs, nil, nil, fmt.Errorf("transval: case %s: %w", cs.Name, err)
 		}
-		if cs.Source == "" {
-			cs.Source = prog.Source
-		}
+		cs.Source = src
 	}
 	if cs.Source == "" {
 		return cs, nil, nil, fmt.Errorf("transval: case %s: no source", cs.Name)
@@ -416,7 +414,7 @@ func shrink(f *Finding, opts Options) *Finding {
 	best := f
 	for pass := 0; pass < 8; pass++ {
 		improved := false
-		for _, next := range reductions(best.Case.Fuzz.Options) {
+		for _, next := range best.Case.Fuzz.Options.Reductions() {
 			if budget <= 0 {
 				return best
 			}
@@ -441,32 +439,6 @@ func shrink(f *Finding, opts Options) *Finding {
 		}
 	}
 	return best
-}
-
-// reductions yields the one-step tightenings of generator options.
-func reductions(o fuzzgen.Options) []fuzzgen.Options {
-	var out []fuzzgen.Options
-	if o.MaxFuncs > 0 {
-		r := o
-		r.MaxFuncs--
-		out = append(out, r)
-	}
-	if o.MaxStmts > 1 {
-		r := o
-		r.MaxStmts--
-		out = append(out, r)
-	}
-	if o.MaxDepth > 1 {
-		r := o
-		r.MaxDepth--
-		out = append(out, r)
-	}
-	if o.MaxLoopIter > 1 {
-		r := o
-		r.MaxLoopIter /= 2
-		out = append(out, r)
-	}
-	return out
 }
 
 // ProbeCases are small directed programs covering constructs the fuzz

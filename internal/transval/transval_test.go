@@ -85,6 +85,22 @@ func TestValidateFuzzStream(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsTamperedFuzzSource: a fuzz case compiles only the
+// source its seed regenerates; a changed case source or provenance copy
+// is a broken case, not a program to validate.
+func TestValidateRejectsTamperedFuzzSource(t *testing.T) {
+	cs := transval.FuzzCases(1, 1, 1)[0]
+	cs.Source += "\nfunc int extra() { return 1; }\n"
+	if _, err := transval.Validate(cs, transval.Options{}); err == nil {
+		t.Error("Validate accepted a case whose source does not match its fuzz seed")
+	}
+	cs = transval.FuzzCases(1, 1, 1)[0]
+	cs.Fuzz.Source += "\n// tampered"
+	if _, err := transval.Validate(cs, transval.Options{}); err == nil {
+		t.Error("Validate accepted a case whose fuzz source does not match its seed")
+	}
+}
+
 func TestValidateCatchesTrapParity(t *testing.T) {
 	// A program that traps must trap in every stage; the validator
 	// classifies it as validated (trap = trap), not as a mismatch.
