@@ -357,8 +357,10 @@ func (s *Server) resolve(ctx context.Context, kind string, req *Request, digest 
 	release()
 	// Cancellation says nothing about the request itself: neither cache
 	// nor persist it, or a restarted daemon would serve it to followers
-	// that were promised a retry.
-	cacheable := !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+	// that were promised a retry. A verify search the deadline cut short
+	// is served, but it describes the clock, not the request.
+	cacheable := !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) &&
+		!cutShort(val)
 	s.cache.Complete(digest, e, val, err, cacheable)
 	if cacheable && err == nil {
 		s.storePut(digest, val)
@@ -367,6 +369,12 @@ func (s *Server) resolve(ctx context.Context, kind string, req *Request, digest 
 		s.cfg.Logf("%s %s name=%s err=%v", kind, short(digest), req.Name, err)
 	}
 	return val, "computed", err
+}
+
+// cutShort reports a verify answer its job deadline truncated.
+func cutShort(val any) bool {
+	r, ok := val.(*VerifyResponse)
+	return ok && r.Bound == "deadline"
 }
 
 // jobContext derives a job's context from the server, not the HTTP

@@ -168,6 +168,32 @@ func TestUncacheableNeverStored(t *testing.T) {
 	}
 }
 
+// TestVerifyDeadlineNeverCached: a verify search its job deadline cuts
+// short is served as bounded by "deadline", but neither cached nor
+// stored, so an identical resubmission searches again.
+func TestVerifyDeadlineNeverCached(t *testing.T) {
+	s, ts := newTestServer(t, Config{Store: openTestStore(t, t.TempDir())})
+	var ran atomic.Int64
+	s.gate = func(string) { ran.Add(1) }
+	// stringsearch/alfred searches for seconds; the deadline lands inside.
+	req := Request{Bench: "stringsearch", Options: Options{Technique: "alfred", TimeoutMS: 200}}
+	for i := 1; i <= 2; i++ {
+		code, body, _ := post(t, ts, "verify", req)
+		if code != http.StatusOK {
+			t.Fatalf("verify %d: status %d, body %s", i, code, body)
+		}
+		if r := decode[VerifyResponse](t, body); r.Verdict != "bounded" || r.Bound != "deadline" {
+			t.Fatalf("verify %d: %+v, want bounded by the deadline", i, r)
+		}
+	}
+	if ran.Load() != 2 {
+		t.Fatalf("ran %d searches, want 2 (the resubmission recomputes)", ran.Load())
+	}
+	if st := s.StoreStats(); st.Puts != 0 {
+		t.Fatalf("a search cut short was stored: %+v", st)
+	}
+}
+
 // TestStoreCorruptRecompute: a blob that rots on disk between processes
 // is detected, quarantined, counted, recomputed, and rewritten — and the
 // rewrite serves the next restart from disk again.
