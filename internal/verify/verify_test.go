@@ -11,7 +11,7 @@ import (
 )
 
 // benchCase builds one bench-backed case, optionally sabotaged.
-func benchCase(t *testing.T, name, technique string, sabotage int) crashtest.Case {
+func benchCase(t testing.TB, name, technique string, sabotage int) crashtest.Case {
 	t.Helper()
 	cases, err := crashtest.BenchCases([]string{name}, []string{technique}, 1)
 	if err != nil {
