@@ -92,15 +92,15 @@ type Config struct {
 	// that state behind. The state must have been captured from the same
 	// module. Mutually exclusive with Inputs and PrewarmVM (a resumed
 	// state already fixes NVM contents). A resumed run executes like any
-	// other: batched unless an Observer, Hook or schedule steps it.
+	// other: batched unless an Observer or schedule steps it.
 	Resume *PersistentState
 
 	// Hook, when non-nil, observes every schedulable injection point of
-	// the run together with a canonical hash of the persistent state at
-	// that point (see PointVisit). The model checker in internal/verify
-	// is built on Hook + Resume. A hooked run steps every instruction
-	// (each boundary is a visit) but computes the same Result as the
-	// unhooked run.
+	// the run, one window of unchanged persistent state at a time,
+	// together with a canonical hash of that state (see PointVisit and
+	// Hook). The model checker in internal/verify is built on Hook +
+	// Resume. A hooked run batches where the unhooked run batches and
+	// computes the same Result.
 	Hook Hook
 
 	// Observer, when non-nil, receives the full cycle-stamped event
