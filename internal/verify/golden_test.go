@@ -36,7 +36,9 @@ type goldenReport struct {
 
 // TestVerifyGolden pins the verifier's answers byte for byte: crc and
 // randmath under each of the five techniques, plus the two sabotaged
-// placements the verify benchmark sweeps. The counts — states, edges,
+// placements the verify benchmark sweeps, plus two sabotaged placements
+// at a TBPF so large that the counterexample lies below the root and is
+// confirmed and shrunk by a continuous replay. The counts — states, edges,
 // dedup hits, depth — are what the search did, not just what it
 // concluded, so an engine change that alters which injection points a
 // hooked run reports, or how their states hash apart, shows here even
@@ -50,10 +52,18 @@ func TestVerifyGolden(t *testing.T) {
 	cases = append(cases,
 		benchCase(t, "randmath", "Alfred", 1),
 		benchCase(t, "crc", "Ratchet", 2))
+	for _, name := range []string{"randmath", "crc"} {
+		cs := benchCase(t, name, "Ratchet", 2)
+		cs.TBPF = 100_000_000
+		cases = append(cases, cs)
+	}
 
 	var lines [][]byte
 	for _, cs := range cases {
 		g := goldenReport{Case: fmt.Sprintf("%s/%s sabotage=%d", cs.Name, cs.Technique, cs.Sabotage)}
+		if cs.TBPF != 0 {
+			g.Case += fmt.Sprintf(" tbpf=%d", cs.TBPF)
+		}
 		rep, err := Run(context.Background(), cs, Options{})
 		switch {
 		case crashtest.IsSkip(err):
