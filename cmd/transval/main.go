@@ -25,6 +25,7 @@ import (
 
 	"schematic/internal/bench"
 	"schematic/internal/cli"
+	"schematic/internal/ndjson"
 	"schematic/internal/transval"
 )
 
@@ -105,7 +106,7 @@ func main() {
 	}
 
 	if *out != "" && len(findings) > 0 {
-		fail(cli.WriteTo(*out, func(w io.Writer) error { return transval.WriteFindings(w, findings) }))
+		fail(cli.WriteTo(*out, func(w io.Writer) error { return ndjson.Write(w, findings) }))
 		fmt.Printf("transval: wrote %d repro(s) to %s\n", len(findings), *out)
 	}
 	if len(findings) > 0 {
@@ -118,7 +119,7 @@ func main() {
 func runReplay(path string, opts transval.Options) int {
 	f, err := os.Open(path)
 	fail(err)
-	findings, err := transval.ReadFindings(f)
+	findings, err := ndjson.Read[transval.Finding](f)
 	f.Close()
 	fail(err)
 	if len(findings) == 0 {

@@ -121,11 +121,17 @@ func (sg *scopeGraph) succs(n *node) []succEdge {
 	return out
 }
 
+// maxPaths caps path enumeration per scope. Blocks a capped enumeration
+// misses are pinned to NVM behind checkpoints (see analyzeScope), which
+// is always safe, so the cap trades placement quality on huge scopes for
+// analysis time and never correctness.
+const maxPaths = 2048
+
 // enumeratePaths lists the acyclic paths of the scope from its entry to
 // its exits, capped at maxPaths, sorted by profiled frequency (descending,
 // never-executed last — paper III-A3). freq supplies edge traversal
 // counts; nil makes all paths equal.
-func (sg *scopeGraph) enumeratePaths(maxPaths int, freq func(ir.Edge) int64) []*pathT {
+func (sg *scopeGraph) enumeratePaths(freq func(ir.Edge) int64) []*pathT {
 	var paths []*pathT
 	var cur []step
 	onPath := map[*node]bool{}

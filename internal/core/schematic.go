@@ -73,8 +73,6 @@ type Config struct {
 	// Profile supplies path frequencies and loop trip estimates; nil makes
 	// the analysis purely static (all paths equally frequent).
 	Profile *trace.Profile
-	// MaxPaths caps path enumeration per scope (0 = 2048).
-	MaxPaths int
 	// DisableVM turns off VM allocation entirely: the All-NVM ablation of
 	// the paper's Fig. 7. Checkpoint placement still runs.
 	DisableVM bool
@@ -123,9 +121,6 @@ func Apply(m *ir.Module, conf Config) (*Stats, error) {
 	}
 	if conf.VMSize < 0 {
 		return nil, fmt.Errorf("schematic: Config.VMSize must be non-negative")
-	}
-	if conf.MaxPaths == 0 {
-		conf.MaxPaths = 2048
 	}
 	if len(ir.Checkpoints(m)) != 0 {
 		return nil, fmt.Errorf("schematic: module already contains checkpoints")

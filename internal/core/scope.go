@@ -18,7 +18,7 @@ func (a *analyzer) edgeFreq(e ir.Edge) int64 {
 // analyzeScope runs the path-by-path analysis of III-A over one scope.
 func (a *analyzer) analyzeScope(sg *scopeGraph) error {
 	a.stats.ScopesAnalyzed++
-	paths := sg.enumeratePaths(a.conf.MaxPaths, a.edgeFreq)
+	paths := sg.enumeratePaths(a.edgeFreq)
 	for _, p := range paths {
 		if !sg.containsUnanalyzed(p) {
 			continue

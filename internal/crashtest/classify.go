@@ -104,11 +104,6 @@ func (r *recorder) Event(e emulator.Event) {
 	}
 }
 
-// maxSteps caps an injected run relative to the baseline's length.
-func (o Options) maxSteps(baselineSteps int64) int64 {
-	return o.MaxStepsFactor*baselineSteps + 10_000
-}
-
 // Classify judges a finished emulator run (or its error) against the
 // oracle — runOnce's classification without the ledger reconciliation,
 // for callers that executed the run themselves (the model checker's

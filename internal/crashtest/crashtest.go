@@ -13,6 +13,7 @@
 package crashtest
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -32,7 +33,8 @@ import (
 // knobs that make the whole pipeline reproducible. The zero values of
 // the optional fields select documented defaults, so a serialized case
 // stays meaningful as defaults evolve only if normalized first; Hunt
-// and Replay normalize internally.
+// and Replay normalize internally. A negative TBPF or Sabotage is
+// refused with a ConfigError.
 type Case struct {
 	Name   string `json:"name"`
 	Source string `json:"source"`
@@ -64,10 +66,10 @@ type Case struct {
 }
 
 // Options tunes a hunt. Zero values select the defaults documented on
-// each field.
+// each field; a negative count is a mistake Validate refuses. The step
+// cap, the failures per random or stride schedule and the shrink budget
+// are fixed (see TESTING.md).
 type Options struct {
-	Model *energy.Model // nil = MSP430FR5969
-
 	// ExhaustiveStepLimit: when the baseline run has at most this many
 	// steps, every instruction boundary is injected individually
 	// (exhaustive enumeration); above it, SampledSteps boundaries are
@@ -79,20 +81,9 @@ type Options struct {
 	// SampledSaves bounds the save attempts probed with the three
 	// save-phase injections (before/mid/after). 0 = 6.
 	SampledSaves int
-	// RandomSchedules is the number of seeded-random schedules per case
-	// (0 = 4); RandomFailures bounds each one's induced failures (0 = 4,
-	// kept below the emulator's stagnation threshold so injections alone
-	// can never fake a Stuck verdict).
+	// RandomSchedules is the number of seeded-random schedules per case.
+	// 0 = 4.
 	RandomSchedules int
-	RandomFailures  int
-	// MaxStepsFactor caps every injected run at factor×baseline steps
-	// (plus slack), so a runaway case cannot stall the hunt. 0 = 24.
-	MaxStepsFactor int64
-
-	// NoShrink skips counterexample minimization; ShrinkBudget bounds the
-	// re-executions shrinking may spend (0 = 200).
-	NoShrink     bool
-	ShrinkBudget int
 
 	// AssumeAnytime injects into wait-style placements too. By default the
 	// hunter honors each technique's failure contract: wait-style runtimes
@@ -112,10 +103,52 @@ type Options struct {
 	Deadline time.Time
 }
 
-func (o Options) withDefaults() Options {
-	if o.Model == nil {
-		o.Model = energy.MSP430FR5969()
+const (
+	// randomFailures bounds the failures each random or stride schedule
+	// induces: below the emulator's stagnation threshold of 8, so
+	// injections alone can never fake a Stuck verdict.
+	randomFailures = 4
+	// shrinkBudget bounds the re-executions shrinking one finding's
+	// failure-point list may spend.
+	shrinkBudget = 200
+)
+
+// stepCap caps every run after a case's baseline at 24× the baseline's
+// steps plus slack, so a runaway case cannot stall the hunt.
+func stepCap(baselineSteps int64) int64 {
+	return 24*baselineSteps + 10_000
+}
+
+// ConfigError reports a Case or Options field that fails validation, as
+// emulator.ConfigError does for an emulator.Config. The checkers refuse
+// a caller's mistake before any run instead of blaming it on the
+// placement under test.
+type ConfigError struct {
+	Field  string // a field qualified by its struct, as "Options.MaxStates", or a flag
+	Reason string
+}
+
+func (e *ConfigError) Error() string { return fmt.Sprintf("invalid %s: %s", e.Field, e.Reason) }
+
+// NotNegative returns a ConfigError naming field when v is negative.
+func NotNegative(field string, v int64) error {
+	if v < 0 {
+		return &ConfigError{Field: field, Reason: fmt.Sprintf("must not be negative, got %d", v)}
 	}
+	return nil
+}
+
+// Validate refuses a negative count.
+func (o Options) Validate() error {
+	return cmp.Or(
+		NotNegative("Options.ExhaustiveStepLimit", o.ExhaustiveStepLimit),
+		NotNegative("Options.SampledSteps", int64(o.SampledSteps)),
+		NotNegative("Options.SampledSaves", int64(o.SampledSaves)),
+		NotNegative("Options.RandomSchedules", int64(o.RandomSchedules)),
+	)
+}
+
+func (o Options) withDefaults() Options {
 	if o.ExhaustiveStepLimit == 0 {
 		o.ExhaustiveStepLimit = 1200
 	}
@@ -127,15 +160,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RandomSchedules == 0 {
 		o.RandomSchedules = 4
-	}
-	if o.RandomFailures == 0 {
-		o.RandomFailures = 4
-	}
-	if o.MaxStepsFactor == 0 {
-		o.MaxStepsFactor = 24
-	}
-	if o.ShrinkBudget == 0 {
-		o.ShrinkBudget = 200
 	}
 	return o
 }
@@ -234,7 +258,7 @@ type Built struct {
 // Module is the transformed (and possibly sabotaged) module under test.
 func (b *Built) Module() *ir.Module { return b.mod }
 
-// Model is the resolved energy model.
+// Model is the energy model: the MSP430FR5969's.
 func (b *Built) Model() *energy.Model { return b.model }
 
 // Inputs is the case's deterministic workload (do not mutate).
@@ -246,15 +270,23 @@ func (b *Built) EB() float64 { return b.eb }
 // Case returns the normalized case.
 func (b *Built) Case() Case { return b.cs }
 
-// Prepare runs the case pipeline: regenerate/verify the source, compile,
-// oracle run, profile, transform, sabotage.
+// Prepare validates opts, then runs the case pipeline: regenerate/verify
+// the source, compile, oracle run, profile, transform, sabotage.
 func Prepare(cs Case, opts Options) (*Built, error) {
-	opts = opts.withDefaults()
-	return build(cs, opts)
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	return build(cs)
 }
 
-func build(cs Case, opts Options) (*Built, error) {
+func build(cs Case) (*Built, error) {
 	cs = cs.normalized()
+	// A negative TBPF or Sabotage is a mistake, not a smaller budget or
+	// an intact placement.
+	if err := cmp.Or(NotNegative("Case.TBPF", cs.TBPF), NotNegative("Case.Sabotage", int64(cs.Sabotage))); err != nil {
+		return nil, fmt.Errorf("crashtest: case %s: %w", cs.Name, err)
+	}
+	model := energy.MSP430FR5969()
 	if cs.Fuzz != nil {
 		src, err := cs.Fuzz.CaseSource(cs.Source)
 		if err != nil {
@@ -270,14 +302,14 @@ func build(cs Case, opts Options) (*Built, error) {
 		return nil, fmt.Errorf("crashtest: case %s: %w", cs.Name, err)
 	}
 	inputs := trace.RandomInputs(m, rand.New(rand.NewSource(cs.InputSeed)))
-	oracle, err := emulator.Run(m, emulator.Config{Model: opts.Model, Inputs: inputs})
+	oracle, err := emulator.Run(m, emulator.Config{Model: model, Inputs: inputs})
 	if err != nil {
 		return nil, fmt.Errorf("crashtest: case %s: oracle: %w", cs.Name, err)
 	}
 	if oracle.Verdict != emulator.Completed {
 		return nil, fmt.Errorf("crashtest: case %s: oracle run %v (must complete on continuous power)", cs.Name, oracle.Verdict)
 	}
-	prof, err := trace.Collect(m, trace.Options{Runs: cs.ProfileRuns, Seed: cs.InputSeed, Model: opts.Model})
+	prof, err := trace.Collect(m, trace.Options{Runs: cs.ProfileRuns, Seed: cs.InputSeed, Model: model})
 	if err != nil {
 		return nil, fmt.Errorf("crashtest: case %s: profile: %w", cs.Name, err)
 	}
@@ -289,7 +321,7 @@ func build(cs Case, opts Options) (*Built, error) {
 	// varying schedules; validate it once here so a bad case surfaces as
 	// a build error instead of a wall of emulator-error outcomes.
 	if err := (emulator.Config{
-		Model: opts.Model, VMSize: cs.VMSize, Intermittent: true, EB: eb,
+		Model: model, VMSize: cs.VMSize, Intermittent: true, EB: eb,
 	}).Validate(); err != nil {
 		return nil, fmt.Errorf("crashtest: case %s: %w", cs.Name, err)
 	}
@@ -302,7 +334,7 @@ func build(cs Case, opts Options) (*Built, error) {
 		return nil, &SkipError{Reason: fmt.Sprintf("%s does not support %s at SVM=%d", cs.Technique, cs.Name, cs.VMSize)}
 	}
 	if err := tech.Apply(clone, baselines.Params{
-		Model:   opts.Model,
+		Model:   model,
 		Budget:  eb,
 		VMSize:  cs.VMSize,
 		Profile: prof,
@@ -314,7 +346,7 @@ func build(cs Case, opts Options) (*Built, error) {
 			return nil, err
 		}
 	}
-	return &Built{cs: cs, model: opts.Model, mod: clone, inputs: inputs, oracle: oracle, eb: eb}, nil
+	return &Built{cs: cs, model: model, mod: clone, inputs: inputs, oracle: oracle, eb: eb}, nil
 }
 
 // IsSkip reports whether err marks a skipped (rather than failed) case.

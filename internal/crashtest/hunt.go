@@ -121,7 +121,7 @@ func enumerate(baseline *emulator.Result, cs Case, opts Options) []candidate {
 			label: fmt.Sprintf("stride(%d)", n),
 			make: func() emulator.PowerSchedule {
 				return emulator.Schedules(emulator.Exhaustion(),
-					emulator.StrideSchedule(n, opts.RandomFailures))
+					emulator.StrideSchedule(n, randomFailures))
 			},
 		})
 	}
@@ -134,27 +134,30 @@ func enumerate(baseline *emulator.Result, cs Case, opts Options) []candidate {
 			label: fmt.Sprintf("random(seed=%d,mean=%d)", seed, mean),
 			make: func() emulator.PowerSchedule {
 				return emulator.Schedules(emulator.Exhaustion(),
-					emulator.RandomSchedule(seed, mean, opts.RandomFailures))
+					emulator.RandomSchedule(seed, mean, randomFailures))
 			},
 		})
 	}
 	return cands
 }
 
-// Hunt builds the case, passes it through the baseline gate (see
-// Baseline), then tries every adversarial schedule. It returns nil when
-// no violation exists, a shrunk Finding when one does, and an error
-// (SkipError for ineligible cases) otherwise. A context deadline
+// Hunt validates opts, builds the case, passes it through the baseline
+// gate (see Baseline), then tries every adversarial schedule. It returns
+// nil when no violation exists, a shrunk Finding when one does, and an
+// error (SkipError for ineligible cases) otherwise. A context deadline
 // tightens Options.Deadline (the hunt reports a skip when it expires
 // mid-enumeration); cancellation returns ctx.Err() directly.
 func Hunt(ctx context.Context, cs Case, opts Options) (*Finding, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	ctxDeadline, _ := ctx.Deadline()
 	opts.Deadline = earliest(opts.Deadline, ctxDeadline)
-	b, err := build(cs, opts)
+	b, err := build(cs)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +175,7 @@ func Hunt(ctx context.Context, cs Case, opts Options) (*Finding, error) {
 		if out.Class == ClassNone {
 			continue
 		}
-		return confirm(b, cand.label, out, base.MaxSteps, opts)
+		return b.Confirm(cand.label, out.Points, out.Class, base.MaxSteps)
 	}
 	return nil, nil
 }
@@ -197,7 +200,6 @@ type Gate struct {
 // with zero power failures at any EB it accepted, so for it any failure,
 // or any power failure at all, is the finding.
 func (b *Built) Baseline(opts Options, foundBy string) (Gate, error) {
-	opts = opts.withDefaults()
 	out := b.runOnce(emulator.Exhaustion(), 0)
 	wait := WaitOnly(b.mod) && !opts.AssumeAnytime
 	g := Gate{Res: out.Res}
@@ -214,77 +216,46 @@ func (b *Built) Baseline(opts Options, foundBy string) (Gate, error) {
 		g.Finding = finding(ClassForwardProgress,
 			fmt.Sprintf("wait-style placement hit %d unplanned power failures (segments exceed EB)", out.Res.PowerFailures))
 	default:
-		g.MaxSteps = opts.maxSteps(out.Res.Steps)
+		g.MaxSteps = stepCap(out.Res.Steps)
 		g.WaitContract = wait
 	}
 	return g, nil
 }
 
-// ConfirmSpec replays an externally discovered failure-point trace (a
-// model-checker counterexample), shrinks it, and packages the Finding.
-// Unlike confirm, the replayed class is authoritative: the verifier's
-// resumed explorations start each leg with fresh stagnation watchdogs,
-// so a continuous replay of the same points may legitimately classify
-// differently (e.g. surface as forward-progress earlier) — any non-None
-// replayed class confirms the counterexample. A clean replay is an
-// error: the trace does not reproduce.
-func (b *Built) ConfirmSpec(foundBy string, points []PointSpec, maxSteps int64, opts Options) (*Finding, error) {
-	opts = opts.withDefaults()
+// Confirm replays a failure-point trace as one continuous schedule,
+// shrinks it, and packages the Finding. want is the class the replay
+// must show: the hunt requires the class its schedule found, since its
+// trace only normalizes that schedule. The model checker passes
+// ClassNone, which accepts any violation: its resumed legs start with
+// fresh stagnation watchdogs, so a continuous replay of the same points
+// may legitimately classify differently (e.g. surface as
+// forward-progress earlier). A replay that shows another class, or no
+// violation, is an error instead of a broken repro.
+func (b *Built) Confirm(foundBy string, points []PointSpec, want Class, maxSteps int64) (*Finding, error) {
 	spec := ScheduleSpec{Exhaust: true, Points: points}
 	replayed, err := b.runSpec(spec, maxSteps)
 	if err != nil {
 		return nil, err
 	}
-	if replayed.Class == ClassNone {
+	switch {
+	case want != ClassNone && replayed.Class != want:
+		return nil, fmt.Errorf("crashtest: case %s: %s found %s but its trace %s replays as %q",
+			b.cs.Name, foundBy, want, spec, replayed.Class)
+	case replayed.Class == ClassNone:
 		return nil, fmt.Errorf("crashtest: case %s: %s counterexample %s does not reproduce (replays clean)",
 			b.cs.Name, foundBy, spec)
 	}
-	if !opts.NoShrink {
-		budget := opts.ShrinkBudget
-		spec.Points = shrinkPoints(b, spec.Points, replayed.Class, maxSteps, &budget)
-		final, err := b.runSpec(ScheduleSpec{Exhaust: true, Points: spec.Points}, maxSteps)
-		if err != nil {
-			return nil, err
-		}
-		replayed = final
-	}
-	return &Finding{
-		Case:     b.cs,
-		Schedule: ScheduleSpec{Exhaust: true, Points: spec.Points},
-		Class:    replayed.Class,
-		Detail:   replayed.Detail,
-		FoundBy:  foundBy,
-	}, nil
-}
-
-// confirm normalizes a violation into a replayable trace spec, verifies
-// it reproduces deterministically, shrinks it, and packages the Finding.
-func confirm(b *Built, foundBy string, out Outcome, maxSteps int64, opts Options) (*Finding, error) {
-	spec := ScheduleSpec{Exhaust: true, Points: out.Points}
-	replayed, err := b.runSpec(spec, maxSteps)
+	budget := shrinkBudget
+	spec.Points = shrinkPoints(b, spec.Points, replayed.Class, maxSteps, &budget)
+	final, err := b.runSpec(spec, maxSteps)
 	if err != nil {
 		return nil, err
 	}
-	if replayed.Class != out.Class {
-		// The normalized trace does not reproduce the raw schedule's
-		// violation — report the discrepancy instead of a broken repro.
-		return nil, fmt.Errorf("crashtest: case %s: %s found %s but its trace %s replays as %q",
-			b.cs.Name, foundBy, out.Class, spec, replayed.Class)
-	}
-	if !opts.NoShrink {
-		budget := opts.ShrinkBudget
-		spec.Points = shrinkPoints(b, spec.Points, out.Class, maxSteps, &budget)
-		final, err := b.runSpec(ScheduleSpec{Exhaust: true, Points: spec.Points}, maxSteps)
-		if err != nil {
-			return nil, err
-		}
-		out = final
-	}
 	return &Finding{
 		Case:     b.cs,
-		Schedule: ScheduleSpec{Exhaust: true, Points: spec.Points},
-		Class:    out.Class,
-		Detail:   out.Detail,
+		Schedule: spec,
+		Class:    final.Class,
+		Detail:   final.Detail,
 		FoundBy:  foundBy,
 	}, nil
 }

@@ -14,6 +14,7 @@ import (
 	"schematic/internal/emulator"
 	"schematic/internal/fuzzgen"
 	"schematic/internal/harvest"
+	"schematic/internal/ndjson"
 )
 
 // fastOpts keeps hunts cheap in tests without changing their structure.
@@ -122,10 +123,10 @@ func TestSabotagedRatchetCounterexample(t *testing.T) {
 
 	// The serialized repro replays deterministically to the same class.
 	var buf bytes.Buffer
-	if err := WriteFindings(&buf, []Finding{*f}); err != nil {
+	if err := ndjson.Write(&buf, []Finding{*f}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFindings(&buf)
+	back, err := ndjson.Read[Finding](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestSabotagedRatchetCounterexample(t *testing.T) {
 		t.Fatalf("round trip produced %d findings", len(back))
 	}
 	for i := 0; i < 2; i++ {
-		out, err := Replay(back[0], Options{})
+		out, err := Replay(back[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func TestSabotagedWaitPlacement(t *testing.T) {
 	if f.FoundBy != "exhaustion" || len(f.Schedule.Points) != 0 {
 		t.Fatalf("wait-contract finding should come from plain exhaustion, got %s via %s", f.FoundBy, f.Schedule)
 	}
-	out, err := Replay(*f, Options{})
+	out, err := Replay(*f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +352,75 @@ func TestFuzzProgramShrinks(t *testing.T) {
 	if len(shrunk.Case.Source) > len(found.Case.Source) {
 		t.Fatalf("shrinking grew the program: %d -> %d bytes", len(found.Case.Source), len(shrunk.Case.Source))
 	}
-	out, err := Replay(*shrunk, Options{})
+	out, err := Replay(*shrunk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Class != shrunk.Class {
 		t.Fatalf("shrunk finding replays as %q, want %q", out.Class, shrunk.Class)
+	}
+}
+
+// wantConfigError fails the test unless err is a ConfigError naming field.
+func wantConfigError(t *testing.T, what string, err error, field string) {
+	t.Helper()
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Field != field {
+		t.Errorf("%s: err = %v, want a ConfigError naming %s", what, err, field)
+	}
+}
+
+// TestOptionsFailClosed: Hunt, Prepare and Hunter.Sweep refuse a
+// negative count with a ConfigError naming it. The case has no source, so building it
+// would fail with another error: the check precedes the build and so
+// every emulator run.
+func TestOptionsFailClosed(t *testing.T) {
+	unbuilt := Case{Name: "unbuilt", Technique: "Ratchet"}
+	for _, tc := range []struct {
+		field string
+		opts  Options
+	}{
+		{"Options.ExhaustiveStepLimit", Options{ExhaustiveStepLimit: -1}},
+		{"Options.SampledSteps", Options{SampledSteps: -1}},
+		{"Options.SampledSaves", Options{SampledSaves: -1}},
+		{"Options.RandomSchedules", Options{RandomSchedules: -1}},
+	} {
+		_, err := Hunt(context.Background(), unbuilt, tc.opts)
+		wantConfigError(t, "Hunt", err, tc.field)
+		_, err = Prepare(unbuilt, tc.opts)
+		wantConfigError(t, "Prepare", err, tc.field)
+		results := (&Hunter{Opts: tc.opts}).Sweep(context.Background(), []Case{unbuilt}, nil)
+		if len(results) != 1 || len(results[0].Cells) != 0 {
+			t.Fatalf("Sweep: results = %+v, want one case with no cells", results)
+		}
+		wantConfigError(t, "Sweep", results[0].Err, tc.field)
+		if err := tc.opts.Validate(); err == nil || err.Error() != "invalid "+tc.field+": must not be negative, got -1" {
+			t.Errorf("Validate: %v", err)
+		}
+	}
+}
+
+// TestCaseFailsClosed: a negative Sabotage or TBPF is refused by name,
+// not hunted as the intact placement or reported as the capacitor
+// budget it derives.
+func TestCaseFailsClosed(t *testing.T) {
+	for _, tc := range []struct {
+		field    string
+		sabotage int
+		tbpf     int64
+	}{
+		{"Case.Sabotage", -1, 0},
+		{"Case.TBPF", 0, -5},
+	} {
+		cs := benchCase(t, "crc", "Ratchet")
+		cs.Sabotage, cs.TBPF = tc.sabotage, tc.tbpf
+		f, err := Hunt(context.Background(), cs, fastOpts())
+		if f != nil {
+			t.Errorf("%s: finding %+v", tc.field, f)
+		}
+		wantConfigError(t, "Hunt", err, tc.field)
+		_, err = Replay(Finding{Case: cs, Schedule: ScheduleSpec{Exhaust: true}})
+		wantConfigError(t, "Replay", err, tc.field)
 	}
 }
 

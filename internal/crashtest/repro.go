@@ -1,55 +1,10 @@
 package crashtest
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
-// WriteFindings serializes findings as NDJSON, one repro per line. The
-// encoding is deterministic: struct field order is fixed and no maps are
-// involved.
-func WriteFindings(w io.Writer, findings []Finding) error {
-	enc := json.NewEncoder(w)
-	for i := range findings {
-		if err := enc.Encode(&findings[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadFindings parses an NDJSON repro stream, skipping blank lines.
-func ReadFindings(r io.Reader) ([]Finding, error) {
-	var out []Finding
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // sources can be long lines
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var f Finding
-		if err := json.Unmarshal(b, &f); err != nil {
-			return nil, fmt.Errorf("crashtest: repro line %d: %w", line, err)
-		}
-		out = append(out, f)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Replay rebuilds a finding's case from its serialized form (verifying
 // fuzz provenance) and re-executes its schedule. The returned outcome's
 // class matching f.Class is the determinism check replay tools assert.
-func Replay(f Finding, opts Options) (Outcome, error) {
-	opts = opts.withDefaults()
-	b, err := build(f.Case, opts)
+func Replay(f Finding) (Outcome, error) {
+	b, err := build(f.Case)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -58,7 +13,7 @@ func Replay(f Finding, opts Options) (Outcome, error) {
 	baseline := b.runOnce(nil, 0)
 	var maxSteps int64
 	if baseline.Res != nil {
-		maxSteps = opts.maxSteps(baseline.Res.Steps)
+		maxSteps = stepCap(baseline.Res.Steps)
 	}
 	return b.runSpec(f.Schedule, maxSteps)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"schematic/internal/ndjson"
 )
 
 func TestFindingsRoundTrip(t *testing.T) {
@@ -22,7 +24,7 @@ func TestFindingsRoundTrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteFindings(&buf, findings); err != nil {
+	if err := ndjson.Write(&buf, findings); err != nil {
 		t.Fatal(err)
 	}
 	// NDJSON: one line per finding, blank lines tolerated on read.
@@ -30,7 +32,7 @@ func TestFindingsRoundTrip(t *testing.T) {
 		t.Fatalf("serialized %d lines, want 2", got)
 	}
 	buf.WriteString("\n")
-	back, err := ReadFindings(&buf)
+	back, err := ndjson.Read[Finding](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestFindingsRoundTrip(t *testing.T) {
 
 func TestReadFindingsBadLine(t *testing.T) {
 	r := strings.NewReader("{\"class\":\"output-divergence\"}\nnot json\n")
-	if _, err := ReadFindings(r); err == nil || !strings.Contains(err.Error(), "line 2") {
+	if _, err := ndjson.Read[Finding](r); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line-numbered parse error", err)
 	}
 }
@@ -55,7 +57,7 @@ func TestReplayRejectsTamperedFuzzSource(t *testing.T) {
 	cases := FuzzCases(1, 1, []string{"Ratchet"}, 1)
 	f := Finding{Case: cases[0], Schedule: ScheduleSpec{Exhaust: true}, Class: ClassDivergence}
 	f.Case.Fuzz.Source = f.Case.Fuzz.Source + "\n// tampered"
-	if _, err := Replay(f, Options{}); err == nil {
+	if _, err := Replay(f); err == nil {
 		t.Fatal("replay accepted a repro whose source does not match its fuzz seed")
 	}
 
@@ -63,7 +65,7 @@ func TestReplayRejectsTamperedFuzzSource(t *testing.T) {
 	// provenance carries.
 	cs := FuzzCases(1, 1, []string{"Ratchet"}, 1)[0]
 	cs.Source += "\nfunc int extra() { return 1; }\n"
-	if _, err := Replay(Finding{Case: cs, Schedule: ScheduleSpec{Exhaust: true}, Class: ClassDivergence}, Options{}); err == nil {
+	if _, err := Replay(Finding{Case: cs, Schedule: ScheduleSpec{Exhaust: true}, Class: ClassDivergence}); err == nil {
 		t.Error("replay accepted a repro whose case source does not match its fuzz seed")
 	}
 	if _, err := Prepare(cs, Options{}); err == nil {

@@ -62,14 +62,18 @@ func (r PowerResult) String() string {
 // violation is its only cell, named "exhaustion". Unlike the hunt, a
 // wait-style placement that kept its contract is swept too: a harvested
 // supply, unlike an injected failure, stays within that contract.
+// Options that fail Validate are every case's Err, and nothing runs.
 func (h *Hunter) Sweep(ctx context.Context, cases []Case, scheds []NamedSchedule) []PowerResult {
-	opts := h.Opts.withDefaults()
+	invalid := h.Opts.Validate()
 	judge := func(ctx context.Context, cs Case, deadline time.Time) ([]SweepResult, error) {
-		b, err := build(cs, opts)
+		if invalid != nil {
+			return nil, invalid
+		}
+		b, err := build(cs)
 		if err != nil {
 			return nil, err
 		}
-		base, err := b.Baseline(opts, "exhaustion")
+		base, err := b.Baseline(h.Opts, "exhaustion")
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +93,7 @@ func (h *Hunter) Sweep(ctx context.Context, cases []Case, scheds []NamedSchedule
 		}
 		return cells, nil
 	}
-	return Drive(ctx, h.driver(), cases, opts.Deadline, judge, func(cs Case, cells []SweepResult, st Status) PowerResult {
+	return Drive(ctx, h.driver(), cases, h.Opts.Deadline, judge, func(cs Case, cells []SweepResult, st Status) PowerResult {
 		return PowerResult{Case: cs, Cells: cells, Status: st}
 	})
 }

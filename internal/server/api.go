@@ -31,6 +31,7 @@ import (
 
 	"schematic/internal/bench"
 	"schematic/internal/cli"
+	"schematic/internal/verify"
 )
 
 // Options are the request knobs shared by all four job endpoints. Each
@@ -148,7 +149,7 @@ func (r *Request) normalize(kind string) error {
 	if o.TBPF < 0 || o.EB < 0 || o.TimeoutMS < 0 {
 		return fmt.Errorf("tbpf, eb_nj and timeout_ms must not be negative")
 	}
-	if o.MaxStates < 0 || o.MaxDepth < 0 {
+	if (verify.Options{MaxStates: o.MaxStates, MaxDepth: o.MaxDepth}).Validate() != nil {
 		return fmt.Errorf("max_states and max_depth must not be negative")
 	}
 	if o.Power != "" {

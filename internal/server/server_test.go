@@ -336,6 +336,15 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 
+	// A negative model-checker bound fails verify.Options.Validate, and
+	// the body stays the one the daemon has always sent.
+	for _, o := range []Options{{Technique: "ratchet", MaxStates: -1}, {Technique: "ratchet", MaxDepth: -1}} {
+		want := `{"error":"max_states and max_depth must not be negative"}` + "\n"
+		if code, body, _ := post(t, ts, "verify", Request{Bench: "crc", Options: o}); code != http.StatusBadRequest || string(body) != want {
+			t.Errorf("verify %+v: status %d, body %q; want 400, %q", o, code, body, want)
+		}
+	}
+
 	// A program that does not compile is the request's fault: 422.
 	if code, body, _ := post(t, ts, "compile", Request{Source: "func void main() { oops }"}); code != http.StatusUnprocessableEntity {
 		t.Errorf("bad program: status %d, body %s", code, body)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"schematic/internal/ndjson"
 	"schematic/internal/opt"
 	"schematic/internal/transval"
 )
@@ -57,10 +58,10 @@ func TestSeededMiscompileIsBisected(t *testing.T) {
 
 	// The NDJSON repro must round-trip and replay to the same stage.
 	var buf bytes.Buffer
-	if err := transval.WriteFindings(&buf, []transval.Finding{*found}); err != nil {
+	if err := ndjson.Write(&buf, []transval.Finding{*found}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := transval.ReadFindings(&buf)
+	back, err := ndjson.Read[transval.Finding](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

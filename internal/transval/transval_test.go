@@ -8,6 +8,7 @@ import (
 
 	"schematic/internal/bench"
 	"schematic/internal/emulator"
+	"schematic/internal/ndjson"
 	"schematic/internal/transval"
 )
 
@@ -135,11 +136,11 @@ func TestFindingsRoundtrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := transval.WriteFindings(&buf, fs); err != nil {
+	if err := ndjson.Write(&buf, fs); err != nil {
 		t.Fatal(err)
 	}
 	first := buf.String()
-	got, err := transval.ReadFindings(&buf)
+	got, err := ndjson.Read[transval.Finding](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestFindingsRoundtrip(t *testing.T) {
 		t.Fatalf("roundtrip mismatch: %+v", got)
 	}
 	var again bytes.Buffer
-	if err := transval.WriteFindings(&again, got); err != nil {
+	if err := ndjson.Write(&again, got); err != nil {
 		t.Fatal(err)
 	}
 	if again.String() != first {

@@ -45,6 +45,11 @@ func (s *Sweeper) Run(ctx context.Context, cases []crashtest.Case) []SweepResult
 	judge := func(ctx context.Context, cs crashtest.Case, deadline time.Time) (*Report, error) {
 		opts := s.Opts
 		opts.Deadline = deadline
+		// Run validates too, but only after the logging default below
+		// would have replaced a negative ProgressEvery.
+		if err := opts.Validate(); err != nil {
+			return nil, err
+		}
 		if opts.Progress == nil && s.Log != nil {
 			id := fmt.Sprintf("%s/%s", cs.Name, cs.Technique)
 			opts.ProgressEvery = 5000

@@ -25,6 +25,7 @@
 package verify
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -32,7 +33,6 @@ import (
 
 	"schematic/internal/crashtest"
 	"schematic/internal/emulator"
-	"schematic/internal/energy"
 )
 
 // Verdict is the outcome of a verification run.
@@ -54,24 +54,15 @@ const (
 )
 
 // Options tunes a verification. Zero values select the documented
-// defaults.
+// defaults; a negative bound is a mistake Validate refuses. The step cap
+// and the shrink budget are crashtest's, and fixed.
 type Options struct {
-	Model *energy.Model // nil = MSP430FR5969
-
 	// MaxDepth bounds the number of chained injections (graph depth
 	// from the cold root). 0 = 64.
 	MaxDepth int
 	// MaxStates bounds the distinct persistent states enqueued. 0 =
 	// 200_000.
 	MaxStates int
-	// MaxStepsFactor caps every resumed exploration run at
-	// factor×root-baseline steps plus slack (crashtest's cap). 0 = 24.
-	MaxStepsFactor int64
-
-	// NoShrink / ShrinkBudget control counterexample minimization,
-	// exactly as in crashtest.Options.
-	NoShrink     bool
-	ShrinkBudget int
 
 	// AssumeAnytime explores wait-style placements too instead of
 	// verifying their no-failure contract (see crashtest.Options).
@@ -86,6 +77,17 @@ type Options struct {
 	// ProgressEvery is the number of explored states between Progress
 	// calls. 0 = 100.
 	ProgressEvery int
+}
+
+// Validate refuses a negative bound with a crashtest.ConfigError: a
+// bound is part of the question a verdict answers, so a wrong one is
+// not searched.
+func (o Options) Validate() error {
+	return cmp.Or(
+		crashtest.NotNegative("Options.MaxDepth", int64(o.MaxDepth)),
+		crashtest.NotNegative("Options.MaxStates", int64(o.MaxStates)),
+		crashtest.NotNegative("Options.ProgressEvery", int64(o.ProgressEvery)),
+	)
 }
 
 // Progress is a periodic snapshot of the search.
@@ -136,18 +138,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// crashtestOptions projects the verifier's knobs onto the crashtest
-// options used for case preparation and counterexample confirmation.
-func (o Options) crashtestOptions() crashtest.Options {
-	return crashtest.Options{
-		Model:          o.Model,
-		MaxStepsFactor: o.MaxStepsFactor,
-		NoShrink:       o.NoShrink,
-		ShrinkBudget:   o.ShrinkBudget,
-		AssumeAnytime:  o.AssumeAnytime,
-	}
-}
-
 // node is one frontier entry: a persistent state plus the injection
 // path that reached it. The cold root has a nil state.
 type node struct {
@@ -166,7 +156,8 @@ type node struct {
 	cumSaves int64
 }
 
-// Run verifies one case. It returns a SkipError (via crashtest) for
+// Run verifies one case. It returns a crashtest.ConfigError for options
+// that fail Validate, before any run; a SkipError (via crashtest) for
 // cases the verifier cannot judge — the same ineligibility rules as
 // Hunt — and ctx.Err() on cancellation.
 func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) {
@@ -174,11 +165,14 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	if d, ok := ctx.Deadline(); ok && (opts.Deadline.IsZero() || d.Before(opts.Deadline)) {
 		opts.Deadline = d
 	}
-	ctOpts := opts.crashtestOptions()
+	ctOpts := crashtest.Options{AssumeAnytime: opts.AssumeAnytime}
 	b, err := crashtest.Prepare(cs, ctOpts)
 	if err != nil {
 		return nil, err
@@ -316,7 +310,7 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 			// pipeline; the continuous replay's class is authoritative
 			// (watchdog state accumulates across legs there).
 			confirmSteps := base.MaxSteps * int64(len(n.path)+1)
-			f, err := b.ConfirmSpec("verify-exhaustive", n.path, confirmSteps, ctOpts)
+			f, err := b.Confirm("verify-exhaustive", n.path, crashtest.ClassNone, confirmSteps)
 			if err != nil {
 				return nil, fmt.Errorf("verify: case %s: state at depth %d is %s but %w",
 					ncs.Name, n.depth, out.Class, err)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
 	"schematic/internal/crashtest"
+	"schematic/internal/ndjson"
 )
 
 // benchCase builds one bench-backed case, optionally sabotaged.
@@ -74,10 +76,10 @@ func TestCounterexampleReplaysDeterministically(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := crashtest.WriteFindings(&buf, []crashtest.Finding{f}); err != nil {
+	if err := ndjson.Write(&buf, []crashtest.Finding{f}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := crashtest.ReadFindings(&buf)
+	back, err := ndjson.Read[crashtest.Finding](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestCounterexampleReplaysDeterministically(t *testing.T) {
 		t.Fatalf("round trip returned %d findings", len(back))
 	}
 	for i := 0; i < 2; i++ {
-		out, err := crashtest.Replay(back[0], crashtest.Options{})
+		out, err := crashtest.Replay(back[0])
 		if err != nil {
 			t.Fatalf("replay %d: %v", i, err)
 		}
@@ -203,5 +205,31 @@ func TestCancellation(t *testing.T) {
 	_, err := Run(ctx, benchCase(t, "crc", "Ratchet", 0), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestOptionsFailClosed: Run and a logging Sweeper refuse a negative
+// bound with a crashtest.ConfigError naming it, instead of a bounded or
+// counterexample verdict. The case has no source, so building it would
+// fail with another error: the check precedes every emulator run.
+func TestOptionsFailClosed(t *testing.T) {
+	unbuilt := crashtest.Case{Name: "unbuilt", Technique: "Ratchet"}
+	for _, tc := range []struct {
+		field string
+		opts  Options
+	}{
+		{"Options.MaxDepth", Options{MaxDepth: -1}},
+		{"Options.MaxStates", Options{MaxStates: -1}},
+		{"Options.ProgressEvery", Options{ProgressEvery: -1}},
+	} {
+		rep, err := Run(context.Background(), unbuilt, tc.opts)
+		var ce *crashtest.ConfigError
+		if rep != nil || !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s: report %+v, err %v; want a ConfigError naming it", tc.field, rep, err)
+		}
+		r := (&Sweeper{Opts: tc.opts, Log: io.Discard}).Run(context.Background(), []crashtest.Case{unbuilt})[0]
+		if r.Report != nil || !errors.As(r.Err, &ce) || ce.Field != tc.field {
+			t.Errorf("Sweeper, %s: report %+v, err %v; want a ConfigError naming it", tc.field, r.Report, r.Err)
+		}
 	}
 }
