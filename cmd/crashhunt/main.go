@@ -33,8 +33,9 @@
 // Exit status: 0 = no violations, 1 = confirmed violations (or, with
 // -replay, a repro that no longer reproduces), 2 = infrastructure errors
 // or a flag mistake. A negative -sabotage or -tbpf (each case's
-// Case.Sabotage/Case.TBPF) or -max-states or -max-depth (the verifier's
-// Options) is refused as a crashtest.ConfigError before any emulator run.
+// Case.Sabotage/Case.TBPF), -max-states or -max-depth (the verifier's
+// Options), or -jobs, -timeout or -budget (the case driver's) is refused
+// as a crashtest.ConfigError before any emulator run.
 package main
 
 import (

@@ -9,20 +9,30 @@ import (
 )
 
 // TestExitStatus builds the command and checks the exit status of the
-// power sweep and of the flag combinations it rejects.
+// power sweep and of the flag combinations and values it rejects.
 func TestExitStatus(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "crashhunt")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 	power := []string{"-benches", "crc", "-techs", "Ratchet", "-power", "solar"}
-	for _, tc := range []struct {
+	type exitCase struct {
 		name   string
 		args   []string
 		status int
 		stdout string // required on stdout
 		stderr string // required on stderr
-	}{
+	}
+	// A negative worker count, case timeout or budget is refused in every
+	// mode before any case runs, not taken as NumCPU workers or no bound.
+	var drivers []exitCase
+	for _, mode := range [][]string{{}, {"-exhaustive"}, {"-power", "solar"}} {
+		for _, flag := range [][]string{{"-timeout", "-1s", "Driver.CaseTimeout"}, {"-budget", "-1s", "Driver.Budget"}, {"-jobs", "-1", "Driver.Jobs"}} {
+			args := append([]string{"-benches", "crc", "-techs", "Ratchet", flag[0], flag[1]}, mode...)
+			drivers = append(drivers, exitCase{"negative " + strings.Join(args[4:], " "), args, 2, "", "invalid " + flag[2]})
+		}
+	}
+	for _, tc := range append([]exitCase{
 		// The sabotaged placement already diverges under plain exhaustion:
 		// the power sweep's baseline gate reports it, as the hunt does.
 		{"sabotaged power sweep", append([]string{"-sabotage", "2"}, power...), 1,
@@ -37,7 +47,7 @@ func TestExitStatus(t *testing.T) {
 		{"negative -max-depth", []string{"-benches", "crc", "-techs", "Ratchet", "-exhaustive", "-max-depth", "-1"}, 2, "", "invalid Options.MaxDepth"},
 		{"negative -sabotage", []string{"-benches", "crc", "-techs", "Ratchet", "-sabotage", "-1"}, 2, "", "invalid Case.Sabotage"},
 		{"negative -tbpf", []string{"-benches", "crc", "-techs", "Ratchet", "-tbpf", "-1"}, 2, "", "invalid Case.TBPF"},
-	} {
+	}, drivers...) {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder
 			cmd := exec.Command(bin, tc.args...)

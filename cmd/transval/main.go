@@ -14,7 +14,8 @@
 //
 // Exit status: 0 = the whole corpus validates, 1 = mismatches found (or,
 // with -replay, a repro that no longer reproduces), 2 = infrastructure
-// errors.
+// errors or a flag mistake: a negative -tbpf is refused
+// (transval.Options.Validate) before any run.
 package main
 
 import (
@@ -59,6 +60,7 @@ func main() {
 	if *techs != "all" && *techs != "" {
 		opts.Techniques = cli.SplitList(*techs)
 	}
+	fail(opts.Validate())
 
 	if *replay != "" {
 		os.Exit(runReplay(*replay, opts))

@@ -157,11 +157,11 @@ func TestCountsResume(t *testing.T) {
 	var states []*emulator.PersistentState
 	capture := base
 	capture.Inputs = inputs
-	capture.Hook = func(v emulator.PointVisit, state func() *emulator.PersistentState) {
+	capture.Hook = &emulator.Hook{Window: func(v emulator.PointVisit, state func() *emulator.PersistentState) {
 		if v.Kind == emulator.PointAfterSave {
 			states = append(states, state())
 		}
-	}
+	}}
 	full, err := emulator.Run(m, capture)
 	if err != nil {
 		t.Fatal(err)

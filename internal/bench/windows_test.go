@@ -66,13 +66,13 @@ func checkWindows(t *testing.T, m *ir.Module, base emulator.Config) {
 		cfg := base
 		cfg.Observer = obs
 		var ws []emulator.PointVisit
-		cfg.Hook = func(v emulator.PointVisit, capture func() *emulator.PersistentState) {
+		cfg.Hook = &emulator.Hook{Window: func(v emulator.PointVisit, capture func() *emulator.PersistentState) {
 			if got := capture().Hash(); got != v.Hash {
 				t.Fatalf("window %d (%v@%d, span %d): captured state hashes %v, window %v",
 					len(ws), v.Kind, v.Occurrence, v.Span, got, v.Hash)
 			}
 			ws = append(ws, v)
-		}
+		}}
 		res, err := emulator.Run(m, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -120,15 +120,17 @@ func stepCap(baselineSteps int64) int64 {
 }
 
 // ConfigError reports a Case or Options field that fails validation, as
-// emulator.ConfigError does for an emulator.Config. The checkers refuse
-// a caller's mistake before any run instead of blaming it on the
-// placement under test.
+// emulator.ConfigError does for an emulator.Config, and unwraps to the
+// same emulator.ErrInvalidConfig. The checkers refuse a caller's mistake
+// before any run instead of blaming it on the placement under test.
 type ConfigError struct {
 	Field  string // a field qualified by its struct, as "Options.MaxStates", or a flag
 	Reason string
 }
 
 func (e *ConfigError) Error() string { return fmt.Sprintf("invalid %s: %s", e.Field, e.Reason) }
+
+func (e *ConfigError) Unwrap() error { return emulator.ErrInvalidConfig }
 
 // NotNegative returns a ConfigError naming field when v is negative.
 func NotNegative(field string, v int64) error {
@@ -266,6 +268,9 @@ func (b *Built) Inputs() map[string][]int64 { return b.inputs }
 
 // EB is the derived capacitor budget in nJ.
 func (b *Built) EB() float64 { return b.eb }
+
+// OracleOutput is the continuous-power oracle's output (do not mutate).
+func (b *Built) OracleOutput() []int64 { return b.oracle.Output }
 
 // Case returns the normalized case.
 func (b *Built) Case() Case { return b.cs }

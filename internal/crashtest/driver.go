@@ -15,7 +15,8 @@ import (
 // sampling hunt (Hunter.Run), the harvested power sweep (Hunter.Sweep)
 // and the model checker's verify.Sweeper. It judges a case list on a
 // worker pool (the internal/bench runner pattern). Its fields mean what
-// Hunter's fields of the same names mean.
+// Hunter's fields of the same names mean; a negative Jobs, CaseTimeout
+// or Budget is refused (see Drive).
 type Driver struct {
 	Jobs        int
 	CaseTimeout time.Duration
@@ -51,10 +52,20 @@ func (d *Driver) Logf(format string, args ...any) {
 // has expired; a SkipError or context error from judge skips it too, and
 // any other error is its Err. result combines the case, judge's verdict
 // (zero unless judge succeeded) and its Status; its String is the case's
-// log line.
+// log line. A driver field that fails validate is refused before any
+// case runs: every case's Err is the ConfigError naming it.
 func Drive[V any, R fmt.Stringer](ctx context.Context, d *Driver, cases []Case, deadline time.Time,
 	judge func(ctx context.Context, cs Case, deadline time.Time) (V, error),
 	result func(cs Case, v V, st Status) R) []R {
+	if err := d.validate(); err != nil {
+		results := make([]R, len(cases))
+		for i, cs := range cases {
+			var v V
+			results[i] = result(cs, v, Status{Err: err})
+			d.Logf("%s", results[i])
+		}
+		return results
+	}
 	var budget time.Time
 	if d.Budget > 0 {
 		budget = time.Now().Add(d.Budget)
@@ -95,6 +106,21 @@ func Drive[V any, R fmt.Stringer](ctx context.Context, d *Driver, cases []Case, 
 		return nil
 	})
 	return results
+}
+
+// validate refuses a negative worker count, case timeout or budget:
+// the pool would quietly take NumCPU workers, and a negative bound would
+// quietly bound nothing.
+func (d *Driver) validate() error {
+	for _, b := range []struct {
+		field string
+		v     time.Duration
+	}{{"Driver.CaseTimeout", d.CaseTimeout}, {"Driver.Budget", d.Budget}} {
+		if b.v < 0 {
+			return &ConfigError{Field: b.field, Reason: fmt.Sprintf("must not be negative, got %v", b.v)}
+		}
+	}
+	return NotNegative("Driver.Jobs", int64(d.Jobs))
 }
 
 // earliest returns the earliest non-zero time, or the zero time when

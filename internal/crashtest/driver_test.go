@@ -3,6 +3,7 @@ package crashtest_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"sort"
 	"strings"
@@ -24,9 +25,10 @@ type driven struct {
 
 // sweepConfig is the driver configuration every mode exposes.
 type sweepConfig struct {
-	jobs   int
-	budget time.Duration
-	log    io.Writer
+	jobs    int
+	timeout time.Duration
+	budget  time.Duration
+	log     io.Writer
 }
 
 // modes are the driver's three callers, each reduced to what the driver
@@ -36,7 +38,7 @@ var modes = []struct {
 	run  func(ctx context.Context, c sweepConfig, cases []crashtest.Case) []driven
 }{
 	{"Hunter", func(ctx context.Context, c sweepConfig, cases []crashtest.Case) []driven {
-		h := &crashtest.Hunter{Opts: quickOpts, Jobs: c.jobs, Budget: c.budget, Log: c.log}
+		h := &crashtest.Hunter{Opts: quickOpts, Jobs: c.jobs, CaseTimeout: c.timeout, Budget: c.budget, Log: c.log}
 		var out []driven
 		for _, r := range h.Run(ctx, cases) {
 			out = append(out, driven{r.Case, r.Skipped, r.Err})
@@ -44,7 +46,7 @@ var modes = []struct {
 		return out
 	}},
 	{"Sweeper", func(ctx context.Context, c sweepConfig, cases []crashtest.Case) []driven {
-		s := &verify.Sweeper{Jobs: c.jobs, Budget: c.budget, Log: c.log}
+		s := &verify.Sweeper{Jobs: c.jobs, CaseTimeout: c.timeout, Budget: c.budget, Log: c.log}
 		var out []driven
 		for _, r := range s.Run(ctx, cases) {
 			out = append(out, driven{r.Case, r.Skipped, r.Err})
@@ -52,7 +54,7 @@ var modes = []struct {
 		return out
 	}},
 	{"PowerSweep", func(ctx context.Context, c sweepConfig, cases []crashtest.Case) []driven {
-		h := &crashtest.Hunter{Jobs: c.jobs, Budget: c.budget, Log: c.log}
+		h := &crashtest.Hunter{Jobs: c.jobs, CaseTimeout: c.timeout, Budget: c.budget, Log: c.log}
 		solar := crashtest.NamedSchedule{Name: "solar", Make: func(eb float64) (emulator.PowerSchedule, error) {
 			return harvest.Capacitor{Env: harvest.Solar{}, Capacity: eb}.Schedule(), nil
 		}}
@@ -152,5 +154,40 @@ func TestHunterCancellation(t *testing.T) {
 			}
 			checkLog(t, log.String(), cases)
 		})
+	}
+}
+
+// TestDriverRefusesNegativeBounds: every mode refuses a negative worker
+// count, case timeout or budget before any case runs — each case's Err
+// is a ConfigError naming the field — instead of taking NumCPU workers
+// or running unbounded. The cases have no source, so judging one would
+// fail with another error.
+func TestDriverRefusesNegativeBounds(t *testing.T) {
+	cases := []crashtest.Case{{Name: "a", Technique: "Ratchet"}, {Name: "b", Technique: "Alfred"}}
+	for _, m := range modes {
+		for _, tc := range []struct {
+			field string
+			c     sweepConfig
+		}{
+			{"Driver.Jobs", sweepConfig{jobs: -1}},
+			{"Driver.CaseTimeout", sweepConfig{timeout: -time.Second}},
+			{"Driver.Budget", sweepConfig{budget: -time.Second}},
+		} {
+			t.Run(m.name+"/"+tc.field, func(t *testing.T) {
+				var log bytes.Buffer
+				tc.c.log = &log
+				results := m.run(context.Background(), tc.c, cases)
+				if len(results) != len(cases) {
+					t.Fatalf("results = %d, want %d", len(results), len(cases))
+				}
+				for i, r := range results {
+					var ce *crashtest.ConfigError
+					if r.cs.Name != cases[i].Name || !errors.As(r.err, &ce) || ce.Field != tc.field {
+						t.Errorf("case %s: skipped %q, err %v; want a ConfigError naming %s", r.cs.Name, r.skipped, r.err, tc.field)
+					}
+				}
+				checkLog(t, log.String(), cases)
+			})
+		}
 	}
 }

@@ -438,9 +438,6 @@ func (mc *machine) takeSnapshot(restores []int32, lazy bool, site int) {
 	}
 	mc.spareSnap = mc.snap
 	mc.snap = sn
-	if mc.track {
-		mc.refreshSnapLane()
-	}
 	if mc.res.PowerFailures > 0 {
 		if sn.done > mc.maxSnapDone {
 			mc.snapStagnation = 0
@@ -453,6 +450,12 @@ func (mc *machine) takeSnapshot(restores []int32, lazy bool, site int) {
 	}
 	if sn.done > mc.maxSnapDone {
 		mc.maxSnapDone = sn.done
+	}
+	if mc.track {
+		mc.refreshSnapLane()
+		// The key is taken here, at the window the commit opens, so the
+		// rest of the run starts exactly at the commit.
+		mc.offerKey()
 	}
 }
 

@@ -98,10 +98,11 @@ type Config struct {
 	// Hook, when non-nil, observes every schedulable injection point of
 	// the run, one window of unchanged persistent state at a time,
 	// together with a canonical hash of that state (see PointVisit and
-	// Hook). The model checker in internal/verify is built on Hook +
-	// Resume. A hooked run batches where the unhooked run batches and
-	// computes the same Result.
-	Hook Hook
+	// Hook), and may be offered a full-state key at every checkpoint
+	// commit and end the run there. The model checker in internal/verify
+	// is built on Hook + Resume. A hooked run that is not ended early
+	// batches where the unhooked run batches and computes the same Result.
+	Hook *Hook
 
 	// Observer, when non-nil, receives the full cycle-stamped event
 	// stream: block entries, returns, energy charges, checkpoint
@@ -136,6 +137,9 @@ const (
 	// finished. Distinct from Stuck: the stagnation watchdogs saw
 	// progress, there were just too many outages.
 	OutOfFailures
+	// Stopped: Hook.Commit ended the run at a checkpoint commit. Only a
+	// hooked run stops; its Result covers the run up to the commit.
+	Stopped
 )
 
 func (v Verdict) String() string {
@@ -150,6 +154,8 @@ func (v Verdict) String() string {
 		return "out-of-steps"
 	case OutOfFailures:
 		return "out-of-failures"
+	case Stopped:
+		return "stopped"
 	default:
 		return fmt.Sprintf("verdict(%d)", int(v))
 	}
@@ -259,6 +265,9 @@ func (cfg Config) Validate() error {
 		if _, ok := m.(Capacitor); ok {
 			caps = append(caps, m.Name())
 		}
+	}
+	if cfg.Hook != nil && cfg.Hook.Window == nil {
+		return &ConfigError{Field: "Hook", Reason: "Window must not be nil"}
 	}
 	if len(caps) > 1 {
 		return &ConfigError{Field: "Schedule", Reason: fmt.Sprintf("composes two capacitors, %s and %s; a run has one", caps[0], caps[1])}

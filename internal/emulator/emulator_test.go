@@ -435,6 +435,11 @@ func TestRunConfigErrors(t *testing.T) {
 	if _, err := Run(empty, baseCfg()); err == nil {
 		t.Errorf("Run accepted module without main")
 	}
+	cfg = baseCfg()
+	cfg.Hook = &Hook{Commit: func(CommitVisit) bool { return true }}
+	if _, err := Run(m, cfg); err == nil {
+		t.Errorf("Run accepted a Hook without a Window")
+	}
 }
 
 func TestOutOfSteps(t *testing.T) {

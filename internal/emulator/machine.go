@@ -143,7 +143,7 @@ type machine struct {
 	// every NVM write, counter bump, and snapshot commit updates the
 	// lanes below so each injection point's state hash costs O(1).
 	track     bool
-	hook      Hook
+	hook      *Hook
 	captureFn func() *PersistentState
 	// nvmLane/ctrLane are commutative 128-bit sums over per-cell hashes
 	// (order-independent, incrementally updated); snapLane is the

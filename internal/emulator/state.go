@@ -2,6 +2,7 @@ package emulator
 
 import (
 	"fmt"
+	"math"
 
 	"schematic/internal/ir"
 )
@@ -17,7 +18,9 @@ import (
 // unchanged persistent state, together with a canonical 128-bit hash of
 // that state — the two primitives the bounded model checker in
 // internal/verify is built on (DiVM-style hash compaction over resume
-// states).
+// states). The hook is also offered a full-state key at every
+// checkpoint commit, and may end the run there, which lets the checker
+// stop a run that rejoins a trajectory it has already explored.
 
 // StateHash is the canonical 128-bit hash of a PersistentState. Two
 // states of the same module with equal persistent content hash equal,
@@ -290,17 +293,42 @@ type PointVisit struct {
 	Hash       StateHash
 }
 
-// Hook observes every schedulable injection point of a run, one window
-// at a time (see PointVisit). The machine calls it when a window
-// closes: just before an NVM word, a conditional-checkpoint counter or
-// the committed snapshot changes, and at run end. A power failure
-// changes no persistent state, so a window can straddle one. capture
-// materializes the window's persistent state as a deep copy — call it
-// only when the state is worth keeping (it costs O(state), where the
-// visit itself costs O(1)). A hooked run batches between persistent
-// changes exactly where the unhooked run batches, and returns the same
-// Result.
-type Hook func(v PointVisit, capture func() *PersistentState)
+// Hook observes a run (Config.Hook).
+//
+// Window observes every schedulable injection point of the run, one
+// window at a time (see PointVisit); it must not be nil. The machine
+// calls it when a window closes: just before an NVM word, a
+// conditional-checkpoint counter or the committed snapshot changes, and
+// at run end. A power failure changes no persistent state, so a window
+// can straddle one. capture materializes the window's persistent state
+// as a deep copy — call it only when the state is worth keeping (it
+// costs O(state), where the visit itself costs O(1)).
+//
+// Commit, when non-nil, is offered every checkpoint commit of an
+// exhaustion run (no schedule member besides the capacitor, and no
+// supply) that the commit does not close (see CommitVisit). Returning
+// true ends the run there, before the commit's after-save point: the
+// Result then covers only the run so far, with verdict Stopped. A run
+// whose hook never stops it batches exactly where the unhooked run
+// batches, and returns the same Result.
+type Hook struct {
+	Window func(v PointVisit, capture func() *PersistentState)
+	Commit func(c CommitVisit) (stop bool)
+}
+
+// CommitVisit is a hooked run's offer at a checkpoint commit. Key is
+// the full-state key: the persistent state's hash folded with the
+// volatile state the rest of an exhaustion run reads (see fullKey), so
+// two commits with equal keys run the same rest — the same windows, the
+// same steps, failures and unsynced reads, to the same end — up to the
+// step and failure caps, which count from the run's start. Steps,
+// PowerFailures and UnsyncedReads are the run's counts so far.
+type CommitVisit struct {
+	Key           StateHash
+	Steps         int64
+	PowerFailures int
+	UnsyncedReads int
+}
 
 // InitialState returns the persistent state a run of the module would
 // start from before any execution: NVM initialized (with input
@@ -476,6 +504,65 @@ func (mc *machine) stateHash() StateHash {
 	return mc.hashed
 }
 
+// fullKey is the full-state key a commit offers (CommitVisit.Key): the
+// persistent hash folded with the volatile state the rest of an
+// exhaustion run reads. At a commit the live frames and output equal the
+// snapshot's, which the persistent hash covers. The rest is folded in
+// two independently seeded lanes: the capacitor level's bits; each VM
+// resident's lane, and each slot's pending and dirty marks; the progress
+// indices and the open re-execution span; the forward-progress
+// watchdogs; and whether a failure has happened yet, which arms the
+// snapshot watchdog. Cycle counts, the charge ordinal and the recycled
+// buffers are read only by schedules, supplies and observers.
+func (mc *machine) fullKey() StateHash {
+	k1, k2 := uint64(fnvOffset64), uint64(laneSeed1)
+	fold := func(x uint64) {
+		k1 = seqHash(k1, x)
+		k2 = seqHash(k2, x^laneSeed2)
+	}
+	fold(math.Float64bits(mc.store.level))
+	for slot, arr := range mc.vm {
+		resident := arr != nil
+		if !resident && !mc.pending[slot] {
+			continue
+		}
+		fold(uint64(slot)<<3 | uint64(b2i(resident))<<2 | uint64(b2i(mc.pending[slot]))<<1 | uint64(b2i(mc.dirty[slot])))
+		if resident {
+			fold(mc.recordLane(int32(slot), arr))
+		}
+	}
+	fold(^uint64(0)) // ends the slot list: no slot tag has every bit set
+	fold(uint64(mc.done))
+	fold(uint64(mc.furthest))
+	if mc.inReexec {
+		fold(uint64(uint32(mc.reexecSite)))
+	} else {
+		fold(^uint64(0))
+	}
+	fold(uint64(mc.stagnation))
+	fold(uint64(mc.lastFailFurthest))
+	fold(uint64(mc.maxSnapDone))
+	fold(uint64(mc.snapStagnation))
+	fold(uint64(b2i(mc.res.PowerFailures > 0)))
+	p := mc.stateHash()
+	return StateHash{mix64(p[0] ^ mix64(k1)), mix64(p[1] ^ mix64(k2))}
+}
+
+// offerKey offers Hook.Commit the run's full-state key at a commit that
+// did not close the run, and stops the run when the hook says so. A
+// schedule member or a supply carries state the key does not cover, so
+// only an exhaustion run offers one.
+func (mc *machine) offerKey() {
+	if mc.hook.Commit == nil || mc.halted || mc.sched != nil || mc.store.supply != nil {
+		return
+	}
+	c := CommitVisit{Key: mc.fullKey(), Steps: mc.res.Steps,
+		PowerFailures: mc.res.PowerFailures, UnsyncedReads: mc.res.UnsyncedReads}
+	if mc.hook.Commit(c) {
+		mc.close(Stopped)
+	}
+}
+
 // moveNVMLanes swaps one NVM word's old contribution to the commutative
 // lanes for its new one. The caller writes the word next, so the open
 // window closes first, still at the old state.
@@ -573,7 +660,7 @@ func (mc *machine) closeWindow() {
 	}
 	v.Hash = mc.stateHash()
 	mc.openWindow()
-	mc.hook(v, mc.captureFn)
+	mc.hook.Window(v, mc.captureFn)
 }
 
 // ---- resume ----

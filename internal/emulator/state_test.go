@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestHookHashMatchesCanonical(t *testing.T) {
 			m := tc.build(t, 40, 3)
 			cfg := intermittentCfg()
 			visits, vmSlots := 0, 0
-			cfg.Hook = func(v PointVisit, capture func() *PersistentState) {
+			cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
 				visits++
 				if visits%25 != 1 && v.Kind == PointStep {
 					return // capture is O(state); sample step points
@@ -135,7 +136,7 @@ func TestHookHashMatchesCanonical(t *testing.T) {
 				if ps.Snap != nil {
 					vmSlots = len(ps.Snap.VMSlots)
 				}
-			}
+			}}
 			res, err := Run(m, cfg)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -164,11 +165,11 @@ func TestStateHashOrderIndependence(t *testing.T) {
 	m := rollbackProgram(t, 30, 2)
 	cfg := intermittentCfg()
 	var captured []*PersistentState
-	cfg.Hook = func(v PointVisit, capture func() *PersistentState) {
+	cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
 		if v.Kind == PointAfterSave {
 			captured = append(captured, capture())
 		}
-	}
+	}}
 	if _, err := Run(m, cfg); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -201,13 +202,13 @@ func TestStateHashSensitivity(t *testing.T) {
 	m := vmRollbackProgram(t, 40, 3)
 	cfg := intermittentCfg()
 	var ps *PersistentState
-	cfg.Hook = func(v PointVisit, capture func() *PersistentState) {
+	cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
 		// Keep the last save-phase state: it has a snapshot, counters,
 		// and committed output context.
 		if v.Kind == PointAfterSave {
 			ps = capture()
 		}
-	}
+	}}
 	if _, err := Run(m, cfg); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -291,14 +292,14 @@ func TestResumeContinuesDeterministically(t *testing.T) {
 	cfg := intermittentCfg()
 	var mid *PersistentState
 	saves := 0
-	cfg.Hook = func(v PointVisit, capture func() *PersistentState) {
+	cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
 		if v.Kind == PointAfterSave {
 			saves++
 			if saves == 3 {
 				mid = capture()
 			}
 		}
-	}
+	}}
 	if _, err := Run(m, cfg); err != nil {
 		t.Fatalf("hooked run: %v", err)
 	}
@@ -311,11 +312,11 @@ func TestResumeContinuesDeterministically(t *testing.T) {
 		rcfg.Resume = mid.Clone()
 		var first StateHash
 		got := false
-		rcfg.Hook = func(v PointVisit, capture func() *PersistentState) {
+		rcfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
 			if !got {
 				first, got = v.Hash, true
 			}
-		}
+		}}
 		res, err := Run(m, rcfg)
 		if err != nil {
 			t.Fatalf("resume: %v", err)
@@ -355,11 +356,11 @@ func TestResumeBatchedMatchesStepped(t *testing.T) {
 	}
 	states := []*PersistentState{root}
 	cfg := intermittentCfg()
-	cfg.Hook = func(v PointVisit, capture func() *PersistentState) {
+	cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
 		if v.Kind == PointAfterSave {
 			states = append(states, capture())
 		}
-	}
+	}}
 	if _, err := Run(m, cfg); err != nil {
 		t.Fatalf("hooked run: %v", err)
 	}
@@ -423,7 +424,7 @@ func TestHookDoesNotChangeRun(t *testing.T) {
 			}
 			hooked := tc.cfg()
 			visits := 0
-			hooked.Hook = func(PointVisit, func() *PersistentState) { visits++ }
+			hooked.Hook = &Hook{Window: func(PointVisit, func() *PersistentState) { visits++ }}
 			res, err := Run(m, hooked)
 			if err != nil {
 				t.Fatalf("hooked: %v", err)
@@ -456,11 +457,11 @@ func TestInitialState(t *testing.T) {
 	}
 	var first StateHash
 	got := false
-	cfg.Hook = func(v PointVisit, capture func() *PersistentState) {
+	cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
 		if !got {
 			first, got = v.Hash, true
 		}
-	}
+	}}
 	if _, err := Run(m, cfg); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -513,4 +514,128 @@ func equalInt64s(a, b []int64) bool {
 		}
 	}
 	return true
+}
+
+// TestCommitOffers: an exhaustion run offers Hook.Commit one full-state
+// key per commit. A Commit that never stops it leaves the Result alone;
+// stopping at an offer ends the run there with verdict Stopped, the
+// offer's counts and no window after it. A run with a schedule member
+// besides the capacitor, or with a supply, offers nothing.
+func TestCommitOffers(t *testing.T) {
+	m := vmRollbackProgram(t, 40, 3)
+	plain, err := Run(m, intermittentCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offers []CommitVisit
+	var points int64
+	var pointsAt []int64
+	cfg := intermittentCfg()
+	cfg.Hook = &Hook{
+		Window: func(v PointVisit, _ func() *PersistentState) { points += v.Span },
+		Commit: func(c CommitVisit) bool {
+			offers, pointsAt = append(offers, c), append(pointsAt, points)
+			return false
+		},
+	}
+	res, err := Run(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, res) {
+		t.Fatalf("offering keys changed the run:\nunhooked: %+v\nhooked:   %+v", plain, res)
+	}
+	if res.PowerFailures == 0 || len(offers) != res.Saves {
+		t.Fatalf("%d offers over %d saves and %d failures; want one per commit of a failing run",
+			len(offers), res.Saves, res.PowerFailures)
+	}
+
+	k := len(offers) / 2
+	n := 0
+	var stoppedPoints int64
+	cfg.Hook = &Hook{
+		Window: func(v PointVisit, _ func() *PersistentState) { stoppedPoints += v.Span },
+		Commit: func(c CommitVisit) bool {
+			if c != offers[n] {
+				t.Fatalf("offer %d: %+v, first run %+v", n, c, offers[n])
+			}
+			n++
+			return n == k+1
+		},
+	}
+	stopped, err := Run(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stopped.Verdict != Stopped || stopped.Steps != offers[k].Steps ||
+		stopped.PowerFailures != offers[k].PowerFailures || stoppedPoints != pointsAt[k] {
+		t.Fatalf("stopped at offer %d (%+v, %d points before it): verdict %v, %d steps, %d failures, %d points",
+			k, offers[k], pointsAt[k], stopped.Verdict, stopped.Steps, stopped.PowerFailures, stoppedPoints)
+	}
+
+	for name, sched := range map[string]PowerSchedule{
+		"trace":  Schedules(Exhaustion(), TraceSchedule(FailPoint{Kind: PointStep, N: 300})),
+		"supply": Capacitor{Supply: squareSupply{peak: 0.01, on: 64, period: 128}},
+	} {
+		cfg := intermittentCfg()
+		cfg.Schedule = sched
+		offered := 0
+		cfg.Hook = &Hook{
+			Window: func(PointVisit, func() *PersistentState) {},
+			Commit: func(CommitVisit) bool { offered++; return true },
+		}
+		if res, err := Run(m, cfg); err != nil || res.Verdict == Stopped || offered != 0 {
+			t.Errorf("%s: %d offers, verdict %v, err %v; want none", name, offered, res.Verdict, err)
+		}
+	}
+}
+
+// TestCommitKeysMeet: runs resumed from different failure points reach
+// later commits with one full-state key, and from an equal key they run
+// the same rest: the same steps, failures, verdict and output. This is
+// the premise on which the model checker ends a run at a known key.
+func TestCommitKeysMeet(t *testing.T) {
+	m := vmRollbackProgram(t, 40, 3)
+	var states []*PersistentState
+	cfg := intermittentCfg()
+	cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
+		if v.Kind == PointStep {
+			states = append(states, capture())
+		}
+	}}
+	if _, err := Run(m, cfg); err != nil {
+		t.Fatal(err)
+	}
+	type rest struct {
+		steps    int64
+		failures int
+		verdict  Verdict
+		out      string
+	}
+	seen := map[StateHash]rest{}
+	met := 0
+	for i, ps := range states {
+		var offers []CommitVisit
+		rcfg := intermittentCfg()
+		rcfg.Resume = ps
+		rcfg.Hook = &Hook{
+			Window: func(PointVisit, func() *PersistentState) {},
+			Commit: func(c CommitVisit) bool { offers = append(offers, c); return false },
+		}
+		res, err := Run(m, rcfg)
+		if err != nil {
+			t.Fatalf("resume %d: %v", i, err)
+		}
+		for _, c := range offers {
+			r := rest{res.Steps - c.Steps, res.PowerFailures - c.PowerFailures, res.Verdict, fmt.Sprint(res.Output)}
+			if prev, ok := seen[c.Key]; !ok {
+				seen[c.Key] = r
+			} else if met++; prev != r {
+				t.Fatalf("resume %d: key %v runs %+v, an earlier run %+v", i, c.Key, r, prev)
+			}
+		}
+	}
+	if met == 0 {
+		t.Fatalf("%d resumes never met at a key", len(states))
+	}
 }

@@ -384,7 +384,9 @@ type SiteEnergy struct {
 
 // RunDetail is the body of GET /v1/runs/{digest}. For a running
 // observed run, the counters and site table are a live mid-run
-// snapshot; Result appears once the run finishes.
+// snapshot; Result appears once the run finishes. A verify run carries
+// its search's latest statistics in Search from its first progress
+// report on, the final ones once it finishes.
 type RunDetail struct {
 	RunSummary
 
@@ -395,6 +397,23 @@ type RunDetail struct {
 	Sites  []SiteEnergy     `json:"sites,omitempty"`
 	Result *EmulateResponse `json:"result,omitempty"`
 	Grid   *GridResponse    `json:"grid,omitempty"` // kind "grid", once finished
+	Search *SearchProgress  `json:"search,omitempty"`
+}
+
+// SearchProgress is a model-checking search's progress
+// (verify.Progress): distinct states found and explored, the frontier,
+// the injection points examined and how many landed in visited states,
+// the current depth, and the runs ended at a known full-state key with
+// the steps that saved.
+type SearchProgress struct {
+	States       int   `json:"states"`
+	Explored     int   `json:"explored"`
+	Frontier     int   `json:"frontier"`
+	Edges        int64 `json:"edges"`
+	DedupHits    int64 `json:"dedup_hits"`
+	Depth        int   `json:"depth"`
+	Merged       int   `json:"merged"`
+	SkippedSteps int64 `json:"skipped_steps"`
 }
 
 // ErrorResponse is the JSON body of every non-2xx response.

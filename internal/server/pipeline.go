@@ -318,7 +318,7 @@ func runHunt(ctx context.Context, req *Request, digest string) (*HuntResponse, e
 // unfalsified hunt. The context carries the job deadline; verify folds
 // it into its search bound (a mid-search deadline truncates the verdict
 // to "bounded" rather than failing the request).
-func runVerify(ctx context.Context, req *Request, digest string) (*VerifyResponse, error) {
+func runVerify(ctx context.Context, req *Request, digest string, progress func(verify.Progress)) (*VerifyResponse, error) {
 	o := req.Options
 	tech := techniqueFor(o.Technique)
 	if tech == nil {
@@ -336,6 +336,7 @@ func runVerify(ctx context.Context, req *Request, digest string) (*VerifyRespons
 	}, verify.Options{
 		MaxStates: o.MaxStates,
 		MaxDepth:  o.MaxDepth,
+		Progress:  progress,
 	})
 	resp := &VerifyResponse{
 		Digest:    digest,

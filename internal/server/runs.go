@@ -12,6 +12,7 @@ import (
 
 	"schematic/internal/emulator"
 	"schematic/internal/obs"
+	"schematic/internal/verify"
 )
 
 // runState is one emulation the daemon has run (or is running),
@@ -36,8 +37,9 @@ type runState struct {
 	status     string // "running", "done", "error"
 	finished   time.Time
 	result     *EmulateResponse
-	gridResult *GridResponse // terminal grid table (kind "grid")
-	verdict    string        // terminal verdict; also covers verify runs (no result)
+	gridResult *GridResponse   // terminal grid table (kind "grid")
+	verdict    string          // terminal verdict; also covers verify runs (no result)
+	search     *SearchProgress // a verify run's latest search progress
 	errMsg     string
 	done       chan struct{} // closed by finish
 }
@@ -156,6 +158,7 @@ func (rs *runState) detail() RunDetail {
 	}
 	rs.mu.Lock()
 	d.Result, d.Grid = rs.result, rs.gridResult // nil while still running
+	d.Search = rs.search
 	rs.mu.Unlock()
 	return d
 }
@@ -313,11 +316,22 @@ func (s *Server) runEmulateJob(ctx context.Context, req *Request, digest string,
 }
 
 // runVerifyJob wraps runVerify with registry bookkeeping (so long
-// model-checking runs are visible in GET /v1/runs while in flight) and
+// model-checking runs are visible in GET /v1/runs while in flight, with
+// their latest search progress in GET /v1/runs/{digest}) and
 // accumulates the explored-state counters for /metrics.
 func (s *Server) runVerifyJob(ctx context.Context, req *Request, digest string) (*VerifyResponse, error) {
 	rs := s.runs.register(newRunState("verify", digest, req.Name, req.Options.Technique))
-	resp, err := runVerify(ctx, req, digest)
+	var progress func(verify.Progress)
+	if rs != nil {
+		progress = func(p verify.Progress) {
+			sp := &SearchProgress{States: p.States, Explored: p.Explored, Frontier: p.Frontier, Edges: p.Edges,
+				DedupHits: p.Dedup, Depth: p.Depth, Merged: p.Merged, SkippedSteps: p.SkippedSteps}
+			rs.mu.Lock()
+			rs.search = sp
+			rs.mu.Unlock()
+		}
+	}
+	resp, err := runVerify(ctx, req, digest, progress)
 	if rs != nil {
 		rs.finish(resp, err)
 	}

@@ -300,6 +300,22 @@ func TestVerifyEndpoint(t *testing.T) {
 	if !sawVerify {
 		t.Fatalf("no finished verify run in registry: %+v", runs.Runs)
 	}
+
+	// The unbounded run's detail carries its search's final progress.
+	resp, err = http.Get(ts.URL + "/v1/runs/" + digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detailBody, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("run detail: status %d, err %v", resp.StatusCode, err)
+	}
+	detail := decode[RunDetail](t, detailBody)
+	if sp := detail.Search; sp == nil || sp.States != r.States || sp.Edges != r.Edges || sp.DedupHits != r.DedupHits {
+		t.Fatalf("verify run detail search = %+v, want the report's %d states, %d edges, %d dedup hits",
+			detail.Search, r.States, r.Edges, r.DedupHits)
+	}
 }
 
 func TestBenchByName(t *testing.T) {

@@ -5,8 +5,12 @@ import "fmt"
 // Replay re-validates a finding's case from its serialized form
 // (verifying fuzz provenance) and returns the freshly found divergence.
 // A deterministic repro reproduces the same offending stage; Replay
-// errors when the pipeline validates cleanly or diverges elsewhere.
+// errors when the pipeline validates cleanly or diverges elsewhere, and
+// refuses options that fail Options.Validate before any run.
 func Replay(f Finding, opts Options) (*Finding, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	got, err := validate(f.Case, opts)
 	if err != nil {

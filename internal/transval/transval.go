@@ -27,6 +27,7 @@
 package transval
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -34,6 +35,7 @@ import (
 	"schematic/internal/baselines"
 	"schematic/internal/bench"
 	"schematic/internal/cfg"
+	"schematic/internal/crashtest"
 	"schematic/internal/emulator"
 	"schematic/internal/energy"
 	"schematic/internal/fuzzgen"
@@ -97,6 +99,19 @@ const (
 	// shrinkBudget bounds the re-validations shrinking may spend.
 	shrinkBudget = 24
 )
+
+// Validate refuses a negative TBPF, VMSize or ProfileRuns with a
+// crashtest.ConfigError naming the field. A negative budget would make
+// the techniques that check it decline their placements, and a declined
+// placement is no divergence, so the case would validate with those
+// stages never run.
+func (o Options) Validate() error {
+	return cmp.Or(
+		crashtest.NotNegative("Options.TBPF", o.TBPF),
+		crashtest.NotNegative("Options.VMSize", int64(o.VMSize)),
+		crashtest.NotNegative("Options.ProfileRuns", int64(o.ProfileRuns)),
+	)
+}
 
 func (o Options) withDefaults() Options {
 	if o.TBPF == 0 {
@@ -165,8 +180,13 @@ func (o observable) equal(other observable) bool {
 // Validate runs the case through every pipeline stage and returns the
 // first divergence from the AST reference interpreter (nil when the whole
 // pipeline validates). Errors marked with SkipError denote ineligible
-// cases, anything else a broken case (bad source, mismatched fuzz seed).
+// cases, a crashtest.ConfigError options that fail Options.Validate
+// (before any run), anything else a broken case (bad source, mismatched
+// fuzz seed).
 func Validate(cs Case, opts Options) (*Finding, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	f, err := validate(cs, opts)
 	if err != nil || f == nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"schematic/internal/bench"
+	"schematic/internal/crashtest"
 	"schematic/internal/emulator"
 	"schematic/internal/ndjson"
 	"schematic/internal/transval"
@@ -166,5 +167,29 @@ func TestValidateSurfacesConfigError(t *testing.T) {
 	_, err := transval.Validate(cs, transval.Options{VMSize: -5})
 	if !errors.Is(err, emulator.ErrInvalidConfig) {
 		t.Fatalf("Validate with VMSize=-5: got %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestOptionsFailClosed: Validate and Replay refuse a negative TBPF,
+// VMSize or ProfileRuns with a crashtest.ConfigError naming the field,
+// before any run: the case has no source, so running it would fail
+// otherwise.
+func TestOptionsFailClosed(t *testing.T) {
+	unbuilt := transval.Case{Name: "unbuilt"}
+	for _, tc := range []struct {
+		field string
+		opts  transval.Options
+	}{
+		{"Options.TBPF", transval.Options{TBPF: -5}},
+		{"Options.VMSize", transval.Options{VMSize: -5}},
+		{"Options.ProfileRuns", transval.Options{ProfileRuns: -5}},
+	} {
+		var ce *crashtest.ConfigError
+		if f, err := transval.Validate(unbuilt, tc.opts); f != nil || !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("Validate, %s: finding %+v, err %v; want a ConfigError naming it", tc.field, f, err)
+		}
+		if f, err := transval.Replay(transval.Finding{Case: unbuilt}, tc.opts); f != nil || !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("Replay, %s: finding %+v, err %v; want a ConfigError naming it", tc.field, f, err)
+		}
 	}
 }

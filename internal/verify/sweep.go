@@ -54,8 +54,8 @@ func (s *Sweeper) Run(ctx context.Context, cases []crashtest.Case) []SweepResult
 			id := fmt.Sprintf("%s/%s", cs.Name, cs.Technique)
 			opts.ProgressEvery = 5000
 			opts.Progress = func(p Progress) {
-				d.Logf("...   %-28s %d states (%d frontier, depth %d), %d edges, %.1f%% dedup",
-					id, p.States, p.Frontier, p.Depth, p.Edges, dedupPct(p.Dedup, p.Edges))
+				d.Logf("...   %-28s %d states (%d frontier, depth %d), %d edges, %.1f%% dedup, %d runs merged (%d steps skipped)",
+					id, p.States, p.Frontier, p.Depth, p.Edges, dedupPct(p.Dedup, p.Edges), p.Merged, p.SkippedSteps)
 			}
 		}
 		return Run(ctx, cs, opts)

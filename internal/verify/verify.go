@@ -13,9 +13,12 @@
 // reports a run's injection points a window at a time
 // (emulator.PointVisit): a window's Span points leave one persistent
 // state, so they are Span edges into one successor, and a run costs one
-// hook call per persistent change instead of one per point. Because an
-// adversarial power schedule is exactly a sequence of such injections,
-// and everything between injections is deterministic physics, a BFS
+// hook call per persistent change instead of one per point. A run that
+// reaches a full machine state an earlier run of the case already passed
+// at a checkpoint commit stops there, and a memo supplies the rest (see
+// suffix). Because an adversarial power schedule is exactly a sequence
+// of such injections, and everything between injections is
+// deterministic physics, a BFS
 // over this graph covers every power-failure interleaving: if every
 // reachable node's injection-free run completes with oracle-equal
 // output, no schedule can produce a violation, and the verdict is
@@ -98,6 +101,11 @@ type Progress struct {
 	Edges    int64 // injection points examined (failure transitions)
 	Dedup    int64 // transitions that landed in an already-visited state
 	Depth    int   // depth of the state currently being explored
+	// Merged counts the runs ended at a known full-state key, and
+	// SkippedSteps the steps the memo predicted for them instead of
+	// executing (see suffix).
+	Merged       int
+	SkippedSteps int64
 }
 
 // Report is the result of a verification run.
@@ -156,11 +164,49 @@ type node struct {
 	cumSaves int64
 }
 
+// maxFailures is emulator.Config's default failure cap, set explicitly
+// on every run of a search so that a merge can check that the run's
+// remaining budget covers the suffix it skips.
+const maxFailures = 10_000_000
+
+// suffix is what a run did from a checkpoint commit to its end: the
+// injection points it examined, the steps it executed and the power
+// failures it took. The memo keeps, for each full-state key
+// (emulator.CommitVisit), the suffix of the first run that passed it and
+// hit no bound; every state such a suffix reaches is then visited. Any
+// later run that meets the key would repeat that suffix, so it stops
+// there: the suffix's points count as edges into visited states, and
+// the run completes as the recorded run did — with the oracle's output
+// and no unsynced read — unless the step or failure cap would cut it
+// short first, in which case it keeps running.
+type suffix struct {
+	edges    int64
+	steps    int64
+	failures int
+}
+
+// passed is a key a run offered, with the search's edge and dedup
+// counts there, and the memo's suffix from there when the key is known.
+type passed struct {
+	at           emulator.CommitVisit
+	edges, dedup int64
+	known        *suffix
+}
+
 // Run verifies one case. It returns a crashtest.ConfigError for options
 // that fail Validate, before any run; a SkipError (via crashtest) for
 // cases the verifier cannot judge — the same ineligibility rules as
 // Hunt — and ctx.Err() on cancellation.
 func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) {
+	return run(ctx, cs, opts, nil)
+}
+
+// run is Run with the merge oracle's test seam. With a non-nil checked,
+// a run that meets a known key keeps going, and run fails unless what
+// the run did from each known key it met equals the memo's prediction:
+// the edges, dedup hits, steps, power failures and class. *checked
+// counts the predictions held.
+func run(ctx context.Context, cs crashtest.Case, opts Options, checked *int64) (*Report, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -208,22 +254,27 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 
 	visited := map[emulator.StateHash]struct{}{root.Hash(): {}}
 	frontier := []node{{state: nil, hash: root.Hash(), depth: 0}}
+	memo := map[emulator.StateHash]suffix{}
 	var (
 		edges, dedup int64
 		explored     int
 		maxDepth     int
 		bound        string
+		merged       int
+		skipped      int64
 	)
 
 	report := func(depth int) {
 		if opts.Progress != nil {
 			opts.Progress(Progress{
-				States:   len(visited),
-				Explored: explored,
-				Frontier: len(frontier),
-				Edges:    edges,
-				Dedup:    dedup,
-				Depth:    depth,
+				States:       len(visited),
+				Explored:     explored,
+				Frontier:     len(frontier),
+				Edges:        edges,
+				Dedup:        dedup,
+				Depth:        depth,
+				Merged:       merged,
+				SkippedSteps: skipped,
 			})
 		}
 	}
@@ -244,6 +295,7 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 			break
 		}
 		n := frontier[0]
+		frontier[0] = node{} // the explored node's state is garbage from here
 		frontier = frontier[1:]
 		if n.depth > maxDepth {
 			maxDepth = n.depth
@@ -256,16 +308,22 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 		// window whose hash is new along the run is one successor. The
 		// same run's final result classifies the node itself: it is
 		// exactly "resume here and never inject again".
-		var discovered []node
+		var (
+			discovered []node
+			keys       []passed
+			hitBound   bool
+			stop       *passed // the known key the run stopped at
+		)
 		prev := n.hash
 		cfg := baseCfg
 		cfg.MaxSteps = base.MaxSteps
+		cfg.MaxFailures = maxFailures
 		if n.state == nil {
 			cfg.Inputs = b.Inputs()
 		} else {
 			cfg.Resume = n.state
 		}
-		cfg.Hook = func(v emulator.PointVisit, capture func() *emulator.PersistentState) {
+		cfg.Hook = &emulator.Hook{Window: func(v emulator.PointVisit, capture func() *emulator.PersistentState) {
 			// Every point of the window is an edge into one state: the
 			// first is judged below, the other Span−1 land where it does.
 			edges += v.Span
@@ -282,11 +340,11 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 				return
 			}
 			if n.depth+1 > opts.MaxDepth {
-				bound = "max-depth"
+				bound, hitBound = "max-depth", true
 				return
 			}
 			if len(visited) >= opts.MaxStates {
-				bound = "max-states"
+				bound, hitBound = "max-states", true
 				return
 			}
 			visited[v.Hash] = struct{}{}
@@ -299,10 +357,43 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 				cumSaves: n.cumSaves + v.Saves,
 			}
 			discovered = append(discovered, child)
-		}
+		}, Commit: func(c emulator.CommitVisit) bool {
+			k := passed{at: c, edges: edges, dedup: dedup}
+			s, ok := memo[c.Key]
+			switch {
+			case !ok:
+				keys = append(keys, k)
+				return false
+			case c.Steps+s.steps > base.MaxSteps || c.PowerFailures+s.failures > maxFailures:
+				return false
+			}
+			k.known = &s
+			if checked != nil {
+				keys = append(keys, k)
+				return false
+			}
+			stop = &k
+			return true
+		}}
 		res, runErr := emulator.Run(b.Module(), cfg)
+		if stop != nil && runErr == nil {
+			// Every state the suffix reaches is visited: its points are
+			// edges and dedup hits both.
+			edges += stop.known.edges
+			dedup += stop.known.edges
+			merged++
+			skipped += stop.known.steps
+			res = predicted(b, *stop)
+		}
 		out := b.Classify(res, runErr, base.MaxSteps)
 		explored++
+		if checked != nil {
+			held, err := checkPredictions(b, keys, out, res, edges, dedup, base.MaxSteps)
+			*checked += held
+			if err != nil {
+				return nil, fmt.Errorf("verify: case %s: run at depth %d: %w", ncs.Name, n.depth, err)
+			}
+		}
 		if out.Class != crashtest.ClassNone {
 			// This reachable state misbehaves with no further injections:
 			// the path that reached it is the counterexample. Replay it as
@@ -325,6 +416,16 @@ func Run(ctx context.Context, cs crashtest.Case, opts Options) (*Report, error) 
 				Elapsed:   time.Since(start),
 				Finding:   f,
 			}, nil
+		}
+		if !hitBound {
+			// The run completed with no bound cutting its discoveries
+			// short, so every state after each key it passed is visited.
+			for _, k := range keys {
+				if k.known == nil {
+					memo[k.at.Key] = suffix{edges: edges - k.edges, steps: res.Steps - k.at.Steps,
+						failures: res.PowerFailures - k.at.PowerFailures}
+				}
+			}
 		}
 		frontier = append(frontier, discovered...)
 		if explored%opts.ProgressEvery == 0 {
@@ -358,4 +459,42 @@ func appendSpec(n node, v emulator.PointVisit) []crashtest.PointSpec {
 	path := make([]crashtest.PointSpec, 0, len(n.path)+1)
 	path = append(path, n.path...)
 	return append(path, crashtest.PointSpec{Kind: v.Kind.String(), N: abs})
+}
+
+// predicted is the Result of a run that meets a known key, as the memo
+// predicts it: completed with the oracle's output, the suffix's steps and
+// failures added to the run's so far, and no unsynced read after the key.
+func predicted(b *crashtest.Built, k passed) *emulator.Result {
+	return &emulator.Result{
+		Verdict:       emulator.Completed,
+		Output:        b.OracleOutput(),
+		Steps:         k.at.Steps + k.known.steps,
+		PowerFailures: k.at.PowerFailures + k.known.failures,
+		UnsyncedReads: k.at.UnsyncedReads,
+	}
+}
+
+// checkPredictions is the merge oracle: it holds what the run did from
+// each known key it met against the memo's prediction, and returns the
+// number of predictions held. edges and dedup are the search's counts
+// after the run, out and res its outcome.
+func checkPredictions(b *crashtest.Built, keys []passed, out crashtest.Outcome, res *emulator.Result, edges, dedup, maxSteps int64) (int64, error) {
+	var held int64
+	for _, k := range keys {
+		s := k.known
+		if s == nil {
+			continue
+		}
+		want := b.Classify(predicted(b, k), nil, maxSteps).Class
+		got := suffix{edges: edges - k.edges}
+		if res != nil {
+			got.steps, got.failures = res.Steps-k.at.Steps, res.PowerFailures-k.at.PowerFailures
+		}
+		if got != *s || dedup-k.dedup != s.edges || out.Class != want {
+			return held, fmt.Errorf("merge at key %v mispredicted: ran %+v with %d dedup hits, class %s; memo %+v, class %s",
+				k.at.Key, got, dedup-k.dedup, out.Class, *s, want)
+		}
+		held++
+	}
+	return held, nil
 }

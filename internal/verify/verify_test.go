@@ -195,6 +195,9 @@ func TestProgress(t *testing.T) {
 	if last.States == 0 || last.Edges == 0 {
 		t.Fatalf("final progress empty: %+v", last)
 	}
+	if last.Merged == 0 || last.SkippedSteps == 0 {
+		t.Fatalf("final progress reports no merged runs: %+v", last)
+	}
 }
 
 // TestCancellation: outright cancellation aborts with the context error

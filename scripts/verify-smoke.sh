@@ -6,8 +6,9 @@
 # power-failure injection point — and requires a clean Verified verdict.
 # Then deletes a checkpoint from a known-good placement and requires the
 # checker to find a shrunk counterexample (exit 1) whose NDJSON repro
-# replays deterministically, and that negative bounds and case numbers
-# are refused as flag mistakes. Wired into `make ci`.
+# replays deterministically, and that negative bounds, case numbers,
+# worker counts, timeouts and budgets are refused as flag mistakes.
+# Wired into `make ci`.
 set -eu
 
 tmp=$(mktemp -d)
@@ -33,11 +34,11 @@ fi
 # ...that replays to the recorded violation class.
 "$tmp/crashhunt" -replay "$tmp/findings.ndjson"
 
-# A negative bound or case number is a flag mistake (exit 2), refused
-# before any emulator run: never a BOUNDED verdict or an intact-placement
-# hunt.
+# A negative bound, case number, worker count, case timeout or budget
+# is a flag mistake (exit 2), refused before any emulator run: never a
+# BOUNDED verdict, an intact-placement hunt or an unbounded sweep.
 for flags in "-exhaustive -max-states -1" "-exhaustive -max-depth -1" \
-    "-sabotage -1" "-tbpf -1"; do
+    "-sabotage -1" "-tbpf -1" "-timeout -1s" "-budget -1s" "-jobs -1"; do
     status=0
     "$tmp/crashhunt" -benches crc -techs Ratchet $flags >/dev/null 2>&1 || status=$?
     if [ "$status" -ne 2 ]; then
