@@ -12,6 +12,7 @@ import (
 	"schematic/internal/baselines/ratchet"
 	"schematic/internal/emulator"
 	"schematic/internal/ir"
+	"schematic/internal/obs"
 )
 
 // flowOracle recounts a run's control flow from its event stream alone,
@@ -126,6 +127,8 @@ func checkFlow(t *testing.T, label string, m *ir.Module, batched, stepped *emula
 // stack (not counted), and re-executes from the recovery point through
 // further power failures. The batched and stepped resumes must return
 // one Result, and their counts must equal each other and the oracle.
+// A resumed Collector run, whose first charges land in a block it never
+// entered, must agree with the ledger oracle (checkAttribution).
 func TestCountsResume(t *testing.T) {
 	bm, err := ByName("crc")
 	if err != nil {
@@ -171,11 +174,13 @@ func TestCountsResume(t *testing.T) {
 	}
 	mid := states[len(states)/2]
 
-	plain, batched, stepped := base, base, base
-	plain.Resume, batched.Resume, stepped.Resume = mid.Clone(), mid.Clone(), mid.Clone()
-	batched.Counts, stepped.Counts = &emulator.Counts{}, &emulator.Counts{}
-	oracle := newFlowOracle()
-	stepped.Observer = oracle
+	plain, batched, stepped, collected := base, base, base, base
+	plain.Resume, batched.Resume, stepped.Resume, collected.Resume = mid.Clone(), mid.Clone(), mid.Clone(), mid.Clone()
+	batched.Counts, stepped.Counts, collected.Counts = &emulator.Counts{}, &emulator.Counts{}, &emulator.Counts{}
+	oracle, ledgers, fed := newFlowOracle(), newLedgerOracle(), obs.NewCollector()
+	stepped.Observer = emulator.MultiObserver(oracle, ledgers, fed)
+	col, stream := obs.NewCollector(), &attributorStream{}
+	collected.Observer = emulator.MultiObserver(col, stream)
 	resP, err := emulator.Run(m, plain)
 	if err != nil {
 		t.Fatal(err)
@@ -188,13 +193,18 @@ func TestCountsResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	resL, err := emulator.Run(m, collected)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resS.Verdict != emulator.Completed || resS.PowerFailures == 0 {
 		t.Fatalf("resumed run: verdict %v, %d failures; want a completion through failures", resS.Verdict, resS.PowerFailures)
 	}
-	if !reflect.DeepEqual(resP, resB) || !reflect.DeepEqual(resP, resS) {
-		t.Fatalf("resumed Results differ:\nplain:   %+v\nbatched: %+v\nstepped: %+v", resP, resB, resS)
+	if !reflect.DeepEqual(resP, resB) || !reflect.DeepEqual(resP, resS) || !reflect.DeepEqual(resP, resL) {
+		t.Fatalf("resumed Results differ:\nplain:     %+v\nbatched:   %+v\nstepped:   %+v\ncollected: %+v", resP, resB, resS, resL)
 	}
 	checkFlow(t, "crc/Ratchet/resume", m, batched.Counts, stepped.Counts, resB, resS, oracle)
+	checkAttribution(t, "crc/Ratchet/resume", col, fed, stream, ledgers, collected.Counts, batched.Counts, stepped.Counts)
 	if batched.Counts.BatchedSteps() == 0 {
 		t.Error("counted resume never batched")
 	}

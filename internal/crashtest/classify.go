@@ -95,8 +95,11 @@ type Outcome struct {
 }
 
 // recorder captures the injection points a run fired, normalizing any
-// schedule into a replayable trace.
+// schedule into a replayable trace. It reads only EvInjection, so it
+// opts out of per-instruction events and asks for no attribution.
 type recorder struct{ points []PointSpec }
+
+func (r *recorder) Attribution() *emulator.Attribution { return nil }
 
 func (r *recorder) Event(e emulator.Event) {
 	if e.Kind == emulator.EvInjection {

@@ -76,6 +76,9 @@ func (mc *machine) execCheckpoint(ck *ir.Checkpoint) error {
 	fr := mc.top()
 	mc.curSite = ck.ID
 	defer func() { mc.curSite = -1 }()
+	if mc.attr != nil {
+		mc.attr.site(ck.ID, fr.fn, fr.cb.IR)
+	}
 	if mc.obs != nil {
 		mc.emit(Event{Kind: EvCheckpointHit, Site: ck.ID, Fn: fr.fn, Block: fr.cb.IR})
 	}
@@ -115,10 +118,16 @@ func (mc *machine) bumpProgress() {
 		mc.furthest = mc.done
 	}
 	if mc.inReexec && mc.done >= mc.furthest {
-		mc.inReexec = false
-		if mc.obs != nil {
-			mc.emit(Event{Kind: EvReexecEnd, Site: mc.reexecSite})
-		}
+		mc.endReexec(mc.res.TotalCycles, mc.res.Steps)
+	}
+}
+
+// endReexec closes the open re-execution span; its EvReexecEnd is
+// stamped with the given cycle and step counts.
+func (mc *machine) endReexec(cycle, step int64) {
+	mc.inReexec = false
+	if mc.obs != nil {
+		mc.obs.Event(Event{Kind: EvReexecEnd, Site: mc.reexecSite, Cycle: cycle, Step: step})
 	}
 }
 
@@ -488,10 +497,7 @@ func (mc *machine) powerFailure() {
 	// A failure mid-re-execution truncates the open span; recovery below
 	// opens a fresh one.
 	if mc.inReexec {
-		mc.inReexec = false
-		if mc.obs != nil {
-			mc.emit(Event{Kind: EvReexecEnd, Site: mc.reexecSite})
-		}
+		mc.endReexec(mc.res.TotalCycles, mc.res.Steps)
 	}
 	if mc.res.PowerFailures > mc.cfg.MaxFailures {
 		mc.close(OutOfFailures)
@@ -548,13 +554,15 @@ func (mc *machine) restoreSnap() {
 	}
 	mc.out = mc.out[:sn.outLen]
 	mc.done = sn.done
-	if mc.obs != nil {
+	if mc.perInstr != nil {
 		// Replay the restored call stack so observers can mirror it. The
 		// replay is not execution: observers counting executed blocks
-		// skip these Resume entries, and Config.Counts never sees them.
+		// skip these Resume entries, and neither Config.Counts nor an
+		// Attribution sees them.
 		for i := range mc.frames {
+			cb := mc.frames[i].cb
 			mc.emit(Event{Kind: EvBlockEnter, Fn: mc.frames[i].fn,
-				Block: mc.frames[i].cb.IR, Call: true, Resume: true})
+				Block: cb.IR, BlockID: cb.ID(), Call: true, Resume: true})
 		}
 	}
 

@@ -22,9 +22,10 @@ const runSafety = 1e-3
 // reached. Every instruction executes through one of two executors:
 //
 //   - execBatch: when nothing can observe or interrupt the emulation
-//     between instructions — no Observer, no schedule beyond the
-//     capacitor, and no supply feeding it, all fixed for the whole
-//     emulation —
+//     between instructions — no Observer that reads per-instruction
+//     events (an Attributor's Attribution is filled in their place), no
+//     schedule beyond the capacitor, and no supply feeding it, all fixed
+//     for the whole emulation —
 //     each straight-line run (dispatch.Run, which may end with its
 //     block's Br/Jmp) whose precomputed total fits the capacitor with
 //     margin executes on that one decision. Ledger sums stay
@@ -44,15 +45,29 @@ const runSafety = 1e-3
 // "safe no-fire window" to negotiate; scheduled and harvested runs
 // simply never batch. The dispatch-equivalence suite (internal/bench)
 // pins both paths to one golden corpus, harvested members included.
+//
+// A Counts sees why each stepped instruction stepped: the run-level
+// reason when nothing batches, else what ended the batch before it.
 func (mc *machine) run() (*Result, error) {
-	batch := mc.obs == nil && mc.sched == nil && mc.store.supply == nil
+	why, batch := StepBoundary, false
+	switch {
+	case mc.perInstr != nil:
+		why = StepObserver
+	case mc.sched != nil:
+		why = StepSchedule
+	case mc.store.supply != nil:
+		why = StepSupply
+	default:
+		batch = true
+	}
 	if mc.track {
 		defer mc.closeWindow()
 	}
 	for !mc.halted {
 		fr := mc.top()
-		if batch {
-			if err := mc.execBatch(fr); err != nil {
+		for more := batch; more; {
+			var err error
+			if why, more, err = mc.execBatch(fr); err != nil {
 				return nil, err
 			}
 		}
@@ -62,6 +77,9 @@ func (mc *machine) run() (*Result, error) {
 		}
 		if fr.pc >= len(fr.cb.Code) {
 			return nil, fmt.Errorf("emulator: %s.%s: fell off block end", fr.fn.Name, fr.cb.IR.Name)
+		}
+		if mc.counts != nil {
+			mc.counts.stepped[why]++
 		}
 		finished, err := mc.step(fr)
 		if err != nil {
@@ -90,11 +108,18 @@ func (mc *machine) run() (*Result, error) {
 // *before* the access's accounting, leaving the instruction wholly
 // unexecuted for step to replay. Batching also stops at a call, return
 // or checkpoint, and when the next run does not fit; step takes over
-// there.
+// there, and execBatch returns which of these stopped it.
 //
 // Accounting stays per-instruction — the same additions in the same
-// order as step — only the decisions are hoisted out.
-func (mc *machine) execBatch(fr *frame) error {
+// order as step — only the decisions are hoisted out. That holds for an
+// Attributor's Attribution too, which execBatch adds each block visit
+// to as it ends. The observer is sent no per-instruction event, and the
+// only other event a batch can owe it is the EvReexecEnd that closes a
+// re-execution span inside the batch. Both are done after the loop, so
+// an attributed run, and an observed one while a span is open, returns
+// at every taken branch after entering the target, with more set; the
+// caller batches on from there.
+func (mc *machine) execBatch(fr *frame) (why StepReason, more bool, err error) {
 	cb := fr.cb
 	code := cb.Code
 	regs := fr.regs
@@ -121,12 +146,26 @@ func (mc *machine) execBatch(fr *frame) error {
 	if mc.counts != nil {
 		taken = mc.counts.taken
 	}
-	var err error
+	if mc.attr != nil {
+		mc.visit = blockVisit{pc: pc, steps: steps, done: done, furthest: furthest}
+	}
+	// An attributed batch leaves the loop at every taken branch, into
+	// chain, to add the ended visit to the attribution, and an observed
+	// one does while a re-execution span is open, so that the visit
+	// holds the span's end. Either happens after the loop: a call inside
+	// it would make the loop keep its accumulators on the stack at every
+	// taken branch, attributed or not.
+	leave := mc.attr != nil || (mc.inReexec && mc.obs != nil)
+	var chain *dispatch.Block
+	why = StepBoundary
 batch:
 	for pc < len(code) {
 		r := &cb.Runs[pc]
-		if r.Len == 0 || steps+int64(r.Len) > mc.cfg.MaxSteps ||
-			(mc.store.enforce && capEn < r.Energy+runSafety) {
+		if r.Len == 0 {
+			break
+		}
+		if steps+int64(r.Len) > mc.cfg.MaxSteps || (mc.store.enforce && capEn < r.Energy+runSafety) {
+			why = StepMargin
 			break
 		}
 		for n := r.Len; n > 0; n-- {
@@ -135,6 +174,7 @@ batch:
 				// Needs materialization, deferred-restore charging, or
 				// poisoning — before any accounting, so step replays this
 				// instruction from scratch.
+				why = StepVM
 				break batch
 			}
 			steps++
@@ -282,10 +322,32 @@ batch:
 		if taken != nil {
 			taken[2*cb.ID()+succ]++
 		}
+		if leave {
+			chain = next
+			break
+		}
 		cb = next
 		fr.cb = cb
 		code = cb.Code
 		pc = 0
+	}
+	if mc.inReexec && done >= furthest {
+		// bumpProgress's span close. With an observer the batch left the
+		// loop at each branch, so the closing instruction is in this
+		// visit: done-F completed instructions (F, mc.furthest, is where
+		// the span ends), and a trapping one, followed it.
+		endCycle, endStep := total, steps
+		if mc.obs != nil {
+			k := int(done - mc.furthest)
+			for i := pc - k; i < pc; i++ {
+				endCycle -= code[i].Cycles
+			}
+			endStep -= int64(k)
+			if err != nil {
+				endCycle, endStep = endCycle-code[pc].Cycles, endStep-1
+			}
+		}
+		mc.endReexec(endCycle, endStep)
 	}
 	fr.pc = pc
 	mc.store.level = capEn
@@ -303,13 +365,59 @@ batch:
 	mc.res.Steps = steps
 	mc.done = done
 	mc.furthest = furthest
-	// bumpProgress's span close. done only grows, so checking once after
-	// the batch clears the flag at the same point step would; obs is nil
-	// on this path, so the span-close event never fires.
-	if mc.inReexec && done >= furthest {
-		mc.inReexec = false
+	if mc.attr != nil {
+		mc.attributeVisit(fr.fn, cb, steps, chain)
 	}
-	return err
+	if chain != nil {
+		fr.cb, fr.pc = chain, 0
+	}
+	return why, chain != nil, err
+}
+
+// blockVisit is where a batched visit of one block started: its pc and
+// the batch's step, progress and high-water counters there.
+type blockVisit struct {
+	pc                    int
+	steps, done, furthest int64
+}
+
+// attributeVisit adds the batched visit of block cb of fn that began at
+// mc.visit, now that the batch's step count stands at steps, to the
+// observer's attribution as step would have charged it: instruction by
+// instruction in the order they ran, the re-executed ones to the site
+// execution resumed from, the rest to the block. Every instruction the
+// visit charged counts, a trapping one included. The batch chains on
+// into next, when not nil, which counts as its entry.
+func (mc *machine) attributeVisit(fn *ir.Func, cb *dispatch.Block, steps int64, next *dispatch.Block) {
+	if next != nil {
+		mc.attr.block(next.ID(), fn, next.IR).Entries++
+	}
+	v := mc.visit
+	code := cb.Code[v.pc : v.pc+int(steps-v.steps)]
+	i := 0
+	if re := v.furthest - v.done; re > 0 && len(code) > 0 {
+		s := mc.attr.site(mc.chargeSite(ChargeReexec), fn, cb.IR)
+		for ; i < len(code) && int64(i) < re; i++ {
+			s.Reexec += code[i].Energy
+		}
+	}
+	if i == len(code) {
+		return
+	}
+	b := mc.attr.block(cb.ID(), fn, cb.IR)
+	for ; i < len(code); i++ {
+		ci := &code[i]
+		b.Compute += ci.Energy
+		if ci.IsMem {
+			if ci.InVM {
+				b.VMAccess += ci.Energy
+				b.VMAccesses++
+			} else {
+				b.NVMAccess += ci.Energy
+				b.NVMAccesses++
+			}
+		}
+	}
 }
 
 func b2i(b bool) int64 {
@@ -501,8 +609,8 @@ func (mc *machine) execCompiled(fr *frame, ci *dispatch.Instr) (bool, error) {
 		if mc.counts != nil {
 			mc.counts.calls[cf.ID()]++
 		}
-		if mc.obs != nil {
-			mc.emit(Event{Kind: EvBlockEnter, Fn: nf.fn, Block: nf.cb.IR, Call: true})
+		if mc.attr != nil || mc.perInstr != nil {
+			mc.entered(nf.fn, cf.Entry, true)
 		}
 	case dispatch.CodeOut:
 		mc.out = append(mc.out, fr.regs[ci.A])
@@ -547,8 +655,8 @@ func (mc *machine) enterBlock(fr *frame, cb *dispatch.Block, succ int) {
 	}
 	fr.cb = cb
 	fr.pc = 0
-	if mc.obs != nil {
-		mc.emit(Event{Kind: EvBlockEnter, Fn: fr.fn, Block: cb.IR})
+	if mc.attr != nil || mc.perInstr != nil {
+		mc.entered(fr.fn, cb, false)
 	}
 }
 

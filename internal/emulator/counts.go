@@ -1,8 +1,6 @@
 package emulator
 
 import (
-	"fmt"
-
 	"schematic/internal/emulator/dispatch"
 	"schematic/internal/ir"
 )
@@ -10,8 +8,9 @@ import (
 // Counts is the control-flow profile of one or more runs of a module:
 // how often each function was entered (by a call, or by main's boot),
 // how often each block's terminator went to each of its successors, and
-// how many instructions ran, in total and on the batched path. Attach
-// one through Config.Counts; runs add to it.
+// how many instructions ran: in total, on the batched path, and on the
+// stepped path by reason. Attach one through Config.Counts; runs add to
+// it.
 //
 // A Counts is sized on its first run and bound to that run's module. A
 // later run of a different module, or of the same module after an
@@ -26,35 +25,24 @@ import (
 // Counting never forces the stepped path and never changes a Result.
 // A Counts is not safe for concurrent runs: give each goroutine its own.
 type Counts struct {
-	prog *dispatch.Program // the program the counts were sized for
+	binding // the program the counts were sized for
 
 	calls   []int64 // by function ordinal
 	taken   []int64 // by 2×block ordinal + successor index
 	steps   int64
 	batched int64
+	stepped [numStepReasons]int64
 }
 
-// bind sizes the counts for prog on first use and afterwards rejects a
-// run whose compiled form differs from the one the counts were sized
-// for. A program recompiled from an unchanged module (after a dispatch
-// cache eviction, or under another energy model) has the same ordinals,
-// so it keeps counting into the same slots.
-func (c *Counts) bind(m *ir.Module, prog *dispatch.Program) error {
-	if c.prog == nil {
-		c.prog = prog
+// bindTo sizes the counts for prog on first use and afterwards rejects
+// a run of another module, or of this one after an in-place edit.
+func (c *Counts) bindTo(m *ir.Module, prog *dispatch.Program) error {
+	fresh, err := c.bind("Counts", m, prog)
+	if fresh {
 		c.calls = make([]int64, len(prog.Funcs))
 		c.taken = make([]int64, 2*prog.NumBlocks())
-		return nil
 	}
-	if c.prog.Mod != m {
-		return &ConfigError{Field: "Counts",
-			Reason: fmt.Sprintf("bound to module %q, cannot count a run of module %q", c.prog.Mod.Name, m.Name)}
-	}
-	if prog.Fingerprint() != c.prog.Fingerprint() {
-		return &ConfigError{Field: "Counts",
-			Reason: fmt.Sprintf("module %q changed since the counts were sized", m.Name)}
-	}
-	return nil
+	return err
 }
 
 // Calls returns how often f was entered: by calls, and for main by its
@@ -88,3 +76,37 @@ func (c *Counts) Steps() int64 { return c.steps }
 
 // BatchedSteps returns how many of Steps ran on the batched path.
 func (c *Counts) BatchedSteps() int64 { return c.batched }
+
+// Stepped returns how many of Steps ran on the stepped path for the
+// given reason. The reasons partition the stepped instructions, so they
+// sum to Steps − BatchedSteps.
+func (c *Counts) Stepped(r StepReason) int64 {
+	if r >= numStepReasons {
+		return 0
+	}
+	return c.stepped[r]
+}
+
+// StepReason says why an instruction ran on the stepped path. The first
+// three keep a whole run off the batched path, in this order of
+// precedence; the rest stop one batch.
+type StepReason uint8
+
+const (
+	// StepObserver: the run's observer reads per-instruction events.
+	StepObserver StepReason = iota
+	// StepSchedule: the schedule has a member beside the capacitor.
+	StepSchedule
+	// StepSupply: a supply feeds the capacitor.
+	StepSupply
+	// StepMargin: the next straight-line run does not fit. Its energy is
+	// within runSafety of the capacitor level, or it would pass MaxSteps.
+	StepMargin
+	// StepVM: a VM access needs materialization, a deferred restore or
+	// poisoning.
+	StepVM
+	// StepBoundary: a call, return or checkpoint.
+	StepBoundary
+
+	numStepReasons
+)

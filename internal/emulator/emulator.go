@@ -107,13 +107,15 @@ type Config struct {
 	// Observer, when non-nil, receives the full cycle-stamped event
 	// stream: block entries, returns, energy charges, checkpoint
 	// save/restore, sleeps, power failures, re-execution spans, poison
-	// reads. A nil observer costs nothing per instruction.
+	// reads. A nil observer costs nothing per instruction, and neither
+	// does an Attributor: it is sent no block entries or charges, and
+	// the machine fills its Attribution instead.
 	Observer Observer
 
 	// Counts, when non-nil, is a data sink, not a behaviour setting: the
 	// run adds its control-flow counts to it (function entries, taken
-	// branch arms, and instructions executed in total and batched; see
-	// Counts). Counting never forces the stepped path and never changes
+	// branch arms, and instructions executed in total, batched, and
+	// stepped by reason; see Counts). Counting never forces the stepped path and never changes
 	// the Result. The trace profiler is built on it.
 	Counts *Counts
 }

@@ -55,11 +55,19 @@ type machine struct {
 
 	// obs is Config.Observer; nil on an unobserved run. Every emission
 	// site guards on nil so an unobserved run constructs no events at all.
-	obs Observer
+	// perInstr receives EvCharge and EvBlockEnter: obs, or nil when obs
+	// opted out of them (Attributor). attr is the Attribution such an
+	// observer asked the machine to fill in their place, or nil.
+	obs      Observer
+	perInstr Observer
+	attr     *Attribution
 	// counts is Config.Counts, bound to this module; nil when the run is
 	// not counted. batched counts the instructions execBatch ran.
 	counts  *Counts
 	batched int64
+	// visit is where the batch's current block visit started, kept on
+	// attributed runs only (see attributeVisit).
+	visit blockVisit
 	// curSite is the checkpoint site currently executing, -1 outside
 	// execCheckpoint; save/restore charges are attributed to it.
 	curSite int
@@ -165,7 +173,13 @@ type machine struct {
 func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 	prog := dispatch.For(m, cfg.Model)
 	if cfg.Counts != nil {
-		if err := cfg.Counts.bind(m, prog); err != nil {
+		if err := cfg.Counts.bindTo(m, prog); err != nil {
+			return nil, err
+		}
+	}
+	attr, optOut := attributionOf(cfg.Observer)
+	if attr != nil {
+		if err := attr.bindTo(m, prog); err != nil {
 			return nil, err
 		}
 	}
@@ -175,6 +189,7 @@ func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 		prog:     prog,
 		cfg:      cfg,
 		obs:      cfg.Observer,
+		attr:     attr,
 		counts:   cfg.Counts,
 		curSite:  -1,
 		nvm:      make([][]int64, n),
@@ -186,6 +201,9 @@ func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 		vmSpare:  make([][]int64, n),
 		seen:     make([]bool, n),
 		counters: map[int]int64{},
+	}
+	if !optOut {
+		mc.perInstr = cfg.Observer
 	}
 	var c *Capacitor
 	c, mc.sched = splitExhaustion(cfg)
@@ -266,8 +284,21 @@ func (mc *machine) bootFrames() {
 	if mc.counts != nil {
 		mc.counts.calls[cf.ID()]++
 	}
-	if mc.obs != nil {
-		mc.emit(Event{Kind: EvBlockEnter, Fn: mainFn, Block: mainFn.Entry(), Call: true})
+	if mc.attr != nil || mc.perInstr != nil {
+		mc.entered(mainFn, cf.Entry, true)
+	}
+}
+
+// entered books an executed entry into block cb of fn, a frame push when
+// call is set: for the observer's attribution, or as an EvBlockEnter.
+// Replays of a restored stack do not come through here. Callers check
+// for either first, so an unobserved run makes no call.
+func (mc *machine) entered(fn *ir.Func, cb *dispatch.Block, call bool) {
+	if mc.attr != nil {
+		mc.attr.block(cb.ID(), fn, cb.IR).Entries++
+	}
+	if mc.perInstr != nil {
+		mc.emit(Event{Kind: EvBlockEnter, Fn: fn, Block: cb.IR, BlockID: cb.ID(), Call: call})
 	}
 }
 
@@ -317,8 +348,8 @@ const (
 // refusal, or a replay of one: never an injection. Every call is one
 // charge ordinal, and the schedule sees every draw, so a replayed
 // refusal that meets the capacitor's own coalesces with it. execBatch
-// draws without counting: a batched run has no schedule or observer to
-// read the ordinal.
+// draws without counting: a batched run has no schedule to read the
+// ordinal, and no observer that reads EvCharge.
 func (mc *machine) charge(e float64, kind chargeKind) bool {
 	mc.charges++
 	mc.store.harvest(mc.res.TotalCycles)
@@ -357,16 +388,26 @@ func (mc *machine) charge(e float64, kind chargeKind) bool {
 			}
 		}
 	}
-	if mc.obs != nil {
-		ev := Event{Kind: EvCharge, Class: class, Energy: e, Site: mc.chargeSite(class), CapEnergy: level,
-			Point: PointCharge, Seq: mc.charges}
-		if len(mc.frames) > 0 {
-			fr := mc.top()
-			ev.Fn, ev.Block = fr.fn, fr.cb.IR
-		}
-		mc.emit(ev)
+	if mc.perInstr != nil || mc.attr != nil {
+		mc.booked(class, e, level)
 	}
 	return true
+}
+
+// booked reports a granted draw of e nJ from the capacitor level: to
+// the observer's attribution, or as an EvCharge stamped with the
+// executing block and the responsible checkpoint site. Every draw
+// happens inside a frame: boot and recovery push theirs first.
+func (mc *machine) booked(class ChargeClass, e, level float64) {
+	site := mc.chargeSite(class)
+	fr := mc.top()
+	if mc.attr != nil {
+		mc.attr.charge(class, e, site, fr.cb.ID(), fr.fn, fr.cb.IR)
+	}
+	if mc.perInstr != nil {
+		mc.emit(Event{Kind: EvCharge, Class: class, Energy: e, Site: site, CapEnergy: level,
+			Point: PointCharge, Seq: mc.charges, Fn: fr.fn, Block: fr.cb.IR, BlockID: fr.cb.ID()})
+	}
 }
 
 // chargeSite resolves the checkpoint site a charge is attributed to:

@@ -9,16 +9,19 @@ const (
 	// EvBlockEnter fires when a basic block starts executing. Call marks
 	// entries that push a new frame (function calls and the boot of main);
 	// Resume marks the replay of the restored call stack after a power
-	// failure, so observers can mirror the stack exactly.
+	// failure, so observers can mirror the stack exactly. An Attributor
+	// is sent none: its Attribution counts the entries.
 	EvBlockEnter EventKind = iota
 	// EvFuncReturn fires on every function return (including main's),
 	// before the frame is popped.
 	EvFuncReturn
 	// EvCharge fires for every draw from the capacitor, classified into
 	// the ledger bucket it fed (Class) and stamped with the attribution
-	// context: the executing block and the responsible checkpoint site.
-	// CapEnergy is the level the draw was taken from; Point is
-	// PointCharge and Seq the draw's charge ordinal.
+	// context: the executing block (and its BlockID) and the responsible
+	// checkpoint site. CapEnergy is the level the draw was taken from;
+	// Point is PointCharge and Seq the draw's charge ordinal. An
+	// Attributor is sent none: the machine adds each draw to its
+	// Attribution instead, which lets the run batch.
 	EvCharge
 	// EvCheckpointHit fires when a checkpoint instruction begins
 	// executing, whether or not it ends up saving.
@@ -38,6 +41,9 @@ const (
 	// none exists yet). A failure at a draw carries the refused draw in
 	// Energy, PointCharge in Point and the draw's charge ordinal in Seq;
 	// an injected one (preceded by EvInjection) carries none of them.
+	// Seq counts the draws the stepped path made: batched instructions
+	// draw without counting, so under an Attributor that batched, Seq is
+	// lower than the run's true charge ordinal.
 	EvPowerFailure
 	// EvReexecStart / EvReexecEnd bracket a re-execution span: work
 	// repeated between a recovery point and the previous high-water mark.
@@ -134,9 +140,10 @@ type Event struct {
 	Cycle int64 // Result.TotalCycles at emission
 	Step  int64 // instructions executed so far
 
-	Fn    *ir.Func
-	Block *ir.Block
-	Var   *ir.Var // EvPoisonRead
+	Fn      *ir.Func
+	Block   *ir.Block
+	BlockID int     // EvCharge, EvBlockEnter: Block's dispatch ordinal (Attribution.Blocks index)
+	Var     *ir.Var // EvPoisonRead
 
 	Class  ChargeClass // EvCharge
 	Energy float64     // nJ: EvCharge, EvSave, EvRestore; EvPowerFailure: the refused draw
@@ -159,6 +166,11 @@ type Event struct {
 // nothing: the machine skips event construction entirely (the fast path
 // every unobserved run takes). Observers are invoked synchronously from
 // the emulation loop and must not retain pointers into the machine.
+//
+// An observer that reads EvCharge or EvBlockEnter keeps the whole run
+// on the stepped path, one event per instruction. One that reads
+// neither opts out by implementing Attributor, and its run batches like
+// an unobserved one.
 type Observer interface {
 	Event(Event)
 }
@@ -173,7 +185,9 @@ func (m multiObserver) Event(e Event) {
 
 // MultiObserver fans the event stream out to several observers, ignoring
 // nil entries. It returns nil when no observer remains and the observer
-// itself when only one does, preserving the nil fast path.
+// itself when only one does, preserving the nil fast path. The fan-out
+// opts out of per-instruction events when every member is an Attributor
+// and at most one of them returns an Attribution.
 func MultiObserver(obs ...Observer) Observer {
 	var list multiObserver
 	for _, o := range obs {

@@ -1,10 +1,11 @@
 package emulator
 
 import (
-	"schematic/internal/ir"
-
+	"errors"
 	"math"
 	"testing"
+
+	"schematic/internal/ir"
 )
 
 // chargeSummer accumulates EvCharge energy per class and counts the
@@ -198,5 +199,89 @@ func BenchmarkEmulateObserved(b *testing.B) {
 		if _, err := Run(m, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// attributor is an Attributor: an observer of everything but
+// per-instruction events, filling attr (nil: no energy wanted). It
+// counts the per-instruction events it is sent all the same, which only
+// a fan-out that does not opt out as a whole sends it.
+type attributor struct {
+	attr     *Attribution
+	perInstr int
+}
+
+func (a *attributor) Event(e Event) {
+	if e.Kind == EvCharge || e.Kind == EvBlockEnter {
+		a.perInstr++
+	}
+}
+
+func (a *attributor) Attribution() *Attribution { return a.attr }
+
+// TestAttributorOptOut pins who rides the batched path: an Attributor,
+// and a MultiObserver of Attributors at most one of which wants an
+// Attribution, batch exactly where the unobserved run does; a fan-out
+// with any other observer, or with two Attributions to fill, steps
+// every instruction for its observer.
+func TestAttributorOptOut(t *testing.T) {
+	m := loopProgram(t, 200, 3, false)
+	run := func(o Observer) *Counts {
+		t.Helper()
+		cfg := baseCfg()
+		cfg.Intermittent, cfg.EB = true, 400
+		cfg.Observer, cfg.Counts = o, &Counts{}
+		if _, err := Run(m, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Counts
+	}
+	plain := run(nil)
+	if plain.BatchedSteps() == 0 {
+		t.Fatal("the unobserved run batched nothing")
+	}
+	for name, members := range map[string][]*attributor{
+		"attributor":            {{attr: &Attribution{}}},
+		"attributor, no energy": {{}},
+		"two, one attribution":  {{attr: &Attribution{}}, {}},
+		"two, no attribution":   {{}, {}},
+	} {
+		var list []Observer
+		for _, a := range members {
+			list = append(list, a)
+		}
+		c := run(MultiObserver(list...))
+		if c.BatchedSteps() != plain.BatchedSteps() || c.Stepped(StepObserver) != 0 {
+			t.Errorf("%s: batched %d (unobserved %d), stepped %d for the observer",
+				name, c.BatchedSteps(), plain.BatchedSteps(), c.Stepped(StepObserver))
+		}
+		for _, a := range members {
+			if a.perInstr != 0 {
+				t.Errorf("%s: an opted-out member was sent %d per-instruction events", name, a.perInstr)
+			}
+		}
+	}
+	for name, o := range map[string]Observer{
+		"with a plain observer": MultiObserver(&attributor{attr: &Attribution{}}, observerFunc(func(Event) {})),
+		"two attributions":      MultiObserver(&attributor{attr: &Attribution{}}, &attributor{attr: &Attribution{}}),
+	} {
+		if c := run(o); c.BatchedSteps() != 0 || c.Stepped(StepObserver) != c.Steps() {
+			t.Errorf("%s: batched %d, stepped %d of %d for the observer", name, c.BatchedSteps(), c.Stepped(StepObserver), c.Steps())
+		}
+	}
+}
+
+// TestAttributionBoundToModule: the machine binds an Attribution to the
+// module of its first run, like a Counts.
+func TestAttributionBoundToModule(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Observer = &attributor{attr: &Attribution{}}
+	if _, err := Run(loopProgram(t, 10, -1, false), cfg); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Run(loopProgram(t, 10, -1, false), cfg)
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Field != "Observer" {
+		t.Errorf("another module: got %v, want a ConfigError for Observer", err)
 	}
 }

@@ -8,6 +8,14 @@
 // Every exporter is streaming: none retains the full event stream, so
 // observing a long run costs memory proportional to the program's shape
 // (blocks, sites, distinct call stacks), not its length.
+//
+// The collector reads no per-instruction event. It is an
+// emulator.Attributor, so a run it observes alone batches like an
+// unobserved one and the machine fills its per-block and per-site
+// energy. The timeline, the flamegraph and the NDJSON stream read every
+// event and keep a run on the stepped path; so does the Hub, whose
+// subscribers read every event, and a collector inside a Hub folds the
+// per-instruction events into the same ledgers itself.
 package obs
 
 import (
@@ -18,11 +26,6 @@ import (
 
 	"schematic/internal/emulator"
 )
-
-// BlockKey names a basic block within a function.
-type BlockKey struct {
-	Func, Block string
-}
 
 // BlockEnergy is the per-block energy ledger: first-execution
 // computation energy attributed to the block, with the Fig. 7 access
@@ -72,10 +75,16 @@ type SiteStats struct {
 func (s *SiteStats) Total() float64 { return s.SaveEnergy + s.RestoreEnergy + s.ReexecEnergy }
 
 // Collector is an emulator.Observer that builds the attribution ledgers.
-// It is not safe for concurrent use; attach one collector per run.
+// It is an emulator.Attributor: run as the observer (or beside other
+// Attributors), it is sent no per-instruction events, the machine fills
+// its Attribution, and the run batches. Fed every event, as under a Hub,
+// it folds EvCharge and EvBlockEnter into the same Attribution itself,
+// so the ledgers are the same either way and are only touched by the
+// goroutine delivering events. It is not safe for concurrent use;
+// attach one collector per run.
 type Collector struct {
-	blocks map[BlockKey]*BlockEnergy
-	sites  map[int]*SiteStats
+	attr  emulator.Attribution
+	sites []siteCounts // by site ID + 1, like attr.Sites
 
 	PowerFailures    int64
 	Sleeps           int64
@@ -83,60 +92,38 @@ type Collector struct {
 	InjectedFailures int64 // schedule-induced failures (subset of PowerFailures)
 }
 
+// siteCounts is what the collector counts per site from checkpoint
+// events; the energy comes from the attribution.
+type siteCounts struct {
+	fires, saves, restores, bytesSaved int64
+}
+
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		blocks: map[BlockKey]*BlockEnergy{},
-		sites:  map[int]*SiteStats{},
-	}
-}
+func NewCollector() *Collector { return &Collector{} }
 
-func (c *Collector) block(e emulator.Event) *BlockEnergy {
-	key := BlockKey{}
-	if e.Fn != nil {
-		key.Func = e.Fn.Name
-	}
-	if e.Block != nil {
-		key.Block = e.Block.Name
-	}
-	b, ok := c.blocks[key]
-	if !ok {
-		b = &BlockEnergy{Func: key.Func, Block: key.Block}
-		c.blocks[key] = b
-	}
-	return b
-}
+// Attribution implements emulator.Attributor.
+func (c *Collector) Attribution() *emulator.Attribution { return &c.attr }
 
-func (c *Collector) site(e emulator.Event) *SiteStats {
-	s, ok := c.sites[e.Site]
-	if !ok {
-		s = &SiteStats{Site: e.Site}
-		if e.Fn != nil {
-			s.Func = e.Fn.Name
-		}
-		if e.Block != nil {
-			s.Block = e.Block.Name
-		}
-		c.sites[e.Site] = s
+func (c *Collector) site(id int) *siteCounts {
+	i := id + 1
+	if i >= len(c.sites) {
+		c.sites = append(c.sites, make([]siteCounts, i+1-len(c.sites))...)
 	}
-	return s
+	return &c.sites[i]
 }
 
 // Event implements emulator.Observer.
 func (c *Collector) Event(e emulator.Event) {
+	c.attr.Add(e)
 	switch e.Kind {
-	case emulator.EvBlockEnter:
-		if !e.Resume {
-			c.block(e).Entries++
-		}
 	case emulator.EvCheckpointHit:
-		c.site(e).Fires++
+		c.site(e.Site).fires++
 	case emulator.EvSave:
-		s := c.site(e)
-		s.Saves++
-		s.BytesSaved += int64(e.Bytes)
+		s := c.site(e.Site)
+		s.saves++
+		s.bytesSaved += int64(e.Bytes)
 	case emulator.EvRestore:
-		c.site(e).Restores++
+		c.site(e.Site).restores++
 	case emulator.EvPowerFailure:
 		c.PowerFailures++
 	case emulator.EvInjection:
@@ -145,35 +132,22 @@ func (c *Collector) Event(e emulator.Event) {
 		c.Sleeps++
 	case emulator.EvPoisonRead:
 		c.PoisonReads++
-	case emulator.EvCharge:
-		switch e.Class {
-		case emulator.ChargeCompute:
-			c.block(e).Compute += e.Energy
-		case emulator.ChargeVMAccess:
-			b := c.block(e)
-			b.Compute += e.Energy
-			b.VMAccess += e.Energy
-			b.VMAccesses++
-		case emulator.ChargeNVMAccess:
-			b := c.block(e)
-			b.Compute += e.Energy
-			b.NVMAccess += e.Energy
-			b.NVMAccesses++
-		case emulator.ChargeSave:
-			c.site(e).SaveEnergy += e.Energy
-		case emulator.ChargeRestore:
-			c.site(e).RestoreEnergy += e.Energy
-		case emulator.ChargeReexec:
-			c.site(e).ReexecEnergy += e.Energy
-		}
 	}
 }
 
 // Blocks returns the per-block ledgers sorted by (function, block).
 func (c *Collector) Blocks() []BlockEnergy {
-	out := make([]BlockEnergy, 0, len(c.blocks))
-	for _, b := range c.blocks {
-		out = append(out, *b)
+	out := []BlockEnergy{}
+	for i := range c.attr.Blocks {
+		b := &c.attr.Blocks[i]
+		if b.Block == nil {
+			continue
+		}
+		out = append(out, BlockEnergy{
+			Func: b.Fn.Name, Block: b.Block.Name, Entries: b.Entries,
+			Compute: b.Compute, VMAccess: b.VMAccess, NVMAccess: b.NVMAccess,
+			VMAccesses: b.VMAccesses, NVMAccesses: b.NVMAccesses,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Func != out[j].Func {
@@ -185,9 +159,9 @@ func (c *Collector) Blocks() []BlockEnergy {
 }
 
 // Functions aggregates the block ledgers per function, sorted by name.
-// Aggregation walks the blocks in their sorted order — never the map —
-// so the float sums accumulate in one fixed sequence and two calls (or
-// two runs) render byte-identical values.
+// Aggregation walks the blocks in their sorted order so the float sums
+// accumulate in one fixed sequence and two calls (or two runs) render
+// byte-identical values.
 func (c *Collector) Functions() []FuncEnergy {
 	var out []FuncEnergy
 	for _, b := range c.Blocks() {
@@ -204,11 +178,25 @@ func (c *Collector) Functions() []FuncEnergy {
 
 // Sites returns the per-site ledgers sorted by site ID.
 func (c *Collector) Sites() []SiteStats {
-	out := make([]SiteStats, 0, len(c.sites))
-	for _, s := range c.sites {
-		out = append(out, *s)
+	out := []SiteStats{}
+	for i := range c.attr.Sites {
+		a := &c.attr.Sites[i]
+		if !a.Seen {
+			continue
+		}
+		s := SiteStats{Site: i - 1, SaveEnergy: a.Save, RestoreEnergy: a.Restore, ReexecEnergy: a.Reexec}
+		if a.Fn != nil {
+			s.Func = a.Fn.Name
+		}
+		if a.Block != nil {
+			s.Block = a.Block.Name
+		}
+		if i < len(c.sites) {
+			n := c.sites[i]
+			s.Fires, s.Saves, s.Restores, s.BytesSaved = n.fires, n.saves, n.restores, n.bytesSaved
+		}
+		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out
 }
 

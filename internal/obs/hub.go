@@ -21,7 +21,10 @@ type SeqEvent struct {
 // synchronously from its hot loop, and the hub
 //
 //   - forwards each event to an optional inner observer (e.g. a
-//     Collector building attribution ledgers),
+//     Collector building attribution ledgers). A hub is not an
+//     emulator.Attributor, since subscribers read every event, so a
+//     hubbed run steps and its Collector folds every charge into its
+//     ledgers itself, under the hub's lock;
 //   - retains the most recent events in a fixed ring buffer so late or
 //     resuming subscribers can replay history, and
 //   - multicasts to any number of subscribers, each a bounded-window

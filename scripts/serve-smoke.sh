@@ -71,6 +71,13 @@ if [ -z "$digest" ]; then
     exit 1
 fi
 ctl runs | grep -q "\"digest\":\"$digest\",\"name\":\"crc\""
+# Its detail carries the Collector's per-site table: the observed run
+# attributes its energy to crc's checkpoint sites.
+curl -fsS "http://$addr/v1/runs/$digest" >"$tmp/run.json"
+if ! grep -q '"sites":\[{' "$tmp/run.json"; then
+    echo "serve-smoke: observed run's detail has no sites table" >&2
+    exit 1
+fi
 
 # ...and its SSE stream replays to a terminal result record.
 ctl tail "$digest" >"$tmp/events.ndjson"
