@@ -89,17 +89,6 @@ import (
 	"schematic/internal/verify"
 )
 
-// prechangeGridMinstrPerSec is the full-grid throughput of the emulator
-// immediately before compiled block dispatch landed, measured with this
-// harness's exact grid methodology (the full embedded benchmark suite x
-// supported techniques at TBPF=100000 — 42 cells, 7343068 steps/iter —
-// 2 timed iterations after warmup) on the machine that produced the
-// committed BENCH_*.json; the best of three repeats is recorded so the
-// speedup claim is conservative. The pre-change engine no longer exists
-// in the tree; see EXPERIMENTS.md ("Compiled dispatch") for the
-// measurement protocol.
-const prechangeGridMinstrPerSec = 9.22
-
 type gridReport struct {
 	Cells            int     `json:"cells"`
 	TBPF             int64   `json:"tbpf"`
@@ -108,10 +97,6 @@ type gridReport struct {
 	CompiledMips     float64 `json:"compiled_minstr_per_sec"`
 	SteppedMips      float64 `json:"stepped_minstr_per_sec"`
 	SpeedupVsStepped float64 `json:"speedup_vs_stepped"`
-
-	// Full grid only: comparison against the recorded pre-change engine.
-	PrechangeMips      float64 `json:"prechange_minstr_per_sec,omitempty"`
-	SpeedupVsPrechange float64 `json:"speedup_vs_prechange,omitempty"`
 }
 
 type emulateReport struct {
@@ -287,8 +272,6 @@ func main() {
 		rep.SmokeGrid = grid
 	} else {
 		rep.Grid = grid
-		grid.PrechangeMips = prechangeGridMinstrPerSec
-		grid.SpeedupVsPrechange = round2(grid.CompiledMips / prechangeGridMinstrPerSec)
 		// Also record the smoke-sized grid so `schemabench -smoke -check`
 		// has a like-for-like reference in the committed report.
 		rep.SmokeGrid, err = measureGrid(true)

@@ -123,10 +123,11 @@ func checkFlow(t *testing.T, label string, m *ir.Module, batched, stepped *emula
 }
 
 // TestCountsResume pins the counts of a run booted from a captured
-// persistent state: the run boots main (counted), replays the restored
-// stack (not counted), and re-executes from the recovery point through
-// further power failures. The batched and stepped resumes must return
-// one Result, and their counts must equal each other and the oracle.
+// persistent state: the run boots at the recovery point, replays the
+// restored stack (not counted; main is never entered), and re-executes
+// from the recovery point through further power failures. The batched
+// and stepped resumes must return one Result, and their counts must
+// equal each other and the oracle.
 // A resumed Collector run, whose first charges land in a block it never
 // entered, must agree with the ledger oracle (checkAttribution).
 func TestCountsResume(t *testing.T) {
@@ -175,7 +176,7 @@ func TestCountsResume(t *testing.T) {
 	mid := states[len(states)/2]
 
 	plain, batched, stepped, collected := base, base, base, base
-	plain.Resume, batched.Resume, stepped.Resume, collected.Resume = mid.Clone(), mid.Clone(), mid.Clone(), mid.Clone()
+	plain.Resume, batched.Resume, stepped.Resume, collected.Resume = mid, mid, mid, mid
 	batched.Counts, stepped.Counts, collected.Counts = &emulator.Counts{}, &emulator.Counts{}, &emulator.Counts{}
 	oracle, ledgers, fed := newFlowOracle(), newLedgerOracle(), obs.NewCollector()
 	stepped.Observer = emulator.MultiObserver(oracle, ledgers, fed)
@@ -207,5 +208,8 @@ func TestCountsResume(t *testing.T) {
 	checkAttribution(t, "crc/Ratchet/resume", col, fed, stream, ledgers, collected.Counts, batched.Counts, stepped.Counts)
 	if batched.Counts.BatchedSteps() == 0 {
 		t.Error("counted resume never batched")
+	}
+	if n := batched.Counts.Calls(m.FuncByName("main")); n != 0 {
+		t.Errorf("resumed run counted %d calls of main; it boots at the recovery point", n)
 	}
 }

@@ -68,8 +68,8 @@ func checkWindows(t *testing.T, m *ir.Module, base emulator.Config) {
 		var ws []emulator.PointVisit
 		cfg.Hook = &emulator.Hook{Window: func(v emulator.PointVisit, capture func() *emulator.PersistentState) {
 			if got := capture().Hash(); got != v.Hash {
-				t.Fatalf("window %d (%v@%d, span %d): captured state hashes %v, window %v",
-					len(ws), v.Kind, v.Occurrence, v.Span, got, v.Hash)
+				t.Fatalf("window %d (%v, step %d, save %d, span %d): captured state hashes %v, window %v",
+					len(ws), v.Kind, v.Step, v.Saves, v.Span, got, v.Hash)
 			}
 			ws = append(ws, v)
 		}}
@@ -109,8 +109,8 @@ func checkWindows(t *testing.T, m *ir.Module, base emulator.Config) {
 		}
 		points += w.Span
 		if i > 0 && w.Kind != emulator.PointAfterSave && w.Hash == batched[i-1].Hash {
-			t.Fatalf("windows %d and %d (%v@%d) share hash %v across an NVM or counter change",
-				i-1, i, w.Kind, w.Occurrence, w.Hash)
+			t.Fatalf("windows %d and %d (%v, step %d, save %d) share hash %v across an NVM or counter change",
+				i-1, i, w.Kind, w.Step, w.Saves, w.Hash)
 		}
 	}
 	if want := plain.Steps + plain.SaveAttempts + 2*int64(plain.Saves); points != want {

@@ -177,15 +177,24 @@ func (s *binding) bind(field string, m *ir.Module, prog *dispatch.Program) (fres
 		s.prog = prog
 		return true, nil
 	}
-	if s.prog.Mod != m {
-		return false, &ConfigError{Field: field,
+	return false, s.check(field, m, prog)
+}
+
+// check rejects a run of prog, compiled from m, unless s is bound to m
+// as it is now: a value bound to nothing, to another module, or to this
+// one before an in-place edit fails.
+func (s *binding) check(field string, m *ir.Module, prog *dispatch.Program) error {
+	switch {
+	case s.prog == nil:
+		return &ConfigError{Field: field, Reason: "bound to no module"}
+	case s.prog.Mod != m:
+		return &ConfigError{Field: field,
 			Reason: fmt.Sprintf("bound to module %q, cannot take a run of module %q", s.prog.Mod.Name, m.Name)}
+	case prog.Fingerprint() != s.prog.Fingerprint():
+		return &ConfigError{Field: field,
+			Reason: fmt.Sprintf("module %q changed since it was bound", m.Name)}
 	}
-	if prog.Fingerprint() != s.prog.Fingerprint() {
-		return false, &ConfigError{Field: field,
-			Reason: fmt.Sprintf("module %q changed since it was sized", m.Name)}
-	}
-	return false, nil
+	return nil
 }
 
 // bindTo binds a to the run's program and sizes its block

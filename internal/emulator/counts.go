@@ -16,11 +16,12 @@ import (
 // later run of a different module, or of the same module after an
 // in-place edit changed its compiled form, fails with a ConfigError for
 // Counts. The counting sites are exactly the block entries that execute
-// code: main's boot (including a cold restart after a power failure),
-// calls, and taken branches on both the stepped and the batched path.
-// The replay of a restored call stack after a power failure (or when a
-// run boots from Config.Resume) is not execution and is not counted;
-// blocks re-executed after the recovery point are.
+// code: main's boot (including a cold restart, after a power failure or
+// from a resumed state with no recovery point), calls, and taken
+// branches on both the stepped and the batched path. The replay of a
+// restored call stack after a power failure (or when a run boots from
+// Config.Resume) is not execution and is not counted; blocks
+// re-executed after the recovery point are.
 //
 // Counting never forces the stepped path and never changes a Result.
 // A Counts is not safe for concurrent runs: give each goroutine its own.

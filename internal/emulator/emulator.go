@@ -89,9 +89,11 @@ type Config struct {
 	// Resume, when non-nil, boots the run from a previously captured
 	// persistent state instead of initial NVM: the run behaves exactly
 	// like the continuation of an emulation that power-failed leaving
-	// that state behind. The state must have been captured from the same
-	// module. Mutually exclusive with Inputs and PrewarmVM (a resumed
-	// state already fixes NVM contents). A resumed run executes like any
+	// that state behind. The state must come from InitialState or a
+	// Hook's capture on this module, unedited since; Run fails with a
+	// ConfigError for Resume otherwise, and never changes the state.
+	// Mutually exclusive with Inputs and PrewarmVM (a resumed state
+	// already fixes NVM contents). A resumed run executes like any
 	// other: batched unless an Observer or schedule steps it.
 	Resume *PersistentState
 
@@ -306,11 +308,6 @@ func Run(m *ir.Module, cfg Config) (*Result, error) {
 	mach, err := newMachine(m, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Resume != nil {
-		if err := mach.installResume(cfg.Resume); err != nil {
-			return nil, err
-		}
 	}
 	res, err := mach.run()
 	if c := cfg.Counts; c != nil {

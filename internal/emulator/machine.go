@@ -170,8 +170,17 @@ type machine struct {
 	winSaves int64
 }
 
+// newMachine boots a machine for one run: fresh, from the initial NVM
+// (with input overrides and the optional prewarm), or from
+// Config.Resume. Only then does a hooked run compute its lanes and open
+// its first window.
 func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 	prog := dispatch.For(m, cfg.Model)
+	if cfg.Resume != nil {
+		if err := cfg.Resume.bound.check("Resume", m, prog); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Counts != nil {
 		if err := cfg.Counts.bindTo(m, prog); err != nil {
 			return nil, err
@@ -192,7 +201,6 @@ func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 		attr:     attr,
 		counts:   cfg.Counts,
 		curSite:  -1,
-		nvm:      make([][]int64, n),
 		vm:       make([][]int64, n),
 		pending:  make([]bool, n),
 		dirty:    make([]bool, n),
@@ -208,11 +216,15 @@ func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 	var c *Capacitor
 	c, mc.sched = splitExhaustion(cfg)
 	mc.store = newStore(c, cfg.EB)
-	mc.initNVM()
-	if cfg.PrewarmVM {
-		mc.prewarmVM()
+	if cfg.Resume != nil {
+		mc.resume(cfg.Resume)
+	} else {
+		mc.initNVM()
+		if cfg.PrewarmVM {
+			mc.prewarmVM()
+		}
+		mc.bootFrames()
 	}
-	mc.bootFrames()
 	if cfg.Hook != nil {
 		mc.track = true
 		mc.hook = cfg.Hook
@@ -263,6 +275,7 @@ func (mc *machine) prewarmVM() {
 // initNVM loads every variable's NVM home with its initial data, applying
 // input overrides. Runs once per emulation: NVM persists across failures.
 func (mc *machine) initNVM() {
+	mc.nvm = make([][]int64, len(mc.prog.Vars))
 	for slot, v := range mc.prog.Vars {
 		data := make([]int64, v.Elems)
 		copy(data, v.Init)

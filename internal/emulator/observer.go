@@ -9,7 +9,8 @@ const (
 	// EvBlockEnter fires when a basic block starts executing. Call marks
 	// entries that push a new frame (function calls and the boot of main);
 	// Resume marks the replay of the restored call stack after a power
-	// failure, so observers can mirror the stack exactly. An Attributor
+	// failure or at a resumed run's boot, so observers can mirror the
+	// stack exactly. An Attributor
 	// is sent none: its Attribution counts the entries.
 	EvBlockEnter EventKind = iota
 	// EvFuncReturn fires on every function return (including main's),

@@ -2,7 +2,9 @@ package emulator
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"schematic/internal/ir"
 )
@@ -31,82 +33,54 @@ type StateHash [2]uint64
 
 func (h StateHash) String() string { return fmt.Sprintf("%016x%016x", h[0], h[1]) }
 
-// FrameState is one call-stack frame of a committed snapshot,
-// serialized by function/block name so the value is meaningful outside
-// the machine that captured it.
-type FrameState struct {
-	Fn      string  `json:"fn"`
-	Block   string  `json:"block"`
-	PC      int     `json:"pc"`
-	Regs    []int64 `json:"regs"`
-	RetReg  ir.Reg  `json:"ret_reg"`
-	WantRet bool    `json:"want_ret"`
-}
-
-// SnapshotState is the committed recovery point inside a
-// PersistentState: the volatile state execution rebuilds after a power
-// failure. VMSlots/VMData/Restores keep the machine's stored order —
-// that order is behavioral (restore costs sum sequentially in it), so
-// it is part of the state's identity.
-type SnapshotState struct {
-	Frames   []FrameState `json:"frames"`
-	VMSlots  []int32      `json:"vm_slots"`
-	VMData   [][]int64    `json:"vm_data"`
-	Restores []int32      `json:"restores"`
-	Lazy     bool         `json:"lazy"`
-	Site     int          `json:"site"`
-	// Done is the snapshot's logical progress index. It is bookkeeping
-	// (re-execution accounting), not behavior, and is excluded from the
-	// hash: two states differing only in Done behave identically.
-	Done int64 `json:"done"`
-}
-
-// PersistentState is the machine state that survives a power failure.
-// NVM is indexed by the module's deterministic slot table (the same
-// program always assigns the same slots); Out is the committed output
-// prefix (output beyond the snapshot's high-water mark is lost with the
-// volatile state); a nil Snap means no checkpoint has committed yet and
-// resume is a cold restart.
+// PersistentState is the machine state that survives a power failure:
+// the variables' NVM homes (indexed by the program's slot table), the
+// conditional-checkpoint counters, the committed output prefix (output
+// past the snapshot's mark is lost with the volatile state), and the
+// committed recovery point, a copy of the machine's own snapshot, or
+// none before the first commit, when resume is a cold restart. It is
+// opaque and bound to the program it was captured from: only
+// InitialState and a Hook's capture make one, and Config.Resume takes
+// it only for that module, unedited. A run never changes the state it
+// resumes from, so one state can seed any number of runs.
 type PersistentState struct {
-	NVM      [][]int64      `json:"nvm"`
-	Counters map[int]int64  `json:"counters,omitempty"`
-	Out      []int64        `json:"out,omitempty"`
-	Snap     *SnapshotState `json:"snap,omitempty"`
+	nvm      [][]int64
+	counters map[int]int64
+	out      []int64
+	snap     *snapshot
+	bound    binding
 }
 
-// Clone deep-copies the state.
-func (ps *PersistentState) Clone() *PersistentState {
-	out := &PersistentState{
-		NVM: make([][]int64, len(ps.NVM)),
-		Out: append([]int64(nil), ps.Out...),
+// clone deep-copies the state. It is the one copy between a machine and
+// a state, so the two never share storage: a capture clones a view of
+// the live machine, and a resumed run boots from a clone.
+func (ps *PersistentState) clone() *PersistentState {
+	cp := &PersistentState{
+		nvm:      cloneWords(ps.nvm),
+		counters: maps.Clone(ps.counters),
+		out:      slices.Clone(ps.out),
+		bound:    ps.bound,
 	}
-	for i, arr := range ps.NVM {
-		out.NVM[i] = append([]int64(nil), arr...)
+	if sn := ps.snap; sn != nil {
+		s := *sn
+		s.frames = slices.Clone(sn.frames)
+		for i := range s.frames {
+			s.frames[i].regs = slices.Clone(s.frames[i].regs)
+		}
+		s.vmSlots = slices.Clone(sn.vmSlots)
+		s.vmData = cloneWords(sn.vmData)
+		s.vmLanes = slices.Clone(sn.vmLanes)
+		s.restores = slices.Clone(sn.restores)
+		cp.snap = &s
 	}
-	if len(ps.Counters) > 0 {
-		out.Counters = make(map[int]int64, len(ps.Counters))
-		for k, v := range ps.Counters {
-			out.Counters[k] = v
-		}
-	}
-	if sn := ps.Snap; sn != nil {
-		cp := &SnapshotState{
-			Frames:   make([]FrameState, len(sn.Frames)),
-			VMSlots:  append([]int32(nil), sn.VMSlots...),
-			VMData:   make([][]int64, len(sn.VMData)),
-			Restores: append([]int32(nil), sn.Restores...),
-			Lazy:     sn.Lazy,
-			Site:     sn.Site,
-			Done:     sn.Done,
-		}
-		for i, f := range sn.Frames {
-			f.Regs = append([]int64(nil), f.Regs...)
-			cp.Frames[i] = f
-		}
-		for i, d := range sn.VMData {
-			cp.VMData[i] = append([]int64(nil), d...)
-		}
-		out.Snap = cp
+	return cp
+}
+
+// cloneWords deep-copies a table of word arrays.
+func cloneWords(src [][]int64) [][]int64 {
+	out := make([][]int64, len(src))
+	for i, a := range src {
+		out[i] = slices.Clone(a)
 	}
 	return out
 }
@@ -125,12 +99,12 @@ func (ps *PersistentState) Clone() *PersistentState {
 //     conditional-checkpoint counters (absent and zero coincide, which
 //     is sound because counters only ever increment).
 //   - the snapshot lane: a sequential hash of the committed snapshot
-//     (frames, VM image, restore list in stored order) and the
-//     committed output prefix, recomputed when a snapshot commits —
-//     rare next to instruction steps. Each VM-image entry enters it as
-//     its own 64-bit per-slot lane, vmLane(slot, words), so the machine
-//     rehashes only the slots written since a previous commit hashed
-//     them.
+//     (frames by block ordinal, VM image, restore list in stored order)
+//     and the committed output prefix, recomputed when a snapshot
+//     commits — rare next to instruction steps. Each VM-image entry
+//     enters it as its own 64-bit per-slot lane, vmLane(slot, words), so
+//     the machine rehashes only the slots written since a previous
+//     commit hashed them.
 
 const (
 	fnvOffset64 = 0xcbf29ce484222325
@@ -176,15 +150,6 @@ func seqHash(h, x uint64) uint64 {
 	return h * fnvPrime64
 }
 
-func seqHashString(h uint64, s string) uint64 {
-	h = seqHash(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // vmLane hashes one VM-image entry of a snapshot: its slot and words.
 func vmLane(slot int32, data []int64) uint64 {
 	h := seqHash(fnvOffset64, uint64(uint32(slot)))
@@ -196,44 +161,45 @@ func vmLane(slot int32, data []int64) uint64 {
 }
 
 // snapshotLane hashes a committed snapshot plus the committed output
-// prefix sequentially. Done is deliberately excluded (bookkeeping, not
-// behavior); everything else in the snapshot is behavioral.
-func snapshotLane(sn *SnapshotState, out []int64) (uint64, uint64) {
+// prefix sequentially, from scratch: each frame by its block's ordinal,
+// and each VM-image entry from its words. Done is deliberately excluded
+// (bookkeeping, not behavior); everything else in the snapshot is
+// behavioral.
+func snapshotLane(sn *snapshot, out []int64) (uint64, uint64) {
 	if sn == nil {
 		return coldTag, coldTag
 	}
 	h := uint64(fnvOffset64)
-	h = seqHash(h, uint64(len(sn.Frames)))
-	for i := range sn.Frames {
-		f := &sn.Frames[i]
-		h = seqHashString(h, f.Fn)
-		h = seqHashString(h, f.Block)
-		h = seqHash(h, uint64(f.PC))
-		h = seqHash(h, uint64(len(f.Regs)))
-		for _, r := range f.Regs {
+	h = seqHash(h, uint64(len(sn.frames)))
+	for i := range sn.frames {
+		f := &sn.frames[i]
+		h = seqHash(h, uint64(f.cb.ID()))
+		h = seqHash(h, uint64(f.pc))
+		h = seqHash(h, uint64(len(f.regs)))
+		for _, r := range f.regs {
 			h = seqHash(h, uint64(r))
 		}
-		h = seqHash(h, uint64(f.RetReg))
-		if f.WantRet {
+		h = seqHash(h, uint64(f.retReg))
+		if f.wantRet {
 			h = seqHash(h, 1)
 		} else {
 			h = seqHash(h, 0)
 		}
 	}
-	h = seqHash(h, uint64(len(sn.VMSlots)))
-	for i, slot := range sn.VMSlots {
-		h = seqHash(h, vmLane(slot, sn.VMData[i]))
+	h = seqHash(h, uint64(len(sn.vmSlots)))
+	for i, slot := range sn.vmSlots {
+		h = seqHash(h, vmLane(slot, sn.vmData[i]))
 	}
-	h = seqHash(h, uint64(len(sn.Restores)))
-	for _, slot := range sn.Restores {
+	h = seqHash(h, uint64(len(sn.restores)))
+	for _, slot := range sn.restores {
 		h = seqHash(h, uint64(uint32(slot)))
 	}
-	if sn.Lazy {
+	if sn.lazy {
 		h = seqHash(h, 1)
 	} else {
 		h = seqHash(h, 0)
 	}
-	h = seqHash(h, uint64(uint32(sn.Site)))
+	h = seqHash(h, uint64(uint32(sn.site)))
 	h = seqHash(h, uint64(len(out)))
 	for _, v := range out {
 		h = seqHash(h, uint64(v))
@@ -249,19 +215,19 @@ func combineLanes(nvm1, nvm2, ctr1, ctr2, snap1, snap2 uint64) StateHash {
 	}
 }
 
-// Hash computes the canonical hash of the state. The machine maintains
-// the same value incrementally during a hooked run; state_test holds
-// the two computations equal.
+// Hash computes the canonical hash of the state from its contents. The
+// machine maintains the same value incrementally during a hooked run;
+// state_test holds the two computations equal.
 func (ps *PersistentState) Hash() StateHash {
 	var n1, n2, c1, c2 uint64
-	for slot, arr := range ps.NVM {
+	for slot, arr := range ps.nvm {
 		for i, v := range arr {
 			h1, h2 := cellHash(int32(slot), i, v)
 			n1 += h1
 			n2 += h2
 		}
 	}
-	for id, v := range ps.Counters {
+	for id, v := range ps.counters {
 		if v == 0 {
 			continue
 		}
@@ -269,7 +235,7 @@ func (ps *PersistentState) Hash() StateHash {
 		c1 += h1
 		c2 += h2
 	}
-	s1, s2 := snapshotLane(ps.Snap, ps.Out)
+	s1, s2 := snapshotLane(ps.snap, ps.out)
 	return combineLanes(n1, n2, c1, c2, s1, s2)
 }
 
@@ -277,20 +243,18 @@ func (ps *PersistentState) Hash() StateHash {
 // consecutive schedulable injection points — moments at which a
 // PowerSchedule could kill the supply — with no persistent-state change
 // between them, so a failure at any of them leaves the same state.
-// Kind, Step, Saves and Occurrence describe the window's first point:
-// Step and Saves are this run's own ordinals (they start at zero on a
-// resumed run); Occurrence is the ordinal in the point kind's own space
-// — the value a FailPoint of that kind would be addressed by. Span is
-// the number of points in the window, at least 1; the others follow the
+// Kind, Step and Saves describe the window's first point. They are this
+// run's own ordinals (they start at zero on a resumed run); a FailPoint
+// addresses a step point by Step and a save point by Saves. Span is the
+// number of points in the window, at least 1; the others follow the
 // first in execution order. Hash is the canonical hash of the
 // persistent state a failure at any point of the window leaves.
 type PointVisit struct {
-	Kind       PointKind
-	Step       int64
-	Saves      int64
-	Occurrence int64
-	Span       int64
-	Hash       StateHash
+	Kind  PointKind
+	Step  int64
+	Saves int64
+	Span  int64
+	Hash  StateHash
 }
 
 // Hook observes a run (Config.Hook).
@@ -338,9 +302,6 @@ func InitialState(m *ir.Module, cfg Config) (*PersistentState, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Model == nil {
-		return nil, &ConfigError{Field: "Model", Reason: "must not be nil"}
-	}
 	if m.FuncByName("main") == nil {
 		return nil, ErrNoMain
 	}
@@ -353,60 +314,44 @@ func InitialState(m *ir.Module, cfg Config) (*PersistentState, error) {
 	return mc.captureState(), nil
 }
 
-// ---- machine-side capture ----
+// ---- capture and resume ----
 
 // captureState deep-copies the machine's current persistent state: what
 // would survive if power failed right now.
 func (mc *machine) captureState() *PersistentState {
-	ps := &PersistentState{NVM: make([][]int64, len(mc.nvm))}
-	for i, arr := range mc.nvm {
-		ps.NVM[i] = append([]int64(nil), arr...)
+	live := PersistentState{nvm: mc.nvm, counters: mc.counters, snap: mc.snap, bound: binding{mc.prog}}
+	if mc.snap != nil {
+		live.out = mc.out[:mc.snap.outLen]
 	}
-	for id, v := range mc.counters {
-		if v == 0 {
-			continue
-		}
-		if ps.Counters == nil {
-			ps.Counters = make(map[int]int64, len(mc.counters))
-		}
-		ps.Counters[id] = v
-	}
-	sn := mc.snap
+	return live.clone()
+}
+
+// resume boots the machine from ps as the power failure that left ps
+// behind would reboot it: with ps's NVM, counters and committed output,
+// then a cold restart from main when no checkpoint has committed, and
+// otherwise the recovery boot from the snapshot (restoreSnap), each
+// frame in the running program's copy of its block. The machine boots
+// from its own copy, so ps stays as it was.
+func (mc *machine) resume(ps *PersistentState) {
+	st := ps.clone()
+	mc.nvm, mc.counters = st.nvm, st.counters
+	sn := st.snap
 	if sn == nil {
-		return ps
-	}
-	ps.Out = append([]int64(nil), mc.out[:sn.outLen]...)
-	st := &SnapshotState{
-		Frames:   make([]FrameState, len(sn.frames)),
-		VMSlots:  append([]int32(nil), sn.vmSlots...),
-		VMData:   make([][]int64, len(sn.vmData)),
-		Restores: append([]int32(nil), sn.restores...),
-		Lazy:     sn.lazy,
-		Site:     sn.site,
-		Done:     sn.done,
+		mc.bootFrames()
+		return
 	}
 	for i := range sn.frames {
-		f := &sn.frames[i]
-		st.Frames[i] = FrameState{
-			Fn:      f.fn.Name,
-			Block:   f.cb.IR.Name,
-			PC:      f.pc,
-			Regs:    append([]int64(nil), f.regs...),
-			RetReg:  f.retReg,
-			WantRet: f.wantRet,
-		}
+		sn.frames[i].cb = mc.prog.BlockOf(sn.frames[i].cb.IR)
 	}
-	for i, d := range sn.vmData {
-		st.VMData[i] = append([]int64(nil), d...)
-	}
-	ps.Snap = st
-	return ps
+	mc.out, mc.snap = st.out, sn
+	mc.furthest, mc.maxSnapDone = sn.done, sn.done
+	mc.restoreSnap()
 }
 
 // ---- machine-side incremental lanes ----
 
-// recomputeLanes rebuilds every hash lane from scratch — run at boot
-// and after a Resume install; every later mutation updates the lanes
+// recomputeLanes rebuilds every hash lane from scratch, once, when a
+// hooked run has booted; every later mutation updates the lanes
 // incrementally. No per-slot VM-image lane survives it.
 func (mc *machine) recomputeLanes() {
 	mc.nvmLane1, mc.nvmLane2 = 0, 0
@@ -431,9 +376,9 @@ func (mc *machine) recomputeLanes() {
 }
 
 // refreshSnapLane recomputes the snapshot+output lane from the live
-// snapshot, its VM image from the per-slot lanes the snapshot recorded.
-// Called when a snapshot commits (takeSnapshot) — the only event that
-// changes it.
+// snapshot: each frame by its block's ordinal, the VM image from the
+// per-slot lanes the snapshot recorded. Called when a snapshot commits
+// (takeSnapshot) — the only event that changes it.
 func (mc *machine) refreshSnapLane() {
 	mc.hashOK = false
 	sn := mc.snap
@@ -445,8 +390,7 @@ func (mc *machine) refreshSnapLane() {
 	h = seqHash(h, uint64(len(sn.frames)))
 	for i := range sn.frames {
 		f := &sn.frames[i]
-		h = seqHashString(h, f.fn.Name)
-		h = seqHashString(h, f.cb.IR.Name)
+		h = seqHash(h, uint64(f.cb.ID()))
 		h = seqHash(h, uint64(f.pc))
 		h = seqHash(h, uint64(len(f.regs)))
 		for _, r := range f.regs {
@@ -635,14 +579,14 @@ func (mc *machine) bumpCounter(id int) int64 {
 // carries the save ordinal counted here.
 func (mc *machine) openWindow() {
 	s := mc.res.Steps
-	mc.win = PointVisit{Kind: PointStep, Step: s + 1, Saves: mc.res.SaveAttempts, Occurrence: s + 1}
+	mc.win = PointVisit{Kind: PointStep, Step: s + 1, Saves: mc.res.SaveAttempts}
 	mc.winFrom, mc.winSaves = s, 0
 }
 
 // visitSave counts one save-phase injection point into the open window.
 func (mc *machine) visitSave(kind PointKind) {
 	if mc.res.Steps == mc.winFrom && mc.winSaves == 0 {
-		mc.win = PointVisit{Kind: kind, Step: mc.res.Steps, Saves: mc.res.SaveAttempts, Occurrence: mc.res.SaveAttempts}
+		mc.win = PointVisit{Kind: kind, Step: mc.res.Steps, Saves: mc.res.SaveAttempts}
 	}
 	mc.winSaves++
 }
@@ -661,101 +605,4 @@ func (mc *machine) closeWindow() {
 	v.Hash = mc.stateHash()
 	mc.openWindow()
 	mc.hook.Window(v, mc.captureFn)
-}
-
-// ---- resume ----
-
-// installResume overwrites the machine's persistent state with ps and
-// performs the power-failure recovery boot: a run with Config.Resume
-// behaves exactly like the continuation of a run that failed leaving ps
-// in NVM.
-func (mc *machine) installResume(ps *PersistentState) error {
-	if len(ps.NVM) != len(mc.nvm) {
-		return fmt.Errorf("emulator: resume state has %d NVM slots, module has %d (state captured from a different module?)",
-			len(ps.NVM), len(mc.nvm))
-	}
-	for slot, arr := range ps.NVM {
-		if len(arr) != len(mc.nvm[slot]) {
-			return fmt.Errorf("emulator: resume state slot %d has %d elems, module wants %d",
-				slot, len(arr), len(mc.nvm[slot]))
-		}
-		copy(mc.nvm[slot], arr)
-	}
-	for id, v := range ps.Counters {
-		mc.counters[id] = v
-	}
-	if sn := ps.Snap; sn != nil {
-		rebuilt := &snapshot{
-			vmSlots:  append([]int32(nil), sn.VMSlots...),
-			vmData:   make([][]int64, len(sn.VMData)),
-			outLen:   len(ps.Out),
-			done:     sn.Done,
-			lazy:     sn.Lazy,
-			site:     sn.Site,
-			restores: append([]int32(nil), sn.Restores...),
-		}
-		n := int32(len(mc.nvm))
-		for _, slot := range rebuilt.vmSlots {
-			if slot < 0 || slot >= n {
-				return fmt.Errorf("emulator: resume snapshot references slot %d, module has %d", slot, n)
-			}
-		}
-		for _, slot := range rebuilt.restores {
-			if slot < 0 || slot >= n {
-				return fmt.Errorf("emulator: resume snapshot restores slot %d, module has %d", slot, n)
-			}
-		}
-		for i, d := range sn.VMData {
-			rebuilt.vmData[i] = append([]int64(nil), d...)
-			if mc.track {
-				rebuilt.vmLanes = append(rebuilt.vmLanes, vmLane(sn.VMSlots[i], d))
-			}
-		}
-		for i := range sn.Frames {
-			f := &sn.Frames[i]
-			fn := mc.mod.FuncByName(f.Fn)
-			if fn == nil {
-				return fmt.Errorf("emulator: resume snapshot references unknown function %q", f.Fn)
-			}
-			blk := fn.BlockByName(f.Block)
-			if blk == nil {
-				return fmt.Errorf("emulator: resume snapshot references unknown block %s.%s", f.Fn, f.Block)
-			}
-			if f.PC < 0 || f.PC > len(blk.Instrs) {
-				return fmt.Errorf("emulator: resume snapshot pc %d out of range in %s.%s", f.PC, f.Fn, f.Block)
-			}
-			rebuilt.frames = append(rebuilt.frames, frame{
-				fn:      fn,
-				cb:      mc.prog.BlockOf(blk),
-				pc:      f.PC,
-				regs:    append([]int64(nil), f.Regs...),
-				retReg:  f.RetReg,
-				wantRet: f.WantRet,
-			})
-		}
-		mc.out = append(mc.out[:0], ps.Out...)
-		mc.snap = rebuilt
-		mc.done = sn.Done
-		mc.furthest = sn.Done
-		mc.maxSnapDone = sn.Done
-		if mc.track {
-			mc.recomputeLanes()
-		}
-		// The recovery boot proper: rebuild volatile state from the
-		// snapshot and charge the restore — the same path a mid-run power
-		// failure takes (restoreSnap), so a resumed run is bit-identical
-		// to the continuation of the failed one.
-		mc.restoreSnap()
-		return nil
-	}
-	if len(ps.Out) > 0 {
-		return fmt.Errorf("emulator: resume state has committed output but no snapshot")
-	}
-	// Cold resume: NVM (and counters) carry over, execution restarts
-	// from main. The machine is already booted that way; only the lanes
-	// need the overwritten NVM.
-	if mc.track {
-		mc.recomputeLanes()
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -103,7 +104,9 @@ func intermittentCfg() Config {
 // TestHookHashMatchesCanonical holds the machine's incremental lane
 // hash equal to the canonical PersistentState.Hash at every injection
 // point, and captured states equal to their clones, with every variable
-// in NVM and with both in VM (so snapshots carry a VM image).
+// in NVM and with both in VM (so snapshots carry a VM image), on a fresh
+// run and on a run resumed from one of its mid-run commits, whose lanes
+// start from the resumed state.
 func TestHookHashMatchesCanonical(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -115,44 +118,60 @@ func TestHookHashMatchesCanonical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.build(t, 40, 3)
-			cfg := intermittentCfg()
-			visits, vmSlots := 0, 0
-			cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
-				visits++
-				if visits%25 != 1 && v.Kind == PointStep {
-					return // capture is O(state); sample step points
+			// run checks the windows of one run, every sample-th step
+			// point and every save point, and returns the states it
+			// captured at commits.
+			run := func(cfg Config, sample int) []*PersistentState {
+				visits, vmSlots := 0, 0
+				var commits []*PersistentState
+				cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
+					visits++
+					if (visits-1)%sample != 0 && v.Kind == PointStep {
+						return // capture is O(state); sample step points
+					}
+					ps := capture()
+					if got := ps.Hash(); got != v.Hash {
+						t.Fatalf("visit %d (%v, step %d, save %d): canonical hash %v != incremental %v",
+							visits, v.Kind, v.Step, v.Saves, got, v.Hash)
+					}
+					if again := capture(); again.Hash() != v.Hash {
+						t.Fatalf("second capture at visit %d hashes differently", visits)
+					}
+					if cl := ps.clone(); cl.Hash() != v.Hash {
+						t.Fatalf("clone at visit %d hashes differently", visits)
+					}
+					if ps.snap != nil {
+						vmSlots = len(ps.snap.vmSlots)
+					}
+					if v.Kind == PointAfterSave {
+						commits = append(commits, ps)
+					}
+				}}
+				res, err := Run(m, cfg)
+				if err != nil {
+					t.Fatalf("Run: %v", err)
 				}
-				ps := capture()
-				if got := ps.Hash(); got != v.Hash {
-					t.Fatalf("visit %d (%v@%d): canonical hash %v != incremental %v",
-						visits, v.Kind, v.Occurrence, got, v.Hash)
+				if res.Verdict != Completed {
+					t.Fatalf("verdict = %v", res.Verdict)
 				}
-				if again := capture(); again.Hash() != v.Hash {
-					t.Fatalf("second capture at visit %d hashes differently", visits)
+				if visits == 0 {
+					t.Fatal("hook never fired")
 				}
-				if cl := ps.Clone(); cl.Hash() != v.Hash {
-					t.Fatalf("clone at visit %d hashes differently", visits)
+				if res.PowerFailures == 0 {
+					t.Fatal("config produced no power failures; test exercises nothing")
 				}
-				if ps.Snap != nil {
-					vmSlots = len(ps.Snap.VMSlots)
+				if vmSlots != tc.vm {
+					t.Fatalf("last captured snapshot has %d VM slots, want %d", vmSlots, tc.vm)
 				}
-			}}
-			res, err := Run(m, cfg)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
+				return commits
 			}
-			if res.Verdict != Completed {
-				t.Fatalf("verdict = %v", res.Verdict)
+			commits := run(intermittentCfg(), 25)
+			if len(commits) < 3 {
+				t.Fatalf("%d commits captured, want a mid-run one", len(commits))
 			}
-			if visits == 0 {
-				t.Fatal("hook never fired")
-			}
-			if res.PowerFailures == 0 {
-				t.Fatal("config produced no power failures; test exercises nothing")
-			}
-			if vmSlots != tc.vm {
-				t.Fatalf("last captured snapshot has %d VM slots, want %d", vmSlots, tc.vm)
-			}
+			resumed := intermittentCfg()
+			resumed.Resume = commits[len(commits)/2]
+			run(resumed, 1)
 		})
 	}
 }
@@ -179,14 +198,14 @@ func TestStateHashOrderIndependence(t *testing.T) {
 	for i, ps := range captured {
 		// Rebuild the counters map in a different insertion order and
 		// re-hash; clone (fresh map, fresh slices) must also agree.
-		rebuilt := ps.Clone()
-		rebuilt.Counters = make(map[int]int64, len(ps.Counters))
-		keys := make([]int, 0, len(ps.Counters))
-		for k := range ps.Counters {
+		rebuilt := ps.clone()
+		rebuilt.counters = make(map[int]int64, len(ps.counters))
+		keys := make([]int, 0, len(ps.counters))
+		for k := range ps.counters {
 			keys = append(keys, k)
 		}
 		for j := len(keys) - 1; j >= 0; j-- {
-			rebuilt.Counters[keys[j]] = ps.Counters[keys[j]]
+			rebuilt.counters[keys[j]] = ps.counters[keys[j]]
 		}
 		if rebuilt.Hash() != ps.Hash() {
 			t.Fatalf("state %d: hash depends on construction order", i)
@@ -195,9 +214,9 @@ func TestStateHashOrderIndependence(t *testing.T) {
 }
 
 // TestStateHashSensitivity: any persistent-state difference — an NVM
-// word, a counter, committed output, snapshot contents (the VM image and
-// the order of its slots and of the restore list included), or snapshot
-// presence — must change the hash.
+// word, a counter, committed output, snapshot contents (a frame's block,
+// the VM image and the order of its slots and of the restore list
+// included), or snapshot presence — must change the hash.
 func TestStateHashSensitivity(t *testing.T) {
 	m := vmRollbackProgram(t, 40, 3)
 	cfg := intermittentCfg()
@@ -212,12 +231,12 @@ func TestStateHashSensitivity(t *testing.T) {
 	if _, err := Run(m, cfg); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if ps == nil || ps.Snap == nil {
+	if ps == nil || ps.snap == nil {
 		t.Fatal("no snapshot-bearing state captured")
 	}
-	if len(ps.Snap.VMSlots) < 2 || len(ps.Snap.Restores) < 2 {
+	if len(ps.snap.vmSlots) < 2 || len(ps.snap.restores) < 2 {
 		t.Fatalf("captured snapshot has %d VM slots and %d restores, want at least 2 each",
-			len(ps.Snap.VMSlots), len(ps.Snap.Restores))
+			len(ps.snap.vmSlots), len(ps.snap.restores))
 	}
 	base := ps.Hash()
 
@@ -225,52 +244,62 @@ func TestStateHashSensitivity(t *testing.T) {
 		name string
 		mut  func(*PersistentState)
 	}{
-		{"nvm word", func(s *PersistentState) { s.NVM[0][0] ^= 1 }},
+		{"nvm word", func(s *PersistentState) { s.nvm[0][0] ^= 1 }},
 		{"new counter", func(s *PersistentState) {
-			if s.Counters == nil {
-				s.Counters = map[int]int64{}
+			if s.counters == nil {
+				s.counters = map[int]int64{}
 			}
-			s.Counters[99] = 1
+			s.counters[99] = 1
 		}},
 		{"counter value", func(s *PersistentState) {
-			if len(s.Counters) == 0 {
+			if len(s.counters) == 0 {
 				t.Skip("no counters in captured state")
 			}
-			for k := range s.Counters {
-				s.Counters[k]++
+			for k := range s.counters {
+				s.counters[k]++
 				break
 			}
 		}},
-		{"committed output", func(s *PersistentState) { s.Out = append(s.Out, 7) }},
-		{"snapshot pc", func(s *PersistentState) { s.Snap.Frames[0].PC++ }},
+		{"committed output", func(s *PersistentState) { s.out = append(s.out, 7) }},
+		{"snapshot pc", func(s *PersistentState) { s.snap.frames[0].pc++ }},
+		{"snapshot block", func(s *PersistentState) {
+			// Another block of the same function, at the same pc.
+			f := &s.snap.frames[0]
+			for _, b := range f.fn.Blocks {
+				if cb := s.bound.prog.BlockOf(b); cb != f.cb {
+					f.cb = cb
+					return
+				}
+			}
+		}},
 		{"snapshot reg", func(s *PersistentState) {
-			if len(s.Snap.Frames[0].Regs) == 0 {
+			if len(s.snap.frames[0].regs) == 0 {
 				t.Skip("no regs in frame")
 			}
-			s.Snap.Frames[0].Regs[0] ^= 1
+			s.snap.frames[0].regs[0] ^= 1
 		}},
-		{"snapshot lazy flip", func(s *PersistentState) { s.Snap.Lazy = !s.Snap.Lazy }},
-		{"vm word", func(s *PersistentState) { s.Snap.VMData[0][0] ^= 1 }},
+		{"snapshot lazy flip", func(s *PersistentState) { s.snap.lazy = !s.snap.lazy }},
+		{"vm word", func(s *PersistentState) { s.snap.vmData[0][0] ^= 1 }},
 		{"vm slot order", func(s *PersistentState) {
-			s.Snap.VMSlots[0], s.Snap.VMSlots[1] = s.Snap.VMSlots[1], s.Snap.VMSlots[0]
-			s.Snap.VMData[0], s.Snap.VMData[1] = s.Snap.VMData[1], s.Snap.VMData[0]
+			s.snap.vmSlots[0], s.snap.vmSlots[1] = s.snap.vmSlots[1], s.snap.vmSlots[0]
+			s.snap.vmData[0], s.snap.vmData[1] = s.snap.vmData[1], s.snap.vmData[0]
 		}},
 		{"restore order", func(s *PersistentState) {
-			s.Snap.Restores[0], s.Snap.Restores[1] = s.Snap.Restores[1], s.Snap.Restores[0]
+			s.snap.restores[0], s.snap.restores[1] = s.snap.restores[1], s.snap.restores[0]
 		}},
-		{"snapshot site", func(s *PersistentState) { s.Snap.Site++ }},
-		{"snapshot removed", func(s *PersistentState) { s.Snap, s.Out = nil, nil }},
+		{"snapshot site", func(s *PersistentState) { s.snap.site++ }},
+		{"snapshot removed", func(s *PersistentState) { s.snap, s.out = nil, nil }},
 	}
 	for _, tc := range mutations {
-		mutated := ps.Clone()
+		mutated := ps.clone()
 		tc.mut(mutated)
 		if mutated.Hash() == base {
 			t.Errorf("%s: mutation did not change the hash", tc.name)
 		}
 	}
 	// Done is bookkeeping, not behavior: it must NOT change the hash.
-	same := ps.Clone()
-	same.Snap.Done++
+	same := ps.clone()
+	same.snap.done++
 	if same.Hash() != base {
 		t.Errorf("Done changed the hash; it is excluded from state identity")
 	}
@@ -278,9 +307,9 @@ func TestStateHashSensitivity(t *testing.T) {
 
 // TestResumeContinuesDeterministically: a run resumed from a captured
 // state must (1) open at exactly that state's hash and (2) be fully
-// deterministic — two resumes from clones of the same state produce
-// identical results, and the resumed completion produces the oracle
-// output (the committed prefix is part of the state).
+// deterministic — two resumes from the same state produce identical
+// results, and the resumed completion produces the oracle output (the
+// committed prefix is part of the state).
 func TestResumeContinuesDeterministically(t *testing.T) {
 	m := rollbackProgram(t, 40, 3)
 
@@ -309,7 +338,7 @@ func TestResumeContinuesDeterministically(t *testing.T) {
 
 	resume := func() (*Result, StateHash) {
 		rcfg := intermittentCfg()
-		rcfg.Resume = mid.Clone()
+		rcfg.Resume = mid
 		var first StateHash
 		got := false
 		rcfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
@@ -369,9 +398,9 @@ func TestResumeBatchedMatchesStepped(t *testing.T) {
 	}
 	for i, ps := range states {
 		batched := intermittentCfg()
-		batched.Resume = ps.Clone()
+		batched.Resume = ps
 		stepped := intermittentCfg()
-		stepped.Resume = ps.Clone()
+		stepped.Resume = ps
 		events := 0
 		stepped.Observer = observerFunc(func(Event) { events++ })
 		rb, err := Run(m, batched)
@@ -452,7 +481,7 @@ func TestInitialState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InitialState: %v", err)
 	}
-	if root.Snap != nil || len(root.Out) != 0 || len(root.Counters) != 0 {
+	if root.snap != nil || len(root.out) != 0 || len(root.counters) != 0 {
 		t.Fatalf("cold root is not cold: %+v", root)
 	}
 	var first StateHash
@@ -470,37 +499,134 @@ func TestInitialState(t *testing.T) {
 	}
 }
 
-// TestResumeValidation: shape mismatches and conflicting options are
-// rejected up front.
+// TestResumeValidation: Run takes a resume state only as the emulator
+// made it, for the module it was captured from, unedited since, and
+// never with Inputs or PrewarmVM. Each refusal is a ConfigError for
+// Resume.
 func TestResumeValidation(t *testing.T) {
 	m := rollbackProgram(t, 10, 2)
 	cfg := intermittentCfg()
-	root, err := InitialState(m, cfg)
+	var mid *PersistentState
+	cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
+		if v.Kind == PointAfterSave && mid == nil {
+			mid = capture()
+		}
+	}}
+	if _, err := Run(m, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if mid == nil || mid.snap == nil {
+		t.Fatal("no snapshot-bearing state captured")
+	}
+	refused := func(what string, mod *ir.Module, c Config) {
+		t.Helper()
+		_, err := Run(mod, c)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "Resume" || !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: got %v, want a ConfigError for Resume", what, err)
+		}
+	}
+	c := intermittentCfg()
+	c.Resume = &PersistentState{}
+	refused("zero state", m, c)
+	c.Resume = mid
+	refused("another module", rollbackProgram(t, 10, 2), c)
+	c.Inputs = map[string][]int64{"acc": {1}}
+	refused("Resume+Inputs", m, c)
+	c.Inputs, c.PrewarmVM = nil, true
+	refused("Resume+PrewarmVM", m, c)
+	c.PrewarmVM = false
+	if _, err := Run(m, c); err != nil {
+		t.Fatalf("resume on the capturing module: %v", err)
+	}
+	for _, in := range m.FuncByName("main").Blocks[1].Instrs {
+		if k, ok := in.(*ir.Const); ok {
+			k.Val++
+		}
+	}
+	refused("edited module", m, c)
+}
+
+// TestResumeBootsOnce: a run resumed from a commit boots at the recovery
+// point, as the continuation of the failed run would. It neither counts
+// nor enters main's entry block, which only the failed run executed: a
+// resumed run that suffers no power failure counts no call of main, and
+// its first block entry replays the restored stack. The resume also
+// moves each frame to the running program's block: resumed under a
+// model with other costs, a state captured under the default model runs
+// as the same state captured under that model does.
+func TestResumeBootsOnce(t *testing.T) {
+	m := rollbackProgram(t, 40, 3)
+	// thirdCommit captures the state at the third commit of a run on
+	// continuous power, whose persistent state no energy cost decides.
+	thirdCommit := func(cfg Config) *PersistentState {
+		var mid *PersistentState
+		saves := 0
+		cfg.Hook = &Hook{Window: func(v PointVisit, capture func() *PersistentState) {
+			if v.Kind == PointAfterSave {
+				if saves++; saves == 3 {
+					mid = capture()
+				}
+			}
+		}}
+		if _, err := Run(m, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if mid == nil {
+			t.Fatal("did not reach the third save")
+		}
+		return mid
+	}
+	costly := baseCfg()
+	costly.Model.EnergyPerCycle *= 2
+	twin, err := Run(m, Config{Model: costly.Model, VMSize: costly.VMSize, Resume: thirdCommit(costly)})
 	if err != nil {
-		t.Fatalf("InitialState: %v", err)
+		t.Fatal(err)
 	}
-
-	bad := root.Clone()
-	bad.NVM = bad.NVM[:1]
-	cfg.Resume = bad
-	if _, err := Run(m, cfg); err == nil {
-		t.Error("slot-count mismatch accepted")
-	}
-
-	cfg.Resume = root.Clone()
-	cfg.Inputs = map[string][]int64{"acc": {1}}
-	if _, err := Run(m, cfg); err == nil {
-		t.Error("Resume+Inputs accepted")
-	}
-	cfg.Inputs = nil
-
-	other := rollbackProgram(t, 10, 2)
-	cfg.Resume = root.Clone()
-	cfg.Resume.Snap = &SnapshotState{
-		Frames: []FrameState{{Fn: "nosuch", Block: "entry"}},
-	}
-	if _, err := Run(other, cfg); err == nil {
-		t.Error("unknown resume function accepted")
+	mid := thirdCommit(baseCfg())
+	mainF := m.FuncByName("main")
+	for _, observed := range []bool{false, true} {
+		rcfg := costly
+		rcfg.Resume = mid
+		rcfg.Counts = &Counts{}
+		var enters []Event
+		if observed {
+			rcfg.Observer = observerFunc(func(e Event) {
+				if e.Kind == EvBlockEnter {
+					enters = append(enters, e)
+				}
+			})
+		}
+		res, err := Run(m, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != Completed || res.PowerFailures != 0 {
+			t.Fatalf("observed %v: verdict %v after %d failures, want a completion with none",
+				observed, res.Verdict, res.PowerFailures)
+		}
+		if !reflect.DeepEqual(res, twin) {
+			t.Errorf("observed %v: resumed under the costly model:\n got %+v\nwant %+v (captured under it)",
+				observed, res, twin)
+		}
+		if n := rcfg.Counts.Calls(mainF); n != 0 {
+			t.Errorf("observed %v: %d calls of main counted, want 0", observed, n)
+		}
+		if !observed {
+			continue
+		}
+		if len(enters) == 0 {
+			t.Fatal("the observer saw no block entry")
+		}
+		if e := enters[0]; !e.Resume {
+			t.Errorf("first block entry is %s.%s at step %d, not the replay of the restored stack",
+				e.Fn.Name, e.Block.Name, e.Step)
+		}
+		for _, e := range enters {
+			if e.Block == mainF.Blocks[0] {
+				t.Errorf("entered main's entry block at step %d (resume %v)", e.Step, e.Resume)
+			}
+		}
 	}
 }
 

@@ -173,7 +173,9 @@ func (h *Hub) Event(e emulator.Event) {
 
 // Subscribe registers a reader whose cursor starts at the first
 // retained event with Seq > after (clamped to the oldest retained
-// event; the caller detects the clamp as a seq jump). Replay and live
+// event; the caller detects the clamp as a seq jump). An after at or
+// past the newest emitted Seq is caught up: the reader replays nothing
+// and starts at the next event the publisher emits. Replay and live
 // feed are contiguous — the cursor advances through the same ring the
 // publisher appends to, under the same lock, so no event between
 // "history" and "live" can be missed.
@@ -190,13 +192,9 @@ func (h *Hub) Subscribe(after int64, queue int) *Sub {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	lo := h.next - int64(len(h.ring))
-	if lo < 0 {
-		lo = 0
-	}
-	cur := after + 1
-	if cur < lo {
-		cur = lo
+	cur := h.next // after is past the newest event: caught up
+	if after < h.next {
+		cur = max(after+1, h.next-int64(len(h.ring)), 0)
 	}
 	s := &Sub{h: h, cursor: cur, window: int64(queue), limit: -1, sig: make(chan struct{}, 1)}
 	if !h.closed {

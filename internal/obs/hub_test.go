@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -136,9 +137,9 @@ func TestHubStress32Subscribers(t *testing.T) {
 
 // TestHubBacklogReplayAndResume checks ring replay: subscribing after
 // the run ends replays the retained stream, resuming from a mid-stream
-// seq replays exactly the suffix, and a ring smaller than the stream
-// starts the backlog at the oldest retained event (the caller-visible
-// gap signal).
+// seq replays exactly the suffix, resuming from the newest seq or past
+// it replays nothing, and a ring smaller than the stream starts the
+// backlog at the oldest retained event (the caller-visible gap signal).
 func TestHubBacklogReplayAndResume(t *testing.T) {
 	hub := obs.NewHub(1<<16, nil)
 	runObserved(t, hub)
@@ -164,6 +165,25 @@ func TestHubBacklogReplayAndResume(t *testing.T) {
 	}
 	if len(suffix) > 0 && suffix[0].Seq != after+1 {
 		t.Fatalf("resume from %d starts at %d", after, suffix[0].Seq)
+	}
+
+	// The newest seq, or any id past it, is caught up: nothing replays,
+	// and a live hub delivers exactly what it emits next.
+	for _, from := range []int64{emitted - 1, emitted, math.MaxInt64} {
+		if got := drainSub(hub.Subscribe(from, 1)); len(got) != 0 {
+			t.Fatalf("resume from %d replayed %d events from %d, want none", from, len(got), got[0].Seq)
+		}
+	}
+	live := obs.NewHub(1<<16, nil)
+	ev := emulator.Event{Kind: emulator.EvCharge, Class: emulator.ChargeCompute, Energy: 1}
+	for i := 0; i < 5; i++ {
+		live.Event(ev)
+	}
+	sub := live.Subscribe(math.MaxInt64, 0)
+	live.Event(ev)
+	live.Close()
+	if got := drainSub(sub); len(got) != 1 || got[0].Seq != 5 {
+		t.Fatalf("live resume past the newest id delivered %v, want the next event, seq 5", got)
 	}
 
 	// A hub whose ring is smaller than the stream evicts the prefix.

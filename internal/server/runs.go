@@ -384,9 +384,11 @@ func (e *sseWriter) writef(format string, args ...any) {
 
 // event writes one emulator event, preceded by a gap marker when the
 // stream jumped (ring eviction before replay, or queue overflow drops).
+// An event at or before last, as after a resume id past the newest
+// event, missed nothing.
 func (e *sseWriter) event(se obs.SeqEvent) {
-	if se.Seq > e.last+1 {
-		e.gap(se.Seq - e.last - 1)
+	if missed := se.Seq - 1 - e.last; missed > 0 {
+		e.gap(missed)
 	}
 	e.last = se.Seq
 	data, _ := json.Marshal(seqRecord{I: se.Seq, Record: obs.NewRecord(se.Event)})

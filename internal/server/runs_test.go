@@ -270,6 +270,13 @@ func TestSSEReplayAndByteForByteResume(t *testing.T) {
 	if !strings.HasPrefix(onlyTerminal, "id: "+strconv.FormatInt(terminalID, 10)+"\nevent: result\n") {
 		t.Errorf("resume at terminal-1: %q", tail(onlyTerminal, 200))
 	}
+
+	// An id past every event, up to the largest one, is caught up: the
+	// stream is the terminal record alone, with no gap marker.
+	_, caughtUp := sseGet(t, eventsURL, math.MaxInt64)
+	if last := frames[len(frames)-1]; caughtUp != last {
+		t.Errorf("resume from the largest id: %q, want only the terminal record %q", tail(caughtUp, 300), last)
+	}
 }
 
 func TestSSEGapMarkerOnEvictedPrefix(t *testing.T) {

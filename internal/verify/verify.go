@@ -147,7 +147,7 @@ func (o Options) withDefaults() Options {
 }
 
 // node is one frontier entry: a persistent state plus the injection
-// path that reached it. The cold root has a nil state.
+// path that reached it. The root is the initial state, with no path.
 type node struct {
 	state *emulator.PersistentState
 	hash  emulator.StateHash
@@ -253,7 +253,7 @@ func run(ctx context.Context, cs crashtest.Case, opts Options, checked *int64) (
 	}
 
 	visited := map[emulator.StateHash]struct{}{root.Hash(): {}}
-	frontier := []node{{state: nil, hash: root.Hash(), depth: 0}}
+	frontier := []node{{state: root, hash: root.Hash(), depth: 0}}
 	memo := map[emulator.StateHash]suffix{}
 	var (
 		edges, dedup int64
@@ -318,11 +318,7 @@ func run(ctx context.Context, cs crashtest.Case, opts Options, checked *int64) (
 		cfg := baseCfg
 		cfg.MaxSteps = base.MaxSteps
 		cfg.MaxFailures = maxFailures
-		if n.state == nil {
-			cfg.Inputs = b.Inputs()
-		} else {
-			cfg.Resume = n.state
-		}
+		cfg.Resume = n.state
 		cfg.Hook = &emulator.Hook{Window: func(v emulator.PointVisit, capture func() *emulator.PersistentState) {
 			// Every point of the window is an edge into one state: the
 			// first is judged below, the other Span−1 land where it does.
