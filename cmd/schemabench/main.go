@@ -26,9 +26,9 @@
 //   - harvest: what a harvested-energy schedule (internal/harvest
 //     capacitor over solar/RF/duty waveforms) costs the emulator
 //     relative to the built-in exhaustion physics on the same placed
-//     cells — the price of the stepped schedule path plus the
-//     capacitor integration — with a record-to-replay integrity check
-//     on the NDJSON power trace.
+//     cells — the price of the capacitor integration, which a batch
+//     redoes per straight-line run — with a record-to-replay integrity
+//     check on the NDJSON power trace.
 //
 //   - verify: bounded model checker (internal/verify) throughput over
 //     the exhaustively-checkable subset (crc, randmath): persistent
@@ -143,7 +143,7 @@ type crashReport struct {
 // no harsher than exhaustion, so each harvested run must complete with
 // output identical to its exhaustion twin — the cell doubles as a
 // correctness check. OverheadPct is the per-instruction price of the
-// stepped schedule path plus the capacitor integration.
+// capacitor integration, which a batch redoes per straight-line run.
 type harvestReport struct {
 	Environments    int     `json:"environments"`
 	Cells           int     `json:"cells"`

@@ -177,9 +177,12 @@ func encodeRun(t *testing.T, label string, res *emulator.Result, err error) stri
 // equivSchedule configures one power-schedule shape onto a base config.
 // The closure constructs any PowerSchedule fresh on every call:
 // schedules are stateful, so runs must never share an instance.
+// supplied marks a harvested capacitor with no other schedule member,
+// whose unobserved runs must batch.
 type equivSchedule struct {
-	name  string
-	apply func(cfg *emulator.Config)
+	name     string
+	apply    func(cfg *emulator.Config)
+	supplied bool
 }
 
 func equivSchedules() []equivSchedule {
@@ -187,39 +190,42 @@ func equivSchedules() []equivSchedule {
 		{"continuous", func(cfg *emulator.Config) {
 			cfg.Intermittent = false
 			cfg.EB = 0
-		}},
-		{"exhaustion", func(cfg *emulator.Config) {}},
+		}, false},
+		{"exhaustion", func(cfg *emulator.Config) {}, false},
 		{"periodic", func(cfg *emulator.Config) {
 			cfg.Schedule = emulator.Schedules(emulator.Exhaustion(), emulator.Periodic(40_000))
-		}},
+		}, false},
 		{"trace-torn-save", func(cfg *emulator.Config) {
 			cfg.Schedule = emulator.Schedules(emulator.Exhaustion(), emulator.TraceSchedule(
 				emulator.FailPoint{Kind: emulator.PointMidSave, N: 2},
 				emulator.FailPoint{Kind: emulator.PointStep, N: 50_000},
 			))
-		}},
+		}, false},
 		// Harvested capacitors (internal/harvest): the emulator's
 		// capacitor fed by a supply it integrates before every draw,
-		// probe, sleep and failure. A supply keeps both runs off the
-		// batched path, so these pin the stepped path under harvest.
+		// probe, sleep and failure. A supply alone keeps no run off the
+		// batched path: the batch redoes its draws with harvest-in, so
+		// the first two pin that redo against the stepped path, outage
+		// recharges included. The third composes a trace member, which
+		// steps its whole run.
 		{"harvest-solar", func(cfg *emulator.Config) {
 			cfg.Schedule = harvest.Capacitor{
 				Env: harvest.Solar{Seed: 7, Period: 300_000}, Capacity: cfg.EB,
 			}.Schedule()
-		}},
+		}, true},
 		{"harvest-rf-undersized", func(cfg *emulator.Config) {
 			// An undersized capacitor with a partial restart level
 			// exercises the off-period recharge paths too.
 			cfg.Schedule = harvest.Capacitor{
 				Env: harvest.RF{Seed: 3}, Capacity: cfg.EB * 0.9, Restart: 0.8,
 			}.Schedule()
-		}},
+		}, true},
 		{"harvest-duty-composed", func(cfg *emulator.Config) {
 			cfg.Schedule = emulator.Schedules(
 				harvest.Capacitor{Env: harvest.Duty{}, Capacity: cfg.EB}.Schedule(),
 				emulator.TraceSchedule(emulator.FailPoint{Kind: emulator.PointStep, N: 20_000}),
 			)
-		}},
+		}, false},
 	}
 }
 
@@ -232,9 +238,10 @@ func equivSchedules() []equivSchedule {
 // per-instruction events, so the run batches where the unobserved one
 // does. It fails the test unless all four Results encode to the case's
 // golden line, the three Counts agree with each other and with the flow
-// oracle, and both Collectors agree with the ledger oracle (see
-// checkAttribution) and the ledger corpus. base must not carry a
-// Schedule; sc installs a fresh one per run.
+// oracle, both Collectors agree with the ledger oracle (see
+// checkAttribution) and the ledger corpus, and a supplied shape's
+// counted run batched. base must not carry a Schedule; sc installs a
+// fresh one per run.
 func runEngines(t *testing.T, label string, m *ir.Module, base emulator.Config, sc equivSchedule) {
 	t.Helper()
 	batched, counted, stepped, collected := base, base, base, base
@@ -258,6 +265,10 @@ func runEngines(t *testing.T, label string, m *ir.Module, base emulator.Config, 
 	gotL := encodeRun(t, label, resL, errL)
 	if oracle.events == 0 {
 		t.Fatalf("%s: the observer saw no events; the stepped path did not run", label)
+	}
+	if sc.supplied && counted.Counts.BatchedSteps() == 0 {
+		t.Fatalf("%s: a supplied run batched none of its %d instructions; the suite would compare the stepped path with itself",
+			label, counted.Counts.Steps())
 	}
 	checkFlow(t, label, m, counted.Counts, stepped.Counts, resC, resS, oracle)
 	checkAttribution(t, label, col, fed, stream, ledgers, collected.Counts, counted.Counts, stepped.Counts)

@@ -1,8 +1,11 @@
 package emulator
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -125,5 +128,54 @@ func TestRechargeBoundedOffTime(t *testing.T) {
 	bare.recharge(bare.restart)
 	if bare.level != 700 || bare.env != 0 {
 		t.Fatalf("no-supply outage: level %g, env %d", bare.level, bare.env)
+	}
+}
+
+// spoiledSupply delivers 0.1 nJ/cycle before cycle from and bad after.
+type spoiledSupply struct {
+	from int64
+	bad  float64
+}
+
+func (s spoiledSupply) Name() string { return fmt.Sprintf("spoiled(%g@%d)", s.bad, s.from) }
+func (s spoiledSupply) Power(c int64) float64 {
+	if c < s.from {
+		return 0.1
+	}
+	return s.bad
+}
+
+// A supply sample that is negative or not finite breaks the rule that
+// makes a supplied run safe to batch, so the run ends with a ConfigError
+// naming the Schedule, the supply, the sampled cycle and the value: on
+// the batched path, where a batch's redo draws the sample, and under a
+// per-instruction observer alike.
+func TestSupplyFailsClosed(t *testing.T) {
+	m := loopProgram(t, 400, -1, false)
+	for _, bad := range []float64{-0.25, math.NaN(), math.Inf(1)} {
+		for _, observed := range []bool{false, true} {
+			sup := spoiledSupply{from: 1000, bad: bad}
+			cfg := baseCfg()
+			cfg.Intermittent, cfg.EB = true, 1e6
+			cfg.Schedule = Capacitor{Supply: sup}
+			cfg.Counts = &Counts{}
+			if observed {
+				cfg.Observer = observerFunc(func(Event) {})
+			}
+			res, err := Run(m, cfg)
+			var ce *ConfigError
+			if !errors.As(err, &ce) || ce.Field != "Schedule" || res != nil {
+				t.Fatalf("%s, observed %v: got %v, %v; want a Schedule ConfigError", sup.Name(), observed, res, err)
+			}
+			for _, want := range []string{sup.Name(), "cycle 1024", fmt.Sprintf("delivers %g ", bad)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s, observed %v: error %q does not name %q", sup.Name(), observed, err, want)
+				}
+			}
+			if batched := cfg.Counts.BatchedSteps(); observed != (batched == 0) {
+				t.Errorf("%s, observed %v: %d of %d instructions batched before the fault",
+					sup.Name(), observed, batched, cfg.Counts.Steps())
+			}
+		}
 	}
 }

@@ -23,40 +23,53 @@ const runSafety = 1e-3
 //
 //   - execBatch: when nothing can observe or interrupt the emulation
 //     between instructions — no Observer that reads per-instruction
-//     events (an Attributor's Attribution is filled in their place), no
-//     schedule beyond the capacitor, and no supply feeding it, all fixed
-//     for the whole emulation —
+//     events (an Attributor's Attribution is filled in their place) and
+//     no schedule beyond the capacitor, both fixed for the whole
+//     emulation —
 //     each straight-line run (dispatch.Run, which may end with its
 //     block's Br/Jmp) whose precomputed total fits the capacitor with
 //     margin executes on that one decision. Ledger sums stay
 //     per-instruction, so float results remain bit-identical to
-//     stepping. A Hook does not keep a run off this path: the hook sees
-//     windows of unchanged persistent state, not single instructions,
-//     and a window counts its step points by the step count, so a batch
-//     only has to close the window where an NVM store changes a word.
+//     stepping. A supply feeding the capacitor does not keep a run off
+//     this path: harvest-in never lowers the level, so the decision on
+//     the level before it stays sound, and the run's draws are redone
+//     with harvest-in once it ends (see execBatch). Nor does a Hook:
+//     the hook sees windows of unchanged persistent state, not single
+//     instructions, and a window counts its step points by the step
+//     count, so a batch only has to close the window where an NVM store
+//     changes a word.
 //   - step/execCompiled: everything else, one instruction at a time,
 //     with the schedule probe and charge event at every boundary.
 //
 // The gate is also what keeps batched energy accounting sound under
 // external power models: any schedule member beside the capacitor —
 // including TraceSchedule, which replays recorded harvest traces too
-// and addresses points by ordinals only the stepped path numbers — and
-// any supply feeding the capacitor steps the whole run. There is no
-// "safe no-fire window" to negotiate; scheduled and harvested runs
-// simply never batch. The dispatch-equivalence suite (internal/bench)
-// pins both paths to one golden corpus, harvested members included.
+// and addresses points by ordinals only the stepped path numbers —
+// steps the whole run. There is no "safe no-fire window" to negotiate;
+// scheduled runs simply never batch. The dispatch-equivalence suite
+// (internal/bench) pins both paths to one golden corpus, harvested
+// members included.
 //
 // A Counts sees why each stepped instruction stepped: the run-level
-// reason when nothing batches, else what ended the batch before it.
-func (mc *machine) run() (*Result, error) {
+// reason when nothing batches, else what ended the batch before it. A
+// supply whose sample breaks Supply's contract ends the run with a
+// ConfigError, on either path (see supplyFault).
+func (mc *machine) run() (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(supplyFault)
+			if !ok {
+				panic(r)
+			}
+			res, err = nil, f.err
+		}
+	}()
 	why, batch := StepBoundary, false
 	switch {
 	case mc.perInstr != nil:
 		why = StepObserver
 	case mc.sched != nil:
 		why = StepSchedule
-	case mc.store.supply != nil:
-		why = StepSupply
 	default:
 		batch = true
 	}
@@ -113,11 +126,17 @@ func (mc *machine) run() (*Result, error) {
 // Accounting stays per-instruction — the same additions in the same
 // order as step — only the decisions are hoisted out. That holds for an
 // Attributor's Attribution too, which execBatch adds each block visit
-// to as it ends. The observer is sent no per-instruction event, and the
-// only other event a batch can owe it is the EvReexecEnd that closes a
-// re-execution span inside the batch. Both are done after the loop, so
-// an attributed run, and an observed one while a span is open, returns
-// at every taken branch after entering the target, with more set; the
+// to as it ends, and for a supplied capacitor's level. The loop draws
+// without harvest-in, so the level it decides on is a lower bound of
+// step's: harvest-in never lowers the level. When the visit ends, its
+// draws are redone from the level and cycle it began at, instruction by
+// instruction in step's order (redraw); that includes a visit cut short,
+// whose trapping instruction drew and whose VM access did not. The
+// observer is sent no per-instruction event, and the only other event
+// a batch can owe it is the EvReexecEnd that closes a re-execution span
+// inside the batch. All three are done after the loop, so an attributed
+// or supplied run, and an observed one while a span is open, returns at
+// every taken branch after entering the target, with more set; the
 // caller batches on from there.
 func (mc *machine) execBatch(fr *frame) (why StepReason, more bool, err error) {
 	cb := fr.cb
@@ -146,16 +165,17 @@ func (mc *machine) execBatch(fr *frame) (why StepReason, more bool, err error) {
 	if mc.counts != nil {
 		taken = mc.counts.taken
 	}
-	if mc.attr != nil {
-		mc.visit = blockVisit{pc: pc, steps: steps, done: done, furthest: furthest}
-	}
 	// An attributed batch leaves the loop at every taken branch, into
-	// chain, to add the ended visit to the attribution, and an observed
-	// one does while a re-execution span is open, so that the visit
-	// holds the span's end. Either happens after the loop: a call inside
-	// it would make the loop keep its accumulators on the stack at every
-	// taken branch, attributed or not.
-	leave := mc.attr != nil || (mc.inReexec && mc.obs != nil)
+	// chain, to add the ended visit to the attribution; a supplied one,
+	// to redo the visit's draws with harvest-in (redraw); and an observed
+	// one while a re-execution span is open, so that the visit holds the
+	// span's end. Each happens after the loop: a call inside it would
+	// make the loop keep its accumulators on the stack at every taken
+	// branch, leaving or not.
+	leave := mc.attr != nil || mc.store.supply != nil || (mc.inReexec && mc.obs != nil)
+	if leave {
+		mc.visit = blockVisit{pc: pc, steps: steps, done: done, furthest: furthest, cycle: total, level: capEn}
+	}
 	var chain *dispatch.Block
 	why = StepBoundary
 batch:
@@ -365,6 +385,9 @@ batch:
 	mc.res.Steps = steps
 	mc.done = done
 	mc.furthest = furthest
+	if mc.store.supply != nil {
+		mc.redraw(cb, steps)
+	}
 	if mc.attr != nil {
 		mc.attributeVisit(fr.fn, cb, steps, chain)
 	}
@@ -374,11 +397,13 @@ batch:
 	return why, chain != nil, err
 }
 
-// blockVisit is where a batched visit of one block started: its pc and
-// the batch's step, progress and high-water counters there.
+// blockVisit is where a batched visit of one block started: its pc, the
+// batch's step, progress, high-water and cycle counters there, and the
+// capacitor level.
 type blockVisit struct {
-	pc                    int
-	steps, done, furthest int64
+	pc                           int
+	steps, done, furthest, cycle int64
+	level                        float64
 }
 
 // attributeVisit adds the batched visit of block cb of fn that began at
@@ -418,6 +443,24 @@ func (mc *machine) attributeVisit(fn *ir.Func, cb *dispatch.Block, steps int64, 
 			}
 		}
 	}
+}
+
+// redraw redoes the draws of the batched visit of block cb that began
+// at mc.visit, now that the batch's step count stands at steps, on a
+// supplied capacitor, as charge makes them on the stepped path: for each
+// instruction that drew, a trapping one included, harvest-in up to the
+// cycle it starts at, clamped to capacity, then its draw. It starts from
+// the level and cycle count the visit began at, and leaves the level
+// where the visit ends.
+func (mc *machine) redraw(cb *dispatch.Block, steps int64) {
+	v := mc.visit
+	code := cb.Code[v.pc : v.pc+int(steps-v.steps)]
+	level, now := v.level, v.cycle
+	for i := range code {
+		level = max(mc.store.harvested(level, now)-code[i].Energy, 0)
+		now += code[i].Cycles
+	}
+	mc.store.level = level
 }
 
 func b2i(b bool) int64 {

@@ -89,7 +89,7 @@ func (c *Counts) Stepped(r StepReason) int64 {
 }
 
 // StepReason says why an instruction ran on the stepped path. The first
-// three keep a whole run off the batched path, in this order of
+// two keep a whole run off the batched path, in this order of
 // precedence; the rest stop one batch.
 type StepReason uint8
 
@@ -98,8 +98,6 @@ const (
 	StepObserver StepReason = iota
 	// StepSchedule: the schedule has a member beside the capacitor.
 	StepSchedule
-	// StepSupply: a supply feeds the capacitor.
-	StepSupply
 	// StepMargin: the next straight-line run does not fit. Its energy is
 	// within runSafety of the capacitor level, or it would pass MaxSteps.
 	StepMargin

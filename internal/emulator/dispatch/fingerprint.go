@@ -2,7 +2,7 @@ package dispatch
 
 import "schematic/internal/ir"
 
-// The fingerprint is an FNV-1a hash over everything the compiled form
+// The fingerprint is an FNV-style hash over everything the compiled form
 // bakes in: instruction kinds and operands, variable slots, VM/NVM
 // allocation decisions, branch and call targets, checkpoint save/restore
 // lists, and the shape of the variable and function tables. Anything the
@@ -23,12 +23,12 @@ type hasher struct {
 
 func newHasher() hasher { return hasher{h: fnvOffset, ok: true} }
 
+// word mixes one 64-bit word per FNV round. A round is a bijection in
+// h and in v, so changing any one word changes the fingerprint; the
+// fingerprint never leaves the process, so it need not be byte-wise
+// FNV-1a.
 func (s *hasher) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		s.h ^= v & 0xff
-		s.h *= fnvPrime
-		v >>= 8
-	}
+	s.h = (s.h ^ v) * fnvPrime
 }
 
 func (s *hasher) int(v int)   { s.word(uint64(v)) }

@@ -186,6 +186,23 @@ func BenchmarkEmulateNoObserver(b *testing.B) {
 	}
 }
 
+// BenchmarkEmulateHarvested is the same loop on a capacitor that a
+// supply feeds. It batches like an unsupplied run, and each straight-line
+// run's draws are redone with harvest-in once the run ends.
+func BenchmarkEmulateHarvested(b *testing.B) {
+	m := loopProgram(b, 1000, -1, false)
+	cfg := baseCfg()
+	cfg.Intermittent, cfg.EB = true, 1e6
+	cfg.Schedule = Capacitor{Supply: sineSupply{peak: 0.5, period: 10_000}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(m, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEmulateObserved is the same loop with a minimal observer, to
 // expose the observation overhead in benchmark comparisons.
 func BenchmarkEmulateObserved(b *testing.B) {

@@ -2,6 +2,7 @@ package emulator
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -137,7 +138,11 @@ const maxOff = 200_000_000
 
 // Supply is a harvested-power source: Power reports the incoming power
 // at an environment cycle, in nJ per cycle. It must be a pure function
-// of (receiver, cycle). internal/harvest provides the waveforms.
+// of (receiver, cycle), and its value finite and at least 0: the machine
+// samples it once per SupplyQuantum, and batches a supplied run only
+// because harvest-in never lowers the level. A run whose supply breaks
+// the rule at a sampled cycle ends with a ConfigError naming the
+// Schedule. internal/harvest provides the waveforms.
 type Supply interface {
 	Name() string
 	Power(cycle int64) float64
@@ -193,6 +198,10 @@ type store struct {
 	enforce         bool    // a Capacitor is scheduled: refuse draws the level cannot cover
 	supply          Supply
 	env, at         int64 // supply time (active plus off cycles); machine cycle integrated up to
+	// power caches the supply's sample of the quantum that ends at supply
+	// cycle end; env only grows, so the sample holds while env < end.
+	power float64
+	end   int64
 }
 
 // newStore builds the store a capacitor member (nil: none) configures
@@ -212,30 +221,66 @@ func newStore(c *Capacitor, eb float64) store {
 // harvest integrates the supply over the active cycles up to machine
 // cycle now, clamping to capacity at every quantum.
 func (s *store) harvest(now int64) {
-	for s.supply != nil && s.at < now {
-		s.at += s.feed(now - s.at)
-		s.level = min(s.level, s.capacity)
+	if s.supply != nil {
+		s.level = s.harvested(s.level, now)
 	}
+}
+
+// harvested is harvest on a level the caller holds: it returns level
+// plus the harvest-in over the active cycles up to machine cycle now,
+// clamped to capacity at every quantum. A batch's redo (redraw) keeps
+// the level in a register across its draws this way.
+func (s *store) harvested(level float64, now int64) float64 {
+	for s.at < now {
+		step := s.advance(now - s.at)
+		level = min(level+s.power*float64(step), s.capacity)
+		s.at += step
+	}
+	return level
 }
 
 // recharge simulates off time: the supply charges the level until it
 // reaches target or maxOff cycles pass, then the level clamps to target.
 func (s *store) recharge(target float64) {
 	for off := int64(0); s.supply != nil && s.level+chargeEpsilon < target && off < maxOff; {
-		off += s.feed(maxOff - off)
+		step := s.advance(maxOff - off)
+		s.level += s.power * float64(step)
+		off += step
 	}
 	s.level = min(max(s.level, target), s.capacity)
 }
 
-// feed advances supply time to the end of the current quantum, or by
-// budget cycles if that is sooner, adding the harvest at the quantum's
-// sampled power. It returns the cycles advanced.
-func (s *store) feed(budget int64) int64 {
-	step := min(SupplyQuantum-s.env%SupplyQuantum, budget)
-	s.level += s.supply.Power(s.env-s.env%SupplyQuantum) * float64(step)
+// advance moves supply time to the end of the current quantum, or by
+// budget cycles if that is sooner, and returns the cycles advanced; the
+// harvest over them is at the quantum's sampled power, s.power.
+func (s *store) advance(budget int64) int64 {
+	if s.env >= s.end {
+		s.sample()
+	}
+	step := min(s.end-s.env, budget)
 	s.env += step
 	return step
 }
+
+// sample caches the supply's power over the quantum that supply time is
+// in. Power is a pure function of the cycle, so the cache changes no
+// result. A value Supply rules out ends the run.
+func (s *store) sample() {
+	q := s.env - s.env%SupplyQuantum
+	p := s.supply.Power(q)
+	if !(p >= 0) || math.IsInf(p, 1) {
+		panic(supplyFault{&ConfigError{Field: "Schedule", Reason: fmt.Sprintf(
+			"supply %s delivers %g nJ/cycle at cycle %d; its power must be finite and at least 0",
+			s.supply.Name(), p, q)}})
+	}
+	s.power, s.end = p, q+SupplyQuantum
+}
+
+// supplyFault carries a supply sample that breaks Supply's contract out
+// of the machine, from wherever the capacitor integrates; machine.run
+// recovers it and returns its error. Samples are checked only when the
+// cache misses, so the check costs nothing per instruction.
+type supplyFault struct{ err *ConfigError }
 
 // ---- periodic (TBPF) ----
 

@@ -25,7 +25,10 @@ import (
 // reports the incoming power at an environment cycle, in nJ per cycle
 // (the same unit energy.Model charges per instruction). Power must be a
 // pure function of (receiver, cycle) — no internal state — so identical
-// seeds yield identical runs and a replay needs no waveform at all.
+// seeds yield identical runs and a replay needs no waveform at all. Its
+// value must be finite and at least 0: the emulator batches a harvested
+// run because harvest-in never lowers the level, and ends a run whose
+// environment breaks the rule with an emulator.ConfigError.
 type Environment = emulator.Supply
 
 // noise01 hashes (seed, index) into [0, 1) with a splitmix64-style

@@ -348,13 +348,18 @@ func (p *gridProgress) close() {
 	p.mu.Unlock()
 }
 
-// snapshot returns the records from index start on, whether the log is
-// complete, and a channel that closes on the next append or close.
+// len returns the number of records logged so far.
+func (p *gridProgress) len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.events)
+}
+
+// snapshot returns the records from index start (at most len()) on,
+// whether the log is complete, and a channel that closes on the next
+// append or close.
 func (p *gridProgress) snapshot(start int) ([][]byte, bool, <-chan struct{}) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if start > len(p.events) {
-		start = len(p.events)
-	}
 	return p.events[start:], p.closed, p.wake
 }

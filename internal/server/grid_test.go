@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -225,6 +227,18 @@ func TestGridSSEProgress(t *testing.T) {
 	_, resumed := sseGet(t, ts.URL+"/v1/runs/"+gridDigest+"/events", 1)
 	if got := strings.Count(resumed, "event: cell\n"); got != 1 {
 		t.Errorf("resume from id 1: %d cell events, want 1:\n%s", got, resumed)
+	}
+
+	// An id past the last cell is caught up: no cell frame, and the
+	// terminal record keeps its id, one past the last cell.
+	for _, id := range []int64{math.MaxInt64, int64(len(cells)) + 5} {
+		_, caughtUp := sseGet(t, ts.URL+"/v1/runs/"+gridDigest+"/events", id)
+		if got := strings.Count(caughtUp, "event: cell\n"); got != 0 {
+			t.Errorf("resume from id %d: %d cell events, want none:\n%s", id, got, caughtUp)
+		}
+		if want := fmt.Sprintf("id: %d\nevent: result\n", len(cells)+1); !strings.Contains(caughtUp, want) {
+			t.Errorf("resume from id %d: no terminal record %q:\n%s", id, want, caughtUp)
+		}
 	}
 }
 

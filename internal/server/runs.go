@@ -495,10 +495,9 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) int {
 		// Grid run: replay the per-cell progress log (event id N = the
 		// Nth completed cell, so Last-Event-ID resumes cleanly), then
 		// follow live completions until the grid's terminal record.
-		next := int(after) // ids are 1-based; index next == first unseen
-		if next < 0 {
-			next = 0
-		}
+		// Ids are 1-based, so index next is the first unseen record. An
+		// id at or past the log's end is caught up, as on the hub path.
+		next := int(min(max(after, 0), int64(rs.prog.len())))
 		for {
 			events, closed, wake := rs.prog.snapshot(next)
 			for _, data := range events {

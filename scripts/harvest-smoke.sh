@@ -2,12 +2,17 @@
 # harvest-smoke: harvested-energy environments end to end.
 #
 # Places crc with Ratchet (failure-tolerant anywhere, so harvested
-# refusals are routine), runs it under a short-period solar profile
-# whose nights outlast the capacitor — real refusal decisions land in
-# the recorded NDJSON trace — then replays the trace and requires the
-# bare run, the recorded run and the replay to agree exactly: same
-# program output, same verdict, same energy ledger (recording only
-# observes). It checks three usage errors (exit 2): a -power naming two
+# refusals are routine), runs it under three environments whose outages
+# are real refusal decisions that land in the recorded NDJSON trace — a
+# short-period solar profile whose nights outlast the capacitor, an
+# undersized RF capacitor that reboots at 80%, and the duty-cycled
+# regulator — then replays each trace and requires the bare run, the
+# recorded run and the replay to agree exactly: same program output,
+# same verdict, same energy ledger (recording only observes). The
+# recorder reads per-instruction events, so the recorded run steps
+# while the bare run batches: these comparisons are the CLI's
+# batched-versus-stepped check, outage recharges included. It checks
+# three usage errors (exit 2): a -power naming two
 # power sources, recording a harvested run of a MEMENTOS placement,
 # whose trigger checkpoints measure a level no trace carries, and an
 # -inject at a charge point, which only the capacitor (or a replay of a
@@ -41,27 +46,39 @@ usage_error() {
     fi
 }
 
-# Record. period=20000,day=0.3 gives 14000-cycle nights against a
-# 3000 nJ capacitor (~7500 cycles of charge): failures are guaranteed.
-"$tmp/iemu" -eb 3000 -power solar:period=20000,day=0.3,window=2000 \
-    -record "$tmp/run.ndjson" "$tmp/crc.ir" \
-    >"$tmp/rec.out" 2>"$tmp/rec.stats"
-grep -q '"kind":"harvest-trace"' "$tmp/run.ndjson"
-grep -q '"k":"fail"' "$tmp/run.ndjson"
-grep -q '^verdict: *completed$' "$tmp/rec.stats"
+# same POWER WHAT A B: files A and B must be identical.
+same() {
+    if ! cmp -s "$3" "$4"; then
+        echo "harvest-smoke: -power $1: $2 differ" >&2
+        diff "$3" "$4" >&2 || true
+        exit 1
+    fi
+}
 
-# Recording only observes: the bare run prints the same stats block.
-"$tmp/iemu" -eb 3000 -power solar:period=20000,day=0.3,window=2000 \
-    "$tmp/crc.ir" >"$tmp/bare.out" 2>"$tmp/bare.stats"
-cmp -s "$tmp/bare.out" "$tmp/rec.out"
-cmp -s "$tmp/bare.stats" "$tmp/rec.stats"
+# Record, run bare, replay. period=20000,day=0.3 gives 14000-cycle
+# nights against a 3000 nJ capacitor (~7500 cycles of charge), and the
+# RF and duty-cycled supplies leave gaps of their own: every environment
+# fails at least once.
+for power in solar:period=20000,day=0.3,window=2000 rf:cap=2700,restart=0.8 duty; do
+    "$tmp/iemu" -eb 3000 -power "$power" -record "$tmp/run.ndjson" "$tmp/crc.ir" \
+        >"$tmp/rec.out" 2>"$tmp/rec.stats"
+    grep -q '"kind":"harvest-trace"' "$tmp/run.ndjson"
+    grep -q '"k":"fail"' "$tmp/run.ndjson"
+    grep -q '^verdict: *completed$' "$tmp/rec.stats"
 
-# Replay must reproduce the run byte for byte: the program output and
-# the full stats block (verdict, cycles, ledger, failure counts).
-"$tmp/iemu" -eb 3000 -power "trace:$tmp/run.ndjson" "$tmp/crc.ir" \
-    >"$tmp/rep.out" 2>"$tmp/rep.stats"
-cmp -s "$tmp/rec.out" "$tmp/rep.out"
-cmp -s "$tmp/rec.stats" "$tmp/rep.stats"
+    # Recording only observes: the bare run prints the same stats block.
+    "$tmp/iemu" -eb 3000 -power "$power" "$tmp/crc.ir" \
+        >"$tmp/bare.out" 2>"$tmp/bare.stats"
+    same "$power" "bare and recorded outputs" "$tmp/bare.out" "$tmp/rec.out"
+    same "$power" "bare and recorded stats" "$tmp/bare.stats" "$tmp/rec.stats"
+
+    # Replay must reproduce the run byte for byte: the program output and
+    # the full stats block (verdict, cycles, ledger, failure counts).
+    "$tmp/iemu" -eb 3000 -power "trace:$tmp/run.ndjson" "$tmp/crc.ir" \
+        >"$tmp/rep.out" 2>"$tmp/rep.stats"
+    same "$power" "recorded and replayed outputs" "$tmp/rec.out" "$tmp/rep.out"
+    same "$power" "recorded and replayed stats" "$tmp/rec.stats" "$tmp/rep.stats"
+done
 
 # One capacitor per run: two power sources are a usage error, and so
 # is recording a harvested MEMENTOS run. Refused draws are physics:
