@@ -82,7 +82,7 @@ func writeGoldens() error {
 		return fmt.Errorf("golden corpora: -update needs a full (non-short) run")
 	}
 	wrote := false
-	for _, c := range []*goldenCorpus{dispatchGolden, profileGolden, ledgerGolden} {
+	for _, c := range []*goldenCorpus{dispatchGolden, profileGolden, ledgerGolden, paperGolden} {
 		switch {
 		case c.ran == 0:
 			continue
@@ -95,7 +95,7 @@ func writeGoldens() error {
 		wrote = true
 	}
 	if !wrote {
-		return fmt.Errorf("golden corpora: -update ran no full suite (-run 'TestDispatchEquivalence|TestProfileGolden|TestLedgerGolden')")
+		return fmt.Errorf("golden corpora: -update ran no full suite (-run 'TestDispatchEquivalence|TestProfileGolden|TestLedgerGolden|TestPaperGolden')")
 	}
 	return nil
 }
