@@ -16,6 +16,8 @@
 package dispatch
 
 import (
+	"math"
+
 	"schematic/internal/energy"
 	"schematic/internal/ir"
 )
@@ -141,13 +143,18 @@ type Instr struct {
 // reaches it — chargeable in one decision when no schedule, observer or
 // hook can fire inside the window. Memory instructions ride along on
 // their happy path; the executor leaves the batch early when an access
-// needs the materialization machinery. Energy/Cycles are the batch
-// totals (used only for the capacitor-margin decision; ledger sums stay
-// per-instruction so results remain bit-identical).
+// needs the materialization machinery. Energy, Cycles, VMAccesses and
+// NVMAccesses are the run's totals: Energy decides whether the run fits
+// the capacitor, and the executor adds the integer totals once the run
+// ends. Each pc inside a run starts the rest of it, so the totals of a
+// run's tail are those of the Run at the tail's first pc. Ledger energy
+// sums stay per-instruction, so results remain bit-identical.
 type Run struct {
-	Len    int32
-	Energy float64
-	Cycles int64
+	Len int32
+	// Compile ends a run before either count would overflow.
+	VMAccesses, NVMAccesses uint16
+	Energy                  float64
+	Cycles                  int64
 }
 
 // Block is a compiled basic block.
@@ -360,18 +367,30 @@ func (p *Program) compileBlock(cb *Block) {
 	}
 
 	// Batch metadata. Lengths are computed backwards: a run extends while
-	// the instruction is batchable, and a Br/Jmp ends it. Totals are
-	// summed forward from each start, in the order the batch executes.
+	// the instruction is batchable, and a Br/Jmp ends it. The energy and
+	// cycle totals are summed forward from each start, in the order the
+	// batch executes.
 	cb.Runs = make([]Run, len(cb.Code))
 	for i := len(cb.Code) - 1; i >= 0; i-- {
-		c := cb.Code[i].Code
-		if !batchable(c) {
+		ci := &cb.Code[i]
+		if !batchable(ci.Code) {
 			continue
 		}
 		r := &cb.Runs[i]
 		r.Len = 1
-		if c != CodeBr && c != CodeJmp && i+1 < len(cb.Code) {
-			r.Len += cb.Runs[i+1].Len
+		switch {
+		case !ci.IsMem:
+		case ci.InVM:
+			r.VMAccesses = 1
+		default:
+			r.NVMAccesses = 1
+		}
+		if ci.Code != CodeBr && ci.Code != CodeJmp && i+1 < len(cb.Code) {
+			if next := &cb.Runs[i+1]; next.VMAccesses < math.MaxUint16 && next.NVMAccesses < math.MaxUint16 {
+				r.Len += next.Len
+				r.VMAccesses += next.VMAccesses
+				r.NVMAccesses += next.NVMAccesses
+			}
 		}
 		for k := i; k < i+int(r.Len); k++ {
 			r.Energy += cb.Code[k].Energy

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"testing"
+	"unsafe"
 
 	"schematic/internal/energy"
 	"schematic/internal/ir"
@@ -66,6 +67,10 @@ func testModule(t testing.TB) *ir.Module {
 }
 
 func TestCompileShape(t *testing.T) {
+	// The access counts fit in Run's padding after Len.
+	if n := unsafe.Sizeof(Run{}); n != 24 {
+		t.Errorf("a Run takes %d bytes, want 24", n)
+	}
 	m := testModule(t)
 	model := energy.MSP430FR5969()
 	p := Compile(m, model)
@@ -121,13 +126,14 @@ func TestCompileShape(t *testing.T) {
 			}
 			// Run metadata: each run covers only batchable opcodes, stops
 			// before control/checkpoints, and its totals equal the
-			// per-instruction sums.
+			// per-instruction sums and counts.
 			for pc, r := range cb.Runs {
 				if r.Len == 0 {
 					continue
 				}
 				var e float64
 				var cyc int64
+				var vm, nvm uint16
 				for k := pc; k < pc+int(r.Len); k++ {
 					ci := &cb.Code[k]
 					if !batchable(ci.Code) {
@@ -135,10 +141,15 @@ func TestCompileShape(t *testing.T) {
 					}
 					e += ci.Energy
 					cyc += ci.Cycles
+					if ci.IsMem && ci.InVM {
+						vm++
+					} else if ci.IsMem {
+						nvm++
+					}
 				}
-				if r.Energy != e || r.Cycles != cyc {
-					t.Errorf("%s.%s: run at %d totals (%g,%d), sum (%g,%d)",
-						f.Name, blk.Name, pc, r.Energy, r.Cycles, e, cyc)
+				if r.Energy != e || r.Cycles != cyc || r.VMAccesses != vm || r.NVMAccesses != nvm {
+					t.Errorf("%s.%s: run at %d totals (%g,%d,%d,%d), sum (%g,%d,%d,%d)", f.Name, blk.Name, pc,
+						r.Energy, r.Cycles, r.VMAccesses, r.NVMAccesses, e, cyc, vm, nvm)
 				}
 				if end := pc + int(r.Len); end < len(cb.Code) && batchable(cb.Code[end].Code) {
 					t.Errorf("%s.%s: run at %d stops early at batchable pc %d", f.Name, blk.Name, pc, end)

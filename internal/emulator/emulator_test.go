@@ -521,8 +521,8 @@ entry:
 }
 
 // TestTrapAfterBranchSameOnBothPaths: a batch runs on through br/jmp into
-// the next block, so a trap there must name that block exactly as
-// stepping does.
+// the next block, so a trap there must name that block, and leave the
+// same counts, exactly as stepping does.
 func TestTrapAfterBranchSameOnBothPaths(t *testing.T) {
 	cases := []struct{ name, src, block string }{
 		{"load after jmp", `module bad
@@ -572,19 +572,12 @@ done:
 `, "main.zero"},
 	}
 	for _, tc := range cases {
-		m := ir.MustParse(tc.src)
-		_, errB := Run(m, baseCfg())
-		stepped := baseCfg()
-		stepped.Observer = observerFunc(func(Event) {})
-		_, errS := Run(m, stepped)
-		if errB == nil || errS == nil {
-			t.Fatalf("%s: want a trap on both paths, got batched %v, stepped %v", tc.name, errB, errS)
+		b := samePaths(t, tc.name, ir.MustParse(tc.src), baseCfg(), false)
+		if b.err == nil {
+			t.Fatalf("%s: want a trap on both paths", tc.name)
 		}
-		if errB.Error() != errS.Error() {
-			t.Errorf("%s: error text differs:\nbatched: %v\nstepped: %v", tc.name, errB, errS)
-		}
-		if !strings.Contains(errB.Error(), tc.block+":") {
-			t.Errorf("%s: error %q does not name %s", tc.name, errB, tc.block)
+		if !strings.Contains(b.err.Error(), tc.block+":") {
+			t.Errorf("%s: error %q does not name %s", tc.name, b.err, tc.block)
 		}
 	}
 }
