@@ -765,3 +765,61 @@ func TestCommitKeysMeet(t *testing.T) {
 		t.Fatalf("%d resumes never met at a key", len(states))
 	}
 }
+
+// TestFullKeySensitivity: two full states that differ only in one
+// volatile field the rest of an exhaustion run reads get different
+// keys: a resident slot's pending or dirty mark, or one of the four
+// forward-progress watchdog fields. No sweep case has two commits that
+// differ only there, so each is changed here on a machine stopped at a
+// commit.
+func TestFullKeySensitivity(t *testing.T) {
+	m := vmRollbackProgram(t, 40, 3)
+	atCommit := func() *machine {
+		t.Helper()
+		cfg := intermittentCfg()
+		cfg.MaxSteps, cfg.MaxFailures = 1_000_000, 10_000
+		offers := 0
+		cfg.Hook = &Hook{
+			Window: func(PointVisit, func() *PersistentState) {},
+			Commit: func(CommitVisit) bool { offers++; return offers == 3 },
+		}
+		mc, err := newMachine(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := mc.run(); err != nil || res.Verdict != Stopped {
+			t.Fatalf("run to the third commit: verdict %v, err %v", res.Verdict, err)
+		}
+		return mc
+	}
+	base := atCommit().fullKey()
+	if again := atCommit().fullKey(); again != base {
+		t.Fatalf("one commit, two keys: %v and %v", base, again)
+	}
+	resident := func(mc *machine) int {
+		for slot, arr := range mc.vm {
+			if arr != nil {
+				return slot
+			}
+		}
+		t.Fatal("no slot resident at the commit")
+		return 0
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(mc *machine)
+	}{
+		{"pending mark", func(mc *machine) { s := resident(mc); mc.pending[s] = !mc.pending[s] }},
+		{"dirty mark", func(mc *machine) { s := resident(mc); mc.dirty[s] = !mc.dirty[s] }},
+		{"stagnation", func(mc *machine) { mc.stagnation++ }},
+		{"lastFailFurthest", func(mc *machine) { mc.lastFailFurthest++ }},
+		{"maxSnapDone", func(mc *machine) { mc.maxSnapDone++ }},
+		{"snapStagnation", func(mc *machine) { mc.snapStagnation++ }},
+	} {
+		mc := atCommit()
+		tc.mut(mc)
+		if mc.fullKey() == base {
+			t.Errorf("%s: the key did not change", tc.name)
+		}
+	}
+}

@@ -322,13 +322,18 @@ func (s *Server) runEmulateJob(ctx context.Context, req *Request, digest string,
 func (s *Server) runVerifyJob(ctx context.Context, req *Request, digest string) (*VerifyResponse, error) {
 	rs := s.runs.register(newRunState("verify", digest, req.Name, req.Options.Technique))
 	var progress func(verify.Progress)
-	if rs != nil {
+	if rs != nil || s.verifyProgress != nil {
 		progress = func(p verify.Progress) {
-			sp := &SearchProgress{States: p.States, Explored: p.Explored, Frontier: p.Frontier, Edges: p.Edges,
-				DedupHits: p.Dedup, Depth: p.Depth, Merged: p.Merged, SkippedSteps: p.SkippedSteps}
-			rs.mu.Lock()
-			rs.search = sp
-			rs.mu.Unlock()
+			if rs != nil {
+				sp := &SearchProgress{States: p.States, Explored: p.Explored, Frontier: p.Frontier, Edges: p.Edges,
+					DedupHits: p.Dedup, Depth: p.Depth, Merged: p.Merged, SkippedSteps: p.SkippedSteps}
+				rs.mu.Lock()
+				rs.search = sp
+				rs.mu.Unlock()
+			}
+			if s.verifyProgress != nil {
+				s.verifyProgress(ctx, p)
+			}
 		}
 	}
 	resp, err := runVerify(ctx, req, digest, progress)

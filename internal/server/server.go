@@ -16,6 +16,7 @@ import (
 	"schematic/internal/obs"
 	"schematic/internal/store"
 	"schematic/internal/trace"
+	"schematic/internal/verify"
 )
 
 // maxBody bounds request bodies; MiniC sources are small.
@@ -140,6 +141,10 @@ type Server struct {
 	// slot and before it runs the pipeline — a package-internal test hook
 	// for saturating the pool and observing real (non-coalesced) runs.
 	gate func(kind string)
+	// verifyProgress, when non-nil, is called with the job's context at
+	// every progress report of a verify search — a package-internal test
+	// hook that can hold a search until its deadline passes.
+	verifyProgress func(ctx context.Context, p verify.Progress)
 }
 
 // New builds a Server from cfg.

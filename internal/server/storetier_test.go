@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"schematic/internal/store"
+	"schematic/internal/verify"
 )
 
 // openTestStore opens a store handle on dir, failing the test on error.
@@ -175,7 +177,10 @@ func TestVerifyDeadlineNeverCached(t *testing.T) {
 	s, ts := newTestServer(t, Config{Store: openTestStore(t, t.TempDir())})
 	var ran atomic.Int64
 	s.gate = func(string) { ran.Add(1) }
-	// stringsearch/alfred searches for seconds; the deadline lands inside.
+	// The search's first progress report (after 100 of the 1,361 states
+	// stringsearch/alfred explores) holds it until the deadline passes,
+	// so the deadline lands inside it on any host.
+	s.verifyProgress = func(ctx context.Context, _ verify.Progress) { <-ctx.Done() }
 	req := Request{Bench: "stringsearch", Options: Options{Technique: "alfred", TimeoutMS: 200}}
 	for i := 1; i <= 2; i++ {
 		code, body, _ := post(t, ts, "verify", req)
