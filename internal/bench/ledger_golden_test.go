@@ -107,7 +107,7 @@ func TestLedgerGolden(t *testing.T) {
 // name-keyed maps fed by every EvCharge and EvBlockEnter. As the
 // observer of a run it reads every event, so it forces the stepped
 // path. It also keeps the stream an Attributor is sent: every event but
-// EvCharge and EvBlockEnter, with EvPowerFailure's Seq cleared.
+// EvCharge and EvBlockEnter.
 type ledgerOracle struct {
 	blocks map[[2]string]*obs.BlockEnergy
 	sites  map[int]*obs.SiteStats
@@ -151,7 +151,7 @@ func (o *ledgerOracle) site(e emulator.Event) *obs.SiteStats {
 
 func (o *ledgerOracle) Event(e emulator.Event) {
 	if e.Kind != emulator.EvCharge && e.Kind != emulator.EvBlockEnter {
-		o.stream = append(o.stream, attributorView(e))
+		o.stream = append(o.stream, e)
 	}
 	switch e.Kind {
 	case emulator.EvBlockEnter:
@@ -238,20 +238,10 @@ func (o *ledgerOracle) line(t *testing.T, label string) string {
 	return string(line)
 }
 
-// attributorView is an event as the stepped stream and an Attributor's
-// stream must agree on it: EvPowerFailure's Seq is the charge ordinal,
-// which batched instructions do not advance.
-func attributorView(e emulator.Event) emulator.Event {
-	if e.Kind == emulator.EvPowerFailure {
-		e.Seq = 0
-	}
-	return e
-}
-
 // attributorStream records the events an opted-out observer receives.
 type attributorStream struct{ events []emulator.Event }
 
-func (s *attributorStream) Event(e emulator.Event) { s.events = append(s.events, attributorView(e)) }
+func (s *attributorStream) Event(e emulator.Event) { s.events = append(s.events, e) }
 
 func (s *attributorStream) Attribution() *emulator.Attribution { return nil }
 

@@ -19,12 +19,22 @@ type pathRun struct {
 	windows        []PointVisit
 }
 
+// fresh is a Config.Schedule stand-in for the path harness: each run
+// calls it for a schedule of its own, since schedules are stateful.
+type fresh func() PowerSchedule
+
+func (fresh) Name() string    { return "fresh" }
+func (fresh) Fail(Probe) bool { panic("fresh: the harness builds the schedule") }
+
 // runPath runs m under cfg with observer o, which steps every
 // instruction unless it opts out of per-instruction events; hooked adds
 // a Hook that keeps every window.
 func runPath(t *testing.T, m *ir.Module, cfg Config, o Observer, hooked bool) pathRun {
 	t.Helper()
 	var pr pathRun
+	if mk, ok := cfg.Schedule.(fresh); ok {
+		cfg.Schedule = mk()
+	}
 	cfg.Observer = o
 	if hooked {
 		cfg.Hook = &Hook{Window: func(v PointVisit, _ func() *PersistentState) {
@@ -42,18 +52,14 @@ func runPath(t *testing.T, m *ir.Module, cfg Config, o Observer, hooked bool) pa
 }
 
 // eventLog keeps every event but EvCharge and EvBlockEnter, which a
-// batched run does not send. A power failure's Seq, the charge ordinal,
-// counts only stepped draws, so it is left out. It opts out of
-// per-instruction events, so a run it observes batches; the stepped
-// run's log observes through observerFunc.
+// batched run does not send. It opts out of per-instruction events, so
+// a run it observes batches; the stepped run's log observes through
+// observerFunc.
 type eventLog struct{ events []Event }
 
 func (l *eventLog) Event(e Event) {
 	if e.Kind == EvCharge || e.Kind == EvBlockEnter {
 		return
-	}
-	if e.Kind == EvPowerFailure {
-		e.Seq = 0
 	}
 	l.events = append(l.events, e)
 }
@@ -63,8 +69,9 @@ func (l *eventLog) Attribution() *Attribution { return nil }
 // samePaths requires m under cfg to leave the same Result (every step,
 // cycle and access count and every ledger float), error and hook
 // windows batched, unobserved and observed, as stepped, and the same
-// events as stepped when observed; and both batched runs to batch. It
-// returns the unobserved batched run.
+// events as stepped when observed; and both batched runs to batch. A
+// fresh Schedule builds a new schedule for each run. It returns the
+// unobserved batched run.
 func samePaths(t *testing.T, label string, m *ir.Module, cfg Config, hooked bool) pathRun {
 	t.Helper()
 	var logB, logS eventLog

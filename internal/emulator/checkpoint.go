@@ -477,13 +477,17 @@ func (mc *machine) powerFailure() {
 	// below is attributed to the snapshot's site, not the aborted one.
 	mc.curSite = -1
 	mc.res.PowerFailures++
+	if mc.sched != nil {
+		// Whatever fired has moved its horizon; the rest stand.
+		mc.next, _ = horizonOf(mc.sched)
+	}
 	mc.store.harvest(mc.res.TotalCycles)
 	refused := mc.refused
 	mc.refused = false
 	if mc.obs != nil {
 		ev := Event{Kind: EvPowerFailure, CapEnergy: mc.store.level, Site: -1}
 		if refused {
-			ev.Energy, ev.Point, ev.Seq = mc.draw, PointCharge, mc.charges
+			ev.Energy, ev.Point, ev.Seq = mc.draw, PointCharge, mc.ordinal()
 		}
 		if mc.snap != nil {
 			ev.Site = mc.snap.site

@@ -88,18 +88,24 @@ func (c *Counts) Stepped(r StepReason) int64 {
 	return c.stepped[r]
 }
 
-// StepReason says why an instruction ran on the stepped path. The first
-// two keep a whole run off the batched path, in this order of
-// precedence; the rest stop one batch.
+// StepReason says why an instruction ran on the stepped path.
+// StepObserver keeps a whole run off the batched path, and so does
+// StepSchedule for a schedule with a member of a caller's own type; the
+// rest stop one batch.
 type StepReason uint8
 
 const (
 	// StepObserver: the run's observer reads per-instruction events.
 	StepObserver StepReason = iota
-	// StepSchedule: the schedule has a member beside the capacitor.
+	// StepSchedule: the schedule could fail inside the next
+	// straight-line run, since it reaches the horizon of a built-in
+	// member (Periodic, StrideSchedule, RandomSchedule, TraceSchedule),
+	// or the schedule has a member with no horizon, which steps the
+	// whole run.
 	StepSchedule
-	// StepMargin: the next straight-line run does not fit. Its energy is
-	// within runSafety of the capacitor level, or it would pass MaxSteps.
+	// StepMargin: the next straight-line run does not fit otherwise. Its
+	// energy is within runSafety of the capacitor level, or it would
+	// pass MaxSteps.
 	StepMargin
 	// StepVM: a VM access needs materialization, a deferred restore or
 	// poisoning.

@@ -94,7 +94,7 @@ type Config struct {
 	// ConfigError for Resume otherwise, and never changes the state.
 	// Mutually exclusive with Inputs and PrewarmVM (a resumed state
 	// already fixes NVM contents). A resumed run executes like any
-	// other: batched unless an Observer or schedule steps it.
+	// other: batched, except where an Observer or the schedule steps it.
 	Resume *PersistentState
 
 	// Hook, when non-nil, observes every schedulable injection point of

@@ -42,9 +42,8 @@ const (
 	// none exists yet). A failure at a draw carries the refused draw in
 	// Energy, PointCharge in Point and the draw's charge ordinal in Seq;
 	// an injected one (preceded by EvInjection) carries none of them.
-	// Seq counts the draws the stepped path made: batched instructions
-	// draw without counting, so under an Attributor that batched, Seq is
-	// lower than the run's true charge ordinal.
+	// Seq is the run's charge ordinal on either path: a batched
+	// instruction is one draw, and counts as one.
 	EvPowerFailure
 	// EvReexecStart / EvReexecEnd bracket a re-execution span: work
 	// repeated between a recovery point and the previous high-water mark.

@@ -118,11 +118,49 @@ type Probe struct {
 // compose with a Capacitor (Exhaustion(), or a harvested one from
 // internal/harvest) via Schedules to keep capacitor physics in addition
 // to induced failures.
+//
+// The built-in members (Periodic, StrideSchedule, RandomSchedule and
+// TraceSchedule) know the earliest probe at which they could next fire,
+// so a run composed of them and a Capacitor batches up to that point and
+// steps only from there. A schedule of any other type steps its whole
+// run, since any probe may be the one it fails.
 type PowerSchedule interface {
 	// Name identifies the schedule in reports and repro files.
 	Name() string
 	// Fail reports whether power fails at this probe.
 	Fail(p Probe) bool
+}
+
+// never is a horizon no run reaches, with room to add a run's counts to.
+const never = math.MaxInt64 / 2
+
+// horizon is the earliest a schedule could next fail: at the first step
+// probe numbered step or later, at the first charge probe numbered
+// charge or later, or at the first step probe whose CyclesSincePower
+// reaches period; never where it cannot. Save points need none: they
+// are probed only inside checkpoints, which always step.
+type horizon struct{ step, charge, period int64 }
+
+// horizoner is a schedule member that knows its horizon. A member's
+// horizon moves only when it fires, and every fire ends in a power
+// failure, so the machine asks at boot and after each power failure.
+type horizoner interface {
+	horizon() horizon
+}
+
+// horizonOf is the earliest horizon of s's members — never for no
+// members — or false when a member has none.
+func horizonOf(s PowerSchedule) (horizon, bool) {
+	h := horizon{never, never, never}
+	for _, m := range members(s) {
+		x, ok := m.(horizoner)
+		if !ok {
+			return h, false
+		}
+		mh := x.horizon()
+		h = horizon{min(h.step, mh.step), min(h.charge, mh.charge), min(h.period, mh.period)}
+	}
+	return h, true
 }
 
 // ---- the capacitor ----
@@ -310,6 +348,13 @@ func (s *periodic) Fail(p Probe) bool {
 	return p.Kind == PointStep && s.cycles > 0 && p.CyclesSincePower >= s.cycles
 }
 
+func (s *periodic) horizon() horizon {
+	if s.cycles <= 0 {
+		return horizon{never, never, never}
+	}
+	return horizon{never, never, s.cycles}
+}
+
 // ---- trace-driven (replayable failure-point list) ----
 
 // FailPoint is one entry of a trace-driven schedule: fail at the first
@@ -367,6 +412,19 @@ func (s *traceSchedule) Fail(p Probe) bool {
 	return j > i
 }
 
+// horizon is the next due ordinal of each kind a batch could pass.
+func (s *traceSchedule) horizon() horizon {
+	return horizon{s.nextDue(PointStep), s.nextDue(PointCharge), never}
+}
+
+// nextDue is kind k's first ordinal that has not fired, or never.
+func (s *traceSchedule) nextDue(k PointKind) int64 {
+	if due, i := s.due[k], s.next[k]; i < len(due) {
+		return due[i]
+	}
+	return never
+}
+
 // ---- seeded random ----
 
 type randomSchedule struct {
@@ -406,6 +464,17 @@ func (s *randomSchedule) Fail(p Probe) bool {
 	return true
 }
 
+func (s *randomSchedule) horizon() horizon { return stepHorizon(s.next, s.left) }
+
+// stepHorizon is the horizon of a member that fails at its next step
+// while it has failures left.
+func stepHorizon(next int64, left int) horizon {
+	if left == 0 {
+		return horizon{never, never, never}
+	}
+	return horizon{next, never, never}
+}
+
 // ---- every-Nth instruction boundary ----
 
 type strideSchedule struct {
@@ -441,6 +510,8 @@ func (s *strideSchedule) Fail(p Probe) bool {
 	s.next = p.Step + s.n
 	return true
 }
+
+func (s *strideSchedule) horizon() horizon { return stepHorizon(s.next, s.left) }
 
 // ---- composition ----
 
