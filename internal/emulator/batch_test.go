@@ -19,21 +19,15 @@ type pathRun struct {
 	windows        []PointVisit
 }
 
-// fresh is a Config.Schedule stand-in for the path harness: each run
-// calls it for a schedule of its own, since schedules are stateful.
-type fresh func() PowerSchedule
-
-func (fresh) Name() string    { return "fresh" }
-func (fresh) Fail(Probe) bool { panic("fresh: the harness builds the schedule") }
-
 // runPath runs m under cfg with observer o, which steps every
 // instruction unless it opts out of per-instruction events; hooked adds
-// a Hook that keeps every window.
-func runPath(t *testing.T, m *ir.Module, cfg Config, o Observer, hooked bool) pathRun {
+// a Hook that keeps every window. A sched that is not nil builds the
+// run's schedule, since schedules are stateful.
+func runPath(t *testing.T, m *ir.Module, cfg Config, sched func() PowerSchedule, o Observer, hooked bool) pathRun {
 	t.Helper()
 	var pr pathRun
-	if mk, ok := cfg.Schedule.(fresh); ok {
-		cfg.Schedule = mk()
+	if sched != nil {
+		cfg.Schedule = sched()
 	}
 	cfg.Observer = o
 	if hooked {
@@ -70,14 +64,14 @@ func (l *eventLog) Attribution() *Attribution { return nil }
 // cycle and access count and every ledger float), error and hook
 // windows batched, unobserved and observed, as stepped, and the same
 // events as stepped when observed; and both batched runs to batch. A
-// fresh Schedule builds a new schedule for each run. It returns the
-// unobserved batched run.
-func samePaths(t *testing.T, label string, m *ir.Module, cfg Config, hooked bool) pathRun {
+// sched that is not nil builds a new schedule for each run. It returns
+// the unobserved batched run.
+func samePaths(t *testing.T, label string, m *ir.Module, cfg Config, sched func() PowerSchedule, hooked bool) pathRun {
 	t.Helper()
 	var logB, logS eventLog
-	s := runPath(t, m, cfg, observerFunc(logS.Event), hooked)
-	plain := runPath(t, m, cfg, nil, hooked)
-	for i, b := range []pathRun{plain, runPath(t, m, cfg, &logB, hooked)} {
+	s := runPath(t, m, cfg, sched, observerFunc(logS.Event), hooked)
+	plain := runPath(t, m, cfg, sched, nil, hooked)
+	for i, b := range []pathRun{plain, runPath(t, m, cfg, sched, &logB, hooked)} {
 		if fmt.Sprint(b.err) != fmt.Sprint(s.err) {
 			t.Fatalf("%s: batched run %d: error differs:\nbatched: %v\nstepped: %v", label, i, b.err, s.err)
 		}
@@ -165,7 +159,7 @@ func TestBatchCutsMatchStepping(t *testing.T) {
 	for _, c := range cuts {
 		for pos := 0; pos <= len(runFiller); pos++ {
 			label := fmt.Sprintf("%s@%d", c.name, pos)
-			b := samePaths(t, label, cutProgram(c.instr, pos), baseCfg(), c.hooked)
+			b := samePaths(t, label, cutProgram(c.instr, pos), baseCfg(), nil, c.hooked)
 			if c.trap == "" && b.err != nil || c.trap != "" && (b.err == nil || !strings.Contains(b.err.Error(), c.trap)) {
 				t.Fatalf("%s: error %v, want %q", label, b.err, c.trap)
 			}
@@ -189,7 +183,7 @@ func TestBatchStartsInReexecution(t *testing.T) {
 		for eb := 150.0; eb <= 600; eb += 15 {
 			cfg := intermittentCfg()
 			cfg.EB = eb
-			b := samePaths(t, fmt.Sprintf("%s eb=%g", m.Name, eb), m, cfg, false)
+			b := samePaths(t, fmt.Sprintf("%s eb=%g", m.Name, eb), m, cfg, nil, false)
 			if b.res.Energy.Reexecution == 0 {
 				t.Fatalf("%s eb=%g: no re-execution; the sweep exercises nothing", m.Name, eb)
 			}
@@ -229,7 +223,7 @@ entry:
 	for eb := 60.0; eb <= 140; eb += 0.5 {
 		cfg := baseCfg()
 		cfg.Intermittent, cfg.EB = true, eb
-		b := samePaths(t, fmt.Sprintf("eb=%g", eb), m, cfg, false)
+		b := samePaths(t, fmt.Sprintf("eb=%g", eb), m, cfg, nil, false)
 		if b.err != nil && b.res.Energy.Reexecution > 0 && b.furthest-b.done == 1 {
 			edge++
 		}

@@ -477,10 +477,6 @@ func (mc *machine) powerFailure() {
 	// below is attributed to the snapshot's site, not the aborted one.
 	mc.curSite = -1
 	mc.res.PowerFailures++
-	if mc.sched != nil {
-		// Whatever fired has moved its horizon; the rest stand.
-		mc.next, _ = horizonOf(mc.sched)
-	}
 	mc.store.harvest(mc.res.TotalCycles)
 	refused := mc.refused
 	mc.refused = false
@@ -558,7 +554,7 @@ func (mc *machine) restoreSnap() {
 	}
 	mc.out = mc.out[:sn.outLen]
 	mc.done = sn.done
-	if mc.perInstr != nil {
+	if mc.perInstr {
 		// Replay the restored call stack so observers can mirror it. The
 		// replay is not execution: observers counting executed blocks
 		// skip these Resume entries, and neither Config.Counts nor an

@@ -89,19 +89,16 @@ func (c *Counts) Stepped(r StepReason) int64 {
 }
 
 // StepReason says why an instruction ran on the stepped path.
-// StepObserver keeps a whole run off the batched path, and so does
-// StepSchedule for a schedule with a member of a caller's own type; the
-// rest stop one batch.
+// StepObserver keeps a whole run off the batched path; the rest stop
+// one batch.
 type StepReason uint8
 
 const (
 	// StepObserver: the run's observer reads per-instruction events.
 	StepObserver StepReason = iota
-	// StepSchedule: the schedule could fail inside the next
-	// straight-line run, since it reaches the horizon of a built-in
-	// member (Periodic, StrideSchedule, RandomSchedule, TraceSchedule),
-	// or the schedule has a member with no horizon, which steps the
-	// whole run.
+	// StepSchedule: the schedule fails inside the next straight-line
+	// run, which reaches the horizon of a member (Periodic,
+	// StrideSchedule, RandomSchedule, TraceSchedule).
 	StepSchedule
 	// StepMargin: the next straight-line run does not fit otherwise. Its
 	// energy is within runSafety of the capacitor level, or it would

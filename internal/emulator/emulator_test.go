@@ -572,7 +572,7 @@ done:
 `, "main.zero"},
 	}
 	for _, tc := range cases {
-		b := samePaths(t, tc.name, ir.MustParse(tc.src), baseCfg(), false)
+		b := samePaths(t, tc.name, ir.MustParse(tc.src), baseCfg(), nil, false)
 		if b.err == nil {
 			t.Fatalf("%s: want a trap on both paths", tc.name)
 		}

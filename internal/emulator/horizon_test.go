@@ -62,7 +62,7 @@ func longestRun(m *ir.Module, cfg Config) int64 {
 	return n
 }
 
-// horizonMembers are the schedule members with a horizon, each built
+// horizonMembers are the schedule member kinds that fail, each built
 // from a sweep parameter k, and their composition.
 var horizonMembers = []struct {
 	name string
@@ -85,7 +85,7 @@ var horizonMembers = []struct {
 	}},
 }
 
-// TestHorizonsMatchStepping sweeps each member kind with a horizon, and
+// TestHorizonsMatchStepping sweeps each member kind that fails, and
 // their composition, over two loops, one of short runs with its
 // variables in VM and one of long runs. Every run fails at least twice
 // and must leave the Result, error and non-per-instruction events of
@@ -102,8 +102,7 @@ func TestHorizonsMatchStepping(t *testing.T) {
 				label := fmt.Sprintf("%s/%s/k=%d", m.Name, mem.name, k)
 				cfg := baseCfg()
 				cfg.Intermittent, cfg.EB = true, 50
-				cfg.Schedule = fresh(func() PowerSchedule { return mem.make(k) })
-				b := samePaths(t, label, m, cfg, false)
+				b := samePaths(t, label, m, cfg, func() PowerSchedule { return mem.make(k) }, false)
 				if b.err != nil || b.res.Verdict != Completed {
 					t.Fatalf("%s: %v, error %v", label, b.res.Verdict, b.err)
 				}
@@ -121,38 +120,6 @@ func TestHorizonsMatchStepping(t *testing.T) {
 						label, n, res.PowerFailures, longest)
 				}
 			}
-		}
-	}
-}
-
-// everyNth is a caller's own schedule: it fails at every n-th step
-// probe, and has no horizon.
-type everyNth struct{ n int64 }
-
-func (s everyNth) Name() string { return fmt.Sprintf("every(%d)", s.n) }
-func (s everyNth) Fail(p Probe) bool {
-	return p.Kind == PointStep && p.Step%s.n == 0
-}
-
-// TestScheduleWithoutHorizonSteps: a member the machine has no horizon
-// for could fail at any probe, so its run steps every instruction, for
-// the schedule, even composed with members that have one.
-func TestScheduleWithoutHorizonSteps(t *testing.T) {
-	for _, sched := range []PowerSchedule{
-		everyNth{97},
-		Schedules(Exhaustion(), StrideSchedule(50, 3), everyNth{97}),
-	} {
-		cfg := baseCfg()
-		cfg.Intermittent, cfg.EB = true, 1e6
-		cfg.Schedule, cfg.Counts = sched, &Counts{}
-		res, err := Run(longLoopProgram(), cfg)
-		if err != nil || res.Verdict != Completed || res.PowerFailures == 0 {
-			t.Fatalf("%s: %+v, error %v", sched.Name(), res, err)
-		}
-		c := cfg.Counts
-		if c.BatchedSteps() != 0 || c.Stepped(StepSchedule) != c.Steps() {
-			t.Fatalf("%s: %d of %d instructions stepped for the schedule, %d batched",
-				sched.Name(), c.Stepped(StepSchedule), c.Steps(), c.BatchedSteps())
 		}
 	}
 }

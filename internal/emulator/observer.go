@@ -152,7 +152,7 @@ type Event struct {
 
 	CapEnergy float64 // capacitor level nJ: EvCharge, EvPowerFailure, EvSleepStart/End, EvInjection
 
-	// Point and Seq name a probe by kind and ordinal (Probe.Occurrence):
+	// Point and Seq name a probe by kind and ordinal (see PointKind):
 	// the injection point that fired (EvInjection), or the draw
 	// (EvCharge, and the EvPowerFailure of a refused draw).
 	Point PointKind

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 
 	"schematic/internal/ir"
 )
@@ -166,6 +167,16 @@ func TestNilObserverNoPerInstructionAllocs(t *testing.T) {
 	if allocsLarge > allocsSmall+32 {
 		t.Errorf("allocations grow with run length: %d instructions → %.0f allocs, %d instructions → %.0f allocs",
 			100, allocsSmall, 5000, allocsLarge)
+	}
+}
+
+// TestMachineSizeClass: every run allocates one machine, so it must stay
+// within Go's 1152-byte allocation size class, where the next is 1280.
+// The allocator puts an 8-byte header before an object over 512 bytes
+// that holds pointers, so that leaves the machine 1144.
+func TestMachineSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(machine{}); n > 1144 {
+		t.Errorf("machine is %d bytes; with its allocation header that is past the 1152-byte size class", n)
 	}
 }
 

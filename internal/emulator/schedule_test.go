@@ -2,12 +2,22 @@ package emulator
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"schematic/internal/ir"
 )
 
-func probeStep(step int64) Probe { return Probe{Kind: PointStep, Step: step, Occurrence: step} }
+// fails is the machine's probe rule for a schedule without a Periodic
+// member: the kind-k probe with ordinal n fails where it reaches the
+// schedule's horizon, and moves the schedule past it.
+func fails(s PowerSchedule, k PointKind, n int64) bool {
+	if n < s.horizon().at[k] {
+		return false
+	}
+	s.advance(k, n)
+	return true
+}
 
 func TestParsePointKindRoundtrip(t *testing.T) {
 	for _, k := range []PointKind{PointStep, PointBeforeSave, PointMidSave, PointAfterSave} {
@@ -30,23 +40,23 @@ func TestTraceScheduleLatchesAndCoalesces(t *testing.T) {
 		FailPoint{Kind: PointStep, N: 5}, // duplicate: must coalesce into one failure
 		FailPoint{Kind: PointBeforeSave, N: 2},
 	)
-	if s.Fail(probeStep(4)) {
+	if fails(s, PointStep, 4) {
 		t.Fatalf("fired before its step")
 	}
-	if !s.Fail(probeStep(5)) {
+	if !fails(s, PointStep, 5) {
 		t.Fatalf("did not fire at its step")
 	}
-	if s.Fail(probeStep(5)) || s.Fail(probeStep(6)) {
+	if fails(s, PointStep, 5) || fails(s, PointStep, 6) {
 		t.Fatalf("step point fired twice")
 	}
 	// The save point is independent and addressed by its own ordinal.
-	if s.Fail(Probe{Kind: PointBeforeSave, Occurrence: 1}) {
+	if fails(s, PointBeforeSave, 1) {
 		t.Fatalf("save point fired early")
 	}
-	if !s.Fail(Probe{Kind: PointBeforeSave, Occurrence: 2}) {
+	if !fails(s, PointBeforeSave, 2) {
 		t.Fatalf("save point did not fire")
 	}
-	if s.Fail(Probe{Kind: PointBeforeSave, Occurrence: 3}) {
+	if fails(s, PointBeforeSave, 3) {
 		t.Fatalf("save point fired twice")
 	}
 }
@@ -58,10 +68,10 @@ func TestTraceScheduleLatchesAndCoalesces(t *testing.T) {
 func TestTraceScheduleSemantics(t *testing.T) {
 	type probe struct {
 		kind       PointKind
-		step, occ  int64
+		n          int64
 		wantToFail bool
 	}
-	step := func(n int64, fail bool) probe { return probe{PointStep, n, n, fail} }
+	step := func(n int64, fail bool) probe { return probe{PointStep, n, fail} }
 	cases := []struct {
 		name   string
 		points []FailPoint
@@ -77,29 +87,29 @@ func TestTraceScheduleSemantics(t *testing.T) {
 			[]FailPoint{{PointStep, 5}, {PointStep, 3}},
 			[]probe{step(2, false), step(7, true), step(8, false)}},
 		{"interleaved kinds",
-			[]FailPoint{{PointMidSave, 2}, {PointStep, 5}, {PointBeforeSave, 1}, {PointStep, 2}},
+			[]FailPoint{{PointMidSave, 2}, {PointStep, 5}, {PointBeforeSave, 1}, {PointStep, 2}, {PointAfterSave, 3}},
 			[]probe{
-				step(1, false), {PointBeforeSave, 1, 1, true}, step(2, true),
-				{PointMidSave, 2, 1, false}, step(4, false), {PointBeforeSave, 4, 2, false},
-				{PointMidSave, 4, 2, true}, step(5, true), {PointMidSave, 6, 3, false},
+				step(1, false), {PointBeforeSave, 1, true}, step(2, true),
+				{PointMidSave, 1, false}, step(4, false), {PointBeforeSave, 2, false},
+				{PointMidSave, 2, true}, {PointAfterSave, 2, false}, step(5, true),
+				{PointMidSave, 3, false}, {PointAfterSave, 3, true},
 			}},
 		{"past the last probe",
 			[]FailPoint{{PointStep, 100}, {PointAfterSave, 9}},
-			[]probe{step(1, false), step(50, false), {PointAfterSave, 50, 8, false}}},
+			[]probe{step(1, false), step(50, false), {PointAfterSave, 8, false}}},
 		{"charge ordinals sharing a step",
 			[]FailPoint{{PointCharge, 4}, {PointCharge, 2}},
 			[]probe{
-				{PointCharge, 1, 1, false}, {PointCharge, 2, 2, true}, {PointCharge, 2, 3, false},
-				{PointCharge, 2, 4, true}, step(3, false), {PointCharge, 3, 5, false},
+				{PointCharge, 1, false}, {PointCharge, 2, true}, {PointCharge, 3, false},
+				{PointCharge, 4, true}, step(3, false), {PointCharge, 5, false},
 			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := TraceSchedule(tc.points...)
 			for i, p := range tc.probes {
-				got := s.Fail(Probe{Kind: p.kind, Step: p.step, Occurrence: p.occ})
-				if got != p.wantToFail {
-					t.Errorf("probe %d (%v@%d, step %d): fail = %v, want %v", i, p.kind, p.occ, p.step, got, p.wantToFail)
+				if got := fails(s, p.kind, p.n); got != p.wantToFail {
+					t.Errorf("probe %d (%v@%d): fail = %v, want %v", i, p.kind, p.n, got, p.wantToFail)
 				}
 			}
 		})
@@ -160,10 +170,10 @@ func TestChargePointAddressesDrawOrdinal(t *testing.T) {
 // point still fires at the first occurrence at or past N.
 func TestTraceScheduleFiresPastTarget(t *testing.T) {
 	s := TraceSchedule(FailPoint{Kind: PointStep, N: 10})
-	if s.Fail(probeStep(9)) {
+	if fails(s, PointStep, 9) {
 		t.Fatalf("fired early")
 	}
-	if !s.Fail(probeStep(12)) {
+	if !fails(s, PointStep, 12) {
 		t.Fatalf("did not fire past its target")
 	}
 }
@@ -173,7 +183,7 @@ func TestRandomScheduleDeterministicAndBounded(t *testing.T) {
 		s := RandomSchedule(seed, 10, max)
 		var out []int64
 		for step := int64(1); step <= 500; step++ {
-			if s.Fail(probeStep(step)) {
+			if fails(s, PointStep, step) {
 				out = append(out, step)
 			}
 		}
@@ -200,7 +210,7 @@ func TestStrideSchedule(t *testing.T) {
 	s := StrideSchedule(10, 2)
 	var out []int64
 	for step := int64(1); step <= 100; step++ {
-		if s.Fail(probeStep(step)) {
+		if fails(s, PointStep, step) {
 			out = append(out, step)
 		}
 	}
@@ -209,7 +219,7 @@ func TestStrideSchedule(t *testing.T) {
 	}
 	// Non-PointStep probes are ignored.
 	s2 := StrideSchedule(1, 0)
-	if s2.Fail(Probe{Kind: PointCharge, Step: 50}) {
+	if fails(s2, PointCharge, 50) {
 		t.Errorf("stride fired on a charge probe")
 	}
 }
@@ -230,6 +240,26 @@ func TestSchedulesComposition(t *testing.T) {
 	flat := Schedules(combo, StrideSchedule(5, 1))
 	if flat.Name() != "exhaustion+periodic(100)+stride(5)" {
 		t.Errorf("flattened name = %q", flat.Name())
+	}
+}
+
+// TestCompositionAdvancesReachedMembers: a composition fails where its
+// earliest member does, and moves only the members the probe reached;
+// the others still fail at their own points.
+func TestCompositionAdvancesReachedMembers(t *testing.T) {
+	s := Schedules(StrideSchedule(10, 0), TraceSchedule(FailPoint{Kind: PointStep, N: 3},
+		FailPoint{Kind: PointBeforeSave, N: 1}))
+	var got []int64
+	for step := int64(1); step <= 30; step++ {
+		if step == 5 && !fails(s, PointBeforeSave, 1) {
+			t.Fatal("the save point did not fire")
+		}
+		if fails(s, PointStep, step) {
+			got = append(got, step)
+		}
+	}
+	if want := []int64{3, 10, 20, 30}; !slices.Equal(got, want) {
+		t.Errorf("composition fails at steps %v, want %v", got, want)
 	}
 }
 

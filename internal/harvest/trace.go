@@ -27,8 +27,9 @@ type Header struct {
 // Record is one NDJSON event line. K "fail" records a power failure
 // fired at a probe; K "sample" records a periodic energy-history
 // snapshot (the capacitor level at a charge probe) and is ignored by
-// replay. Ordinals are the machine's Probe.Occurrence: a charge's is the
-// run's 1-based draw ordinal, refused draws included.
+// replay. Ordinals are the machine's per-kind probe ordinals (see
+// emulator.PointKind): a charge's is the run's 1-based draw ordinal,
+// refused draws included.
 type Record struct {
 	K     string  `json:"k"`
 	Point string  `json:"point,omitempty"` // fail: probe kind ("step", "charge", ...)
