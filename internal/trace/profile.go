@@ -33,9 +33,6 @@ type Options struct {
 	Seed int64
 	// Model is the energy model; nil selects the MSP430FR5969 default.
 	Model *energy.Model
-	// InputGen produces workload data for an input variable; nil selects
-	// uniform random words.
-	InputGen func(r *rand.Rand, v *ir.Var) []int64
 	// MaxSteps bounds each profiling run.
 	MaxSteps int64
 }
@@ -80,19 +77,11 @@ type Profile struct {
 	BatchedSteps int64
 }
 
-// RandomInputs generates input data for every input variable of m using
-// the default generator (uniform random 16-bit words).
+// RandomInputs generates input data for every input variable of m:
+// words drawn uniformly from [0, 2^15).
 func RandomInputs(m *ir.Module, r *rand.Rand) map[string][]int64 {
-	return inputsWith(m, r, nil)
-}
-
-func inputsWith(m *ir.Module, r *rand.Rand, gen func(*rand.Rand, *ir.Var) []int64) map[string][]int64 {
 	inputs := map[string][]int64{}
 	for _, v := range m.InputVars() {
-		if gen != nil {
-			inputs[v.Name] = gen(r, v)
-			continue
-		}
 		data := make([]int64, v.Elems)
 		for i := range data {
 			data[i] = int64(r.Intn(1 << 15))
@@ -132,7 +121,7 @@ func Collect(m *ir.Module, opts Options) (*Profile, error) {
 	for run := 0; run < opts.Runs; run++ {
 		cfgE := emulator.Config{
 			Model:    model,
-			Inputs:   inputsWith(m, rng, opts.InputGen),
+			Inputs:   RandomInputs(m, rng),
 			MaxSteps: opts.MaxSteps,
 			Counts:   counts,
 		}
