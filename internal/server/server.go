@@ -398,8 +398,16 @@ func (s *Server) jobContext(kind string, timeoutMS int64) (context.Context, cont
 	return ctx, cancel
 }
 
-// runJob executes the pipeline for one leader under the job deadline.
-func (s *Server) runJob(kind string, req *Request, digest string) (any, error) {
+// runJob executes the pipeline for one leader under the job deadline. A
+// panic in the pipeline is a bug; it fails the job with an internal
+// error, so the job still releases its worker slot and answers its
+// followers, and a grid cell's goroutine does not take the daemon down.
+func (s *Server) runJob(kind string, req *Request, digest string) (val any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, fmt.Errorf("internal error in %s job: %v", kind, r)
+		}
+	}()
 	ctx, cancel := s.jobContext(kind, req.Options.TimeoutMS)
 	defer cancel()
 	switch kind {
