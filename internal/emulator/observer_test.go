@@ -171,12 +171,13 @@ func TestNilObserverNoPerInstructionAllocs(t *testing.T) {
 }
 
 // TestMachineSizeClass: every run allocates one machine, so it must stay
-// within Go's 1152-byte allocation size class, where the next is 1280.
+// within Go's 1024-byte allocation size class, where the next is 1152.
 // The allocator puts an 8-byte header before an object over 512 bytes
-// that holds pointers, so that leaves the machine 1144.
+// that holds pointers, so that leaves the machine 1016. What only a
+// hooked run keeps sits behind a pointer (hooked) for this.
 func TestMachineSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(machine{}); n > 1144 {
-		t.Errorf("machine is %d bytes; with its allocation header that is past the 1152-byte size class", n)
+	if n := unsafe.Sizeof(machine{}); n > 1016 {
+		t.Errorf("machine is %d bytes; with its allocation header that is past the 1024-byte size class", n)
 	}
 }
 
