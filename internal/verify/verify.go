@@ -15,8 +15,8 @@
 // state, so they are Span edges into one successor, and a run costs one
 // hook call per persistent change instead of one per point. A run that
 // reaches a full machine state an earlier run of the case already passed
-// at a checkpoint commit stops there, and a memo supplies the rest (see
-// suffix). Because an adversarial power schedule is exactly a sequence
+// at a checkpoint commit where runs join (emulator.Hook) stops there,
+// and a memo supplies the rest (see suffix). Because an adversarial power schedule is exactly a sequence
 // of such injections, and everything between injections is
 // deterministic physics, a BFS
 // over this graph covers every power-failure interleaving: if every
