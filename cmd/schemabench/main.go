@@ -212,14 +212,14 @@ type sseReport struct {
 // hubPublishNS measures the emulator-side cost of one hub.Event with
 // subs actively draining subscribers attached, in ns/event.
 func hubPublishNS(subs, events int) float64 {
-	h := obs.NewHub(0, nil)
+	h := obs.NewHub[emulator.Event](0, nil)
 	var wg sync.WaitGroup
 	for k := 0; k < subs; k++ {
 		sub := h.Subscribe(-1, 1024)
 		wg.Add(1)
-		go func(sub *obs.Sub) {
+		go func(sub *obs.Sub[emulator.Event]) {
 			defer wg.Done()
-			buf := make([]obs.SeqEvent, 512)
+			buf := make([]obs.Seq[emulator.Event], 512)
 			for {
 				n, open := sub.Next(buf)
 				if n == 0 {

@@ -3,7 +3,10 @@
 // per-function and per-checkpoint-site ledgers that reconcile exactly
 // against the run's energy total), a Chrome trace-event timeline
 // (Perfetto-loadable), a folded-stack exporter for energy flamegraphs,
-// and a raw NDJSON event stream.
+// and a raw NDJSON event stream. Hub is the retained fan-out log that
+// serves a run's events to live and resuming readers; it is generic over
+// its payload, so the server streams a grid's completed cells through
+// the same log.
 //
 // Every exporter is streaming: none retains the full event stream, so
 // observing a long run costs memory proportional to the program's shape

@@ -3,22 +3,22 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
-
-	"schematic/internal/emulator"
 )
 
-// SeqEvent is one emulator event stamped with its position in the run's
-// stream. Seq is dense and zero-based: the Nth event a hub sees gets
-// Seq N-1, so a subscriber can detect drops (a jump) and a resuming
-// client can name exactly where it left off.
-type SeqEvent struct {
+// Seq is one published payload stamped with its position in the log.
+// Seq is dense and zero-based: the Nth payload a hub sees gets Seq N-1,
+// so a subscriber can detect drops (a jump) and a resuming client can
+// name exactly where it left off.
+type Seq[T any] struct {
 	Seq   int64
-	Event emulator.Event
+	Event T
 }
 
-// Hub is a concurrent fan-out for one emulation run's event stream. It
-// is itself an emulator.Observer: the emulator delivers events
-// synchronously from its hot loop, and the hub
+// Hub is a concurrent fan-out for one log of payloads: an emulation
+// run's event stream (Hub[emulator.Event]) or a grid's completed cells.
+// Publishing is Event, so a *Hub[emulator.Event] is itself an
+// emulator.Observer: the emulator delivers events synchronously from
+// its hot loop, and the hub
 //
 //   - forwards each event to an optional inner observer (e.g. a
 //     Collector building attribution ledgers). A hub is not an
@@ -26,7 +26,8 @@ type SeqEvent struct {
 //     hubbed run steps and its Collector folds every charge into its
 //     ledgers itself, under the hub's lock;
 //   - retains the most recent events in a fixed ring buffer so late or
-//     resuming subscribers can replay history, and
+//     resuming subscribers can replay history (a ring as long as the
+//     log retains all of it), and
 //   - multicasts to any number of subscribers, each a bounded-window
 //     cursor into that ring.
 //
@@ -48,12 +49,12 @@ type SeqEvent struct {
 // The zero stages of observation stay free: a nil emulator observer
 // skips event construction entirely (the hub is simply not attached),
 // and a hub with no subscribers only appends to its preallocated ring.
-type Hub struct {
+type Hub[T any] struct {
 	mu     sync.Mutex
-	inner  emulator.Observer
-	ring   []SeqEvent // fixed-size; event seq s lives at s % len(ring)
-	next   int64      // events emitted so far == next seq to assign
-	subs   []*Sub     // a slice, not a map: Event iterates it per event
+	inner  interface{ Event(T) }
+	ring   []Seq[T]  // fixed-size; event seq s lives at s % len(ring)
+	next   int64     // events emitted so far == next seq to assign
+	subs   []*Sub[T] // a slice, not a map: Event iterates it per event
 	closed bool
 
 	dropped atomic.Int64 // events lost across all subscribers
@@ -67,13 +68,13 @@ const DefaultRing = 8192
 // ring <= 0). inner, when non-nil, receives every event synchronously
 // under the hub's lock before fan-out; Sync grants readers the same
 // lock, so inner's state can be snapshotted mid-run without a race.
-func NewHub(ring int, inner emulator.Observer) *Hub {
+func NewHub[T any](ring int, inner interface{ Event(T) }) *Hub[T] {
 	if ring <= 0 {
 		ring = DefaultRing
 	}
-	return &Hub{
+	return &Hub[T]{
 		inner: inner,
-		ring:  make([]SeqEvent, ring),
+		ring:  make([]Seq[T], ring),
 	}
 }
 
@@ -90,8 +91,8 @@ func NewHub(ring int, inner emulator.Observer) *Hub {
 //	}
 //
 // cursor, window, and limit are guarded by the hub's mutex.
-type Sub struct {
-	h       *Hub
+type Sub[T any] struct {
+	h       *Hub[T]
 	cursor  int64         // next seq this subscriber will read
 	window  int64         // max live backlog before the oldest pending events drop
 	limit   int64         // seq bound set by Unsubscribe; -1 = none
@@ -103,11 +104,11 @@ type Sub struct {
 // pending or the hub closed — call Next to find out. Signals coalesce:
 // any number of publishes while the reader is busy collapse into one
 // token, so a reader never queues stale wake-ups.
-func (s *Sub) Ready() <-chan struct{} { return s.sig }
+func (s *Sub[T]) Ready() <-chan struct{} { return s.sig }
 
 // Dropped counts events this subscriber lost by falling behind its
 // window (or the ring). It is safe to read while the run is live.
-func (s *Sub) Dropped() int64 { return s.dropped.Load() }
+func (s *Sub[T]) Dropped() int64 { return s.dropped.Load() }
 
 // Next copies pending events into buf in seq order, advancing the
 // cursor, and reports whether the feed is still open. n == 0 with
@@ -116,7 +117,7 @@ func (s *Sub) Dropped() int64 { return s.dropped.Load() }
 // remaining event delivered). If the ring lapped the cursor while
 // subscribed, the lost events are counted and the cursor jumps to the
 // oldest retained event (the seq jump is the caller's gap signal).
-func (s *Sub) Next(buf []SeqEvent) (n int, open bool) {
+func (s *Sub[T]) Next(buf []Seq[T]) (n int, open bool) {
 	h := s.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -142,11 +143,12 @@ func (s *Sub) Next(buf []SeqEvent) (n int, open bool) {
 	return n, s.cursor < hi || (s.limit < 0 && !h.closed)
 }
 
-// Event implements emulator.Observer. It never blocks: a subscriber
-// whose live backlog exceeds its window has its cursor pushed forward
-// (oldest pending events lost, drop counters incremented) rather than
-// waited on, and the wake signal is a non-blocking send.
-func (h *Hub) Event(e emulator.Event) {
+// Event publishes e; on a Hub[emulator.Event] it implements
+// emulator.Observer. It never blocks: a subscriber whose live backlog
+// exceeds its window has its cursor pushed forward (oldest pending
+// events lost, drop counters incremented) rather than waited on, and
+// the wake signal is a non-blocking send.
+func (h *Hub[T]) Event(e T) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -155,7 +157,7 @@ func (h *Hub) Event(e emulator.Event) {
 	if h.inner != nil {
 		h.inner.Event(e)
 	}
-	h.ring[h.next%int64(len(h.ring))] = SeqEvent{Seq: h.next, Event: e}
+	h.ring[h.next%int64(len(h.ring))] = Seq[T]{Seq: h.next, Event: e}
 	h.next++
 	for _, s := range h.subs {
 		if d := h.next - s.window - s.cursor; d > 0 {
@@ -186,7 +188,7 @@ func (h *Hub) Event(e emulator.Event) {
 // never clipped by the window — only a live publisher enforces it.
 // Subscribing to a closed hub still replays the ring; Next reports
 // open == false once it is drained.
-func (h *Hub) Subscribe(after int64, queue int) *Sub {
+func (h *Hub[T]) Subscribe(after int64, queue int) *Sub[T] {
 	if queue <= 0 {
 		queue = 1024
 	}
@@ -196,7 +198,7 @@ func (h *Hub) Subscribe(after int64, queue int) *Sub {
 	if after < h.next {
 		cur = max(after+1, h.next-int64(len(h.ring)), 0)
 	}
-	s := &Sub{h: h, cursor: cur, window: int64(queue), limit: -1, sig: make(chan struct{}, 1)}
+	s := &Sub[T]{h: h, cursor: cur, window: int64(queue), limit: -1, sig: make(chan struct{}, 1)}
 	if !h.closed {
 		h.subs = append(h.subs, s)
 	}
@@ -209,7 +211,7 @@ func (h *Hub) Subscribe(after int64, queue int) *Sub {
 // reports open == false). It is a no-op for subscribers already
 // detached (or for a closed hub, where Next is bounded by the close
 // instead).
-func (h *Hub) Unsubscribe(s *Sub) {
+func (h *Hub[T]) Unsubscribe(s *Sub[T]) {
 	h.mu.Lock()
 	for i, sub := range h.subs {
 		if sub == s {
@@ -229,7 +231,7 @@ func (h *Hub) Unsubscribe(s *Sub) {
 // (readers still drain whatever is pending; Next then reports
 // open == false), and later events are ignored. The ring stays
 // readable — Subscribe keeps working for replay. Close is idempotent.
-func (h *Hub) Close() {
+func (h *Hub[T]) Close() {
 	h.mu.Lock()
 	if !h.closed {
 		h.closed = true
@@ -246,7 +248,7 @@ func (h *Hub) Close() {
 
 // Emitted is the number of events the hub has seen (and therefore the
 // Seq the next event would get).
-func (h *Hub) Emitted() int64 {
+func (h *Hub[T]) Emitted() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.next
@@ -254,7 +256,7 @@ func (h *Hub) Emitted() int64 {
 
 // OldestRetained is the lowest Seq still in the ring (0 until the ring
 // wraps). Meaningless before any event was emitted.
-func (h *Hub) OldestRetained() int64 {
+func (h *Hub[T]) OldestRetained() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	lo := h.next - int64(len(h.ring))
@@ -265,7 +267,7 @@ func (h *Hub) OldestRetained() int64 {
 }
 
 // Retained is the number of events currently replayable from the ring.
-func (h *Hub) Retained() int64 {
+func (h *Hub[T]) Retained() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.next < int64(len(h.ring)) {
@@ -275,10 +277,10 @@ func (h *Hub) Retained() int64 {
 }
 
 // Dropped is the total number of events lost across all subscribers.
-func (h *Hub) Dropped() int64 { return h.dropped.Load() }
+func (h *Hub[T]) Dropped() int64 { return h.dropped.Load() }
 
 // Subscribers is the live subscriber count.
-func (h *Hub) Subscribers() int {
+func (h *Hub[T]) Subscribers() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.subs)
@@ -287,7 +289,7 @@ func (h *Hub) Subscribers() int {
 // Sync runs f under the hub's lock, excluding Event. Use it to read the
 // inner observer's state (e.g. Collector ledgers) while the run is
 // live. f must not call back into the hub.
-func (h *Hub) Sync(f func()) {
+func (h *Hub[T]) Sync(f func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	f()

@@ -13,9 +13,9 @@ import (
 
 // drainSub reads a subscriber to completion (open == false), returning
 // every delivered event in order.
-func drainSub(sub *obs.Sub) []obs.SeqEvent {
-	var out []obs.SeqEvent
-	buf := make([]obs.SeqEvent, 128)
+func drainSub(sub *obs.Sub[emulator.Event]) []obs.Seq[emulator.Event] {
+	var out []obs.Seq[emulator.Event]
+	buf := make([]obs.Seq[emulator.Event], 128)
 	for {
 		n, open := sub.Next(buf)
 		out = append(out, buf[:n]...)
@@ -40,13 +40,13 @@ func TestHubStress32Subscribers(t *testing.T) {
 	const nSlow = 6 // subscribers 0..5 are slow with 4-event windows
 
 	col := obs.NewCollector()
-	hub := obs.NewHub(1<<16, col)
+	hub := obs.NewHub[emulator.Event](1<<16, col)
 
 	type tally struct {
 		received int64
 		gapless  bool // seqs were 0,1,2,... with no holes
 	}
-	subs := make([]*obs.Sub, nSubs)
+	subs := make([]*obs.Sub[emulator.Event], nSubs)
 	tallies := make([]tally, nSubs)
 	var wg sync.WaitGroup
 	for i := 0; i < nSubs; i++ {
@@ -57,14 +57,14 @@ func TestHubStress32Subscribers(t *testing.T) {
 		sub := hub.Subscribe(-1, queue)
 		subs[i] = sub
 		wg.Add(1)
-		go func(i int, sub *obs.Sub) {
+		go func(i int, sub *obs.Sub[emulator.Event]) {
 			defer wg.Done()
 			next, gapless := int64(0), true
 			slowFor := 0
 			if i < nSlow {
 				slowFor = 32 // stall on the first events to force drops
 			}
-			buf := make([]obs.SeqEvent, 16)
+			buf := make([]obs.Seq[emulator.Event], 16)
 			for {
 				n, open := sub.Next(buf)
 				for j := 0; j < n; j++ {
@@ -141,7 +141,7 @@ func TestHubStress32Subscribers(t *testing.T) {
 // it replays nothing, and a ring smaller than the stream starts the
 // backlog at the oldest retained event (the caller-visible gap signal).
 func TestHubBacklogReplayAndResume(t *testing.T) {
-	hub := obs.NewHub(1<<16, nil)
+	hub := obs.NewHub[emulator.Event](1<<16, nil)
 	runObserved(t, hub)
 	hub.Close()
 
@@ -174,7 +174,7 @@ func TestHubBacklogReplayAndResume(t *testing.T) {
 			t.Fatalf("resume from %d replayed %d events from %d, want none", from, len(got), got[0].Seq)
 		}
 	}
-	live := obs.NewHub(1<<16, nil)
+	live := obs.NewHub[emulator.Event](1<<16, nil)
 	ev := emulator.Event{Kind: emulator.EvCharge, Class: emulator.ChargeCompute, Energy: 1}
 	for i := 0; i < 5; i++ {
 		live.Event(ev)
@@ -187,7 +187,7 @@ func TestHubBacklogReplayAndResume(t *testing.T) {
 	}
 
 	// A hub whose ring is smaller than the stream evicts the prefix.
-	small := obs.NewHub(64, nil)
+	small := obs.NewHub[emulator.Event](64, nil)
 	runObserved(t, small)
 	small.Close()
 	if small.OldestRetained() == 0 {
@@ -214,12 +214,12 @@ func TestHubBacklogReplayAndResume(t *testing.T) {
 func TestHubEventAllocFree(t *testing.T) {
 	ev := emulator.Event{Kind: emulator.EvCharge, Class: emulator.ChargeCompute, Energy: 1}
 
-	noSubs := obs.NewHub(1024, nil)
+	noSubs := obs.NewHub[emulator.Event](1024, nil)
 	if allocs := testing.AllocsPerRun(200, func() { noSubs.Event(ev) }); allocs != 0 {
 		t.Errorf("no-subscriber Event: %v allocs/op, want 0", allocs)
 	}
 
-	withSub := obs.NewHub(1024, nil)
+	withSub := obs.NewHub[emulator.Event](1024, nil)
 	sub := withSub.Subscribe(-1, 1<<20)
 	defer withSub.Unsubscribe(sub)
 	if allocs := testing.AllocsPerRun(200, func() { withSub.Event(ev) }); allocs != 0 {
@@ -262,7 +262,7 @@ func TestNilObserverRunAllocBaseline(t *testing.T) {
 // ignored, Unsubscribe after Close is a no-op, and a subscriber
 // detached mid-run stops at the detach point without disturbing others.
 func TestHubCloseSemantics(t *testing.T) {
-	hub := obs.NewHub(16, nil)
+	hub := obs.NewHub[emulator.Event](16, nil)
 	a := hub.Subscribe(-1, 16)
 	b := hub.Subscribe(-1, 16)
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"schematic/internal/bench"
+	"schematic/internal/obs"
 )
 
 // POST /v1/grid runs a benchmark × technique × TBPF matrix server-side:
@@ -184,20 +185,21 @@ func (s *Server) serveGrid(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 
-	prog := newGridProgress()
+	// The log holds every cell, so no subscriber loses one.
+	cellLog := obs.NewHub[gridCellEvent](len(cells), nil)
 	rs := newRunState("grid", gridDigest, fmt.Sprintf("grid[%d]", len(cells)), "")
-	rs.prog = prog
+	rs.cells = cellLog
 	rs = s.runs.register(rs)
 
 	s.gridRuns.Add(1)
 	start := time.Now()
-	resp := s.runGrid(&greq, cells, gridDigest, prog)
+	resp := s.runGrid(&greq, cells, gridDigest, cellLog)
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 
 	if rs != nil {
 		rs.finish(resp, nil)
 	}
-	prog.close()
+	cellLog.Close()
 	if s.cfg.Logf != nil {
 		s.cfg.Logf("grid %s cells=%d computed=%d cache=%d store=%d coalesced=%d errors=%d",
 			short(gridDigest), resp.CellsTotal, resp.CellsComputed, resp.CellsFromCache,
@@ -206,8 +208,9 @@ func (s *Server) serveGrid(w http.ResponseWriter, r *http.Request) int {
 	return s.respond(w, gridDigest, resp, nil)
 }
 
-// runGrid resolves every cell concurrently and assembles the table.
-func (s *Server) runGrid(greq *GridRequest, cells []gridCell, gridDigest string, prog *gridProgress) *GridResponse {
+// runGrid resolves every cell concurrently, publishes each completed
+// cell to cellLog and assembles the table.
+func (s *Server) runGrid(greq *GridRequest, cells []gridCell, gridDigest string, cellLog *obs.Hub[gridCellEvent]) *GridResponse {
 	resp := &GridResponse{
 		Digest:     gridDigest,
 		Benches:    greq.Benches,
@@ -218,9 +221,8 @@ func (s *Server) runGrid(greq *GridRequest, cells []gridCell, gridDigest string,
 		CellsTotal: len(cells),
 	}
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex // guards the counters and prog ordering
-		done int
+		wg sync.WaitGroup
+		mu sync.Mutex // guards the counters
 	)
 	for i := range cells {
 		wg.Add(1)
@@ -268,21 +270,17 @@ func (s *Server) runGrid(greq *GridRequest, cells []gridCell, gridDigest string,
 			if err != nil {
 				resp.CellErrors++
 			}
-			done++
+			mu.Unlock()
 			ev := gridCellEvent{
 				K: "cell", I: i,
 				Bench: c.bench, Technique: o.Technique, TBPF: o.TBPF, Power: o.Power,
-				Digest: c.digest, Source: source,
-				Done: done, Total: len(cells),
+				Digest: c.digest, Source: source, Error: cell.Error,
+				Total: len(cells),
 			}
 			if val != nil {
 				ev.Verdict = val.Verdict
 			}
-			if err != nil {
-				ev.Error = err.Error()
-			}
-			mu.Unlock()
-			prog.append(ev)
+			cellLog.Event(ev)
 		}(i)
 	}
 	wg.Wait()
@@ -296,7 +294,9 @@ func asEmulate(val any) *EmulateResponse {
 	return r
 }
 
-// gridCellEvent is the SSE progress record for one completed cell.
+// gridCellEvent is the SSE progress record for one completed cell. Done
+// is left to the stream, which sets it to the cell's 1-based position in
+// the grid's log: its frame id.
 type gridCellEvent struct {
 	K         string `json:"k"`
 	I         int    `json:"i"`
@@ -310,56 +310,4 @@ type gridCellEvent struct {
 	Error     string `json:"error,omitempty"`
 	Done      int    `json:"done"`
 	Total     int    `json:"total"`
-}
-
-// gridProgress is the grid's append-only progress log: one record per
-// completed cell, fully retained (grids are bounded by GridCellCap, so
-// no ring is needed), fanned out to SSE subscribers via a broadcast
-// wake channel.
-type gridProgress struct {
-	mu     sync.Mutex
-	events [][]byte // marshaled gridCellEvent, index == seq
-	wake   chan struct{}
-	closed bool
-}
-
-func newGridProgress() *gridProgress {
-	return &gridProgress{wake: make(chan struct{})}
-}
-
-// append records one cell completion and wakes every waiting subscriber.
-func (p *gridProgress) append(ev gridCellEvent) {
-	data, _ := json.Marshal(ev)
-	p.mu.Lock()
-	p.events = append(p.events, data)
-	close(p.wake)
-	p.wake = make(chan struct{})
-	p.mu.Unlock()
-}
-
-// close marks the log complete and wakes subscribers one last time.
-func (p *gridProgress) close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.wake)
-		p.wake = make(chan struct{})
-	}
-	p.mu.Unlock()
-}
-
-// len returns the number of records logged so far.
-func (p *gridProgress) len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.events)
-}
-
-// snapshot returns the records from index start (at most len()) on,
-// whether the log is complete, and a channel that closes on the next
-// append or close.
-func (p *gridProgress) snapshot(start int) ([][]byte, bool, <-chan struct{}) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.events[start:], p.closed, p.wake
 }

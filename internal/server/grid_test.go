@@ -242,6 +242,59 @@ func TestGridSSEProgress(t *testing.T) {
 	}
 }
 
+// TestGridCellOrder: the cells of a grid run concurrently, yet every
+// cell frame's done is its id, the cell's 1-based position in the grid's
+// log, and a resume from each id replays exactly the cells after it and
+// then the terminal record.
+func TestGridCellOrder(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	greq := GridRequest{
+		Benches:    []string{"crc"},
+		Techniques: []string{"schematic", "ratchet", "rockclimb", "allnvm"},
+		TBPFs:      []int64{500, 1000},
+		Options:    Options{ProfileRuns: 2},
+	}
+	code, body, _ := postGrid(t, ts, greq)
+	if code != http.StatusOK {
+		t.Fatalf("grid: status %d, body %s", code, body)
+	}
+	resp := decode[GridResponse](t, body)
+	n := resp.CellsTotal
+	if n < 8 {
+		t.Fatalf("grid has %d cells, want at least 8", n)
+	}
+	eventsURL := ts.URL + "/v1/runs/" + resp.Digest + "/events"
+	_, full := sseGet(t, eventsURL, -1)
+	frames := strings.SplitAfter(full, "\n\n")
+	frames = frames[:len(frames)-1] // the empty string after the last frame
+	if len(frames) != n+1 {
+		t.Fatalf("stream has %d frames, want %d cells and the terminal record:\n%s", len(frames), n, full)
+	}
+	seen := make(map[int]bool)
+	for k, fr := range frames[:n] {
+		head, data, _ := strings.Cut(fr, "\ndata: ")
+		if want := fmt.Sprintf("id: %d\nevent: cell", k+1); head != want {
+			t.Fatalf("frame %d opens %q, want %q", k, head, want)
+		}
+		var cell gridCellEvent
+		if err := json.Unmarshal([]byte(data), &cell); err != nil {
+			t.Fatalf("frame %d: %v", k, err)
+		}
+		if cell.Done != k+1 || cell.Total != n {
+			t.Errorf("cell frame id %d carries done %d of %d", k+1, cell.Done, cell.Total)
+		}
+		seen[cell.I] = true
+	}
+	if len(seen) != n {
+		t.Errorf("the stream names %d distinct cells, want %d", len(seen), n)
+	}
+	for from := 0; from <= n; from++ {
+		if _, got := sseGet(t, eventsURL, int64(from)); got != strings.Join(frames[from:], "") {
+			t.Errorf("resume from id %d:\n got %q\nwant the stream's last %d frames", from, got, n+1-from)
+		}
+	}
+}
+
 // TestGridClientDisconnect: the grid's client goes away mid-run; the
 // cell a plain request coalesced onto still completes and that follower
 // gets its 200. Admitted grids run to completion regardless of the

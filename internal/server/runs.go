@@ -28,10 +28,10 @@ type runState struct {
 	observed  bool
 	started   time.Time
 
-	hub  *obs.Hub       // nil for unobserved runs
-	coll *obs.Collector // non-nil iff hub is; read under hub.Sync while live
+	hub  *obs.Hub[emulator.Event] // nil for unobserved runs
+	coll *obs.Collector           // non-nil iff hub is; read under hub.Sync while live
 
-	prog *gridProgress // non-nil for grid runs: per-cell SSE progress log
+	cells *obs.Hub[gridCellEvent] // non-nil for grid runs: every completed cell
 
 	mu         sync.Mutex
 	status     string // "running", "done", "error"
@@ -45,7 +45,7 @@ type runState struct {
 }
 
 // newRunState builds a registrable running state; callers set the
-// kind-specific fields (hub/coll/stream/prog) before registering it.
+// kind-specific fields (hub/coll/stream/cells) before registering it.
 func newRunState(kind, digest, name, technique string) *runState {
 	return &runState{
 		digest:    digest,
@@ -290,13 +290,13 @@ func (g *runRegistry) droppedTotal() int64 {
 // that sees the channel close always finds the result.
 func (s *Server) runEmulateJob(ctx context.Context, req *Request, digest string, stream emulator.Observer) (*EmulateResponse, error) {
 	var (
-		hub      *obs.Hub
+		hub      *obs.Hub[emulator.Event]
 		coll     *obs.Collector
 		observer = stream
 	)
 	if req.Options.Observe {
 		coll = obs.NewCollector()
-		hub = obs.NewHub(s.cfg.RunEvents, coll)
+		hub = obs.NewHub[emulator.Event](s.cfg.RunEvents, coll)
 		observer = emulator.MultiObserver(hub, stream)
 	}
 	rs := newRunState("emulate", digest, req.Name, req.Options.Technique)
@@ -374,10 +374,9 @@ func (s *Server) serveRunDetail(w http.ResponseWriter, r *http.Request) int {
 // the first one every later write is a no-op (the client is gone — the
 // request context will end the handler).
 type sseWriter struct {
-	w    http.ResponseWriter
-	fl   http.Flusher
-	last int64 // last event seq written, for gap detection
-	err  error
+	w   http.ResponseWriter
+	fl  http.Flusher
+	err error
 }
 
 func (e *sseWriter) writef(format string, args ...any) {
@@ -387,17 +386,18 @@ func (e *sseWriter) writef(format string, args ...any) {
 	_, e.err = fmt.Fprintf(e.w, format, args...)
 }
 
-// event writes one emulator event, preceded by a gap marker when the
-// stream jumped (ring eviction before replay, or queue overflow drops).
-// An event at or before last, as after a resume id past the newest
-// event, missed nothing.
-func (e *sseWriter) event(se obs.SeqEvent) {
-	if missed := se.Seq - 1 - e.last; missed > 0 {
-		e.gap(missed)
-	}
-	e.last = se.Seq
-	data, _ := json.Marshal(seqRecord{I: se.Seq, Record: obs.NewRecord(se.Event)})
-	e.writef("id: %d\ndata: %s\n\n", se.Seq, data)
+// event writes one emulator event; its id is its seq.
+func (e *sseWriter) event(id int64, ev emulator.Event) {
+	data, _ := json.Marshal(seqRecord{I: id, Record: obs.NewRecord(ev)})
+	e.writef("id: %d\ndata: %s\n\n", id, data)
+}
+
+// cell writes one completed grid cell; its id and done are its 1-based
+// position in the grid's log.
+func (e *sseWriter) cell(id int64, c gridCellEvent) {
+	c.Done = int(id)
+	data, _ := json.Marshal(c)
+	e.writef("id: %d\nevent: cell\ndata: %s\n\n", id, data)
 }
 
 // gap tells the client how many events it missed. Gap markers carry no
@@ -492,92 +492,79 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) int {
 	s.sseSubs.Add(1)
 	defer s.sseSubs.Add(-1)
 
-	esw := &sseWriter{w: w, fl: fl, last: after}
+	esw := &sseWriter{w: w, fl: fl}
 	hb := time.NewTicker(s.cfg.SSEHeartbeat)
 	defer hb.Stop()
-
-	if rs.prog != nil {
-		// Grid run: replay the per-cell progress log (event id N = the
-		// Nth completed cell, so Last-Event-ID resumes cleanly), then
-		// follow live completions until the grid's terminal record.
-		// Ids are 1-based, so index next is the first unseen record. An
-		// id at or past the log's end is caught up, as on the hub path.
-		next := int(min(max(after, 0), int64(rs.prog.len())))
+	// wait blocks until ready fires, sending heartbeats meanwhile, and
+	// reports false when the client leaves or the server drains first.
+	wait := func(ready <-chan struct{}) bool {
 		for {
-			events, closed, wake := rs.prog.snapshot(next)
-			for _, data := range events {
-				next++
-				esw.writef("id: %d\nevent: cell\ndata: %s\n\n", next, data)
-			}
-			if len(events) > 0 {
-				esw.flush()
-			}
-			if closed {
-				esw.terminal(rs, int64(next)+1)
-				return http.StatusOK
-			}
 			select {
-			case <-wake:
+			case <-ready:
+				return true
 			case <-hb.C:
 				esw.comment("hb")
 			case <-r.Context().Done():
-				return http.StatusOK
+				return false
 			case <-s.drainCh:
 				esw.drain()
-				return http.StatusOK
+				return false
 			}
 		}
 	}
 
-	if rs.hub == nil {
+	switch {
+	case rs.cells != nil:
+		// A grid's log holds every cell and no window is shorter than
+		// the log, so its stream has no gaps.
+		follow(esw, rs, rs.cells, after, 1, s.cfg.GridCellCap, wait, esw.cell)
+	case rs.hub != nil:
+		follow(esw, rs, rs.hub, after, 0, s.cfg.SubQueue, wait, esw.event)
+	default:
 		// Unobserved run: no event stream, just heartbeats until the
 		// terminal record.
-		for {
-			select {
-			case <-rs.done:
-				esw.terminal(rs, 0)
-				return http.StatusOK
-			case <-hb.C:
-				esw.comment("hb")
-			case <-r.Context().Done():
-				return http.StatusOK
-			case <-s.drainCh:
-				esw.drain()
-				return http.StatusOK
-			}
+		if wait(rs.done) {
+			esw.terminal(rs, 0)
 		}
 	}
+	return http.StatusOK
+}
 
-	sub := rs.hub.Subscribe(after, s.cfg.SubQueue)
-	defer rs.hub.Unsubscribe(sub)
-	buf := make([]obs.SeqEvent, 512)
+// follow streams a run's log to esw: the retained entries after the
+// resume id first, then live ones, each written by frame under the id
+// seq+base and preceded by a gap marker where ids jump (ring eviction
+// before replay, or queue overflow drops), and, once the log closes,
+// the run's terminal record. An entry at or before the resume id, as
+// after a resume id past the newest entry, missed nothing. It returns
+// early, with no terminal record, when wait reports false.
+func follow[T any](esw *sseWriter, rs *runState, hub *obs.Hub[T], after, base int64, queue int,
+	wait func(<-chan struct{}) bool, frame func(id int64, e T)) {
+	sub := hub.Subscribe(after-base, queue)
+	defer hub.Unsubscribe(sub)
+	last := max(after, base-1)
+	buf := make([]obs.Seq[T], 512)
 	for {
+		n, open := sub.Next(buf)
+		for _, se := range buf[:n] {
+			id := se.Seq + base
+			if missed := id - 1 - last; missed > 0 {
+				esw.gap(missed)
+			}
+			last = id
+			frame(id, se.Event)
+		}
 		// Drain everything pending before flushing, so a hot stream
 		// costs one flush per batch, not per event.
-		for {
-			n, open := sub.Next(buf)
-			for i := 0; i < n; i++ {
-				esw.event(buf[i])
-			}
-			if n == len(buf) {
-				continue
-			}
-			esw.flush()
-			if !open {
-				esw.terminal(rs, rs.hub.Emitted())
-				return http.StatusOK
-			}
-			break
+		if n == len(buf) {
+			continue
 		}
-		select {
-		case <-sub.Ready():
-		case <-hb.C:
-			esw.comment("hb")
-		case <-r.Context().Done():
-			return http.StatusOK
-		case <-s.drainCh:
-			esw.drain()
-			return http.StatusOK
+		esw.flush()
+		if !open {
+			esw.terminal(rs, hub.Emitted()+base)
+			return
+		}
+		if !wait(sub.Ready()) {
+			return
 		}
 	}
 }

@@ -25,7 +25,7 @@ func observedOpts(technique string) Options {
 
 // startRun registers a fresh emulate-kind run the way runEmulateJob
 // does — the test-side shorthand for newRunState + register.
-func startRun(g *runRegistry, digest string, req *Request, hub *obs.Hub, coll *obs.Collector) *runState {
+func startRun(g *runRegistry, digest string, req *Request, hub *obs.Hub[emulator.Event], coll *obs.Collector) *runState {
 	rs := newRunState("emulate", digest, req.Name, req.Options.Technique)
 	rs.observed = hub != nil
 	rs.hub = hub
@@ -337,7 +337,7 @@ func TestSSELiveHeartbeatAndResult(t *testing.T) {
 func TestSSELiveStreamAndDrainTeardown(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	digest := strings.Repeat("cd", 32)
-	hub := obs.NewHub(1024, nil)
+	hub := obs.NewHub[emulator.Event](1024, nil)
 	rs := startRun(s.runs, digest, &Request{Name: "live", Options: Options{Technique: "schematic"}}, hub, obs.NewCollector())
 	if rs == nil {
 		t.Fatal("run not registered")

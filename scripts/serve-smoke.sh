@@ -7,9 +7,10 @@
 # the live console (dashboard page, observed emulation, run registry,
 # SSE stream followed to its terminal result), round-trips an exhaustive
 # verification through POST /v1/verify (cached on resubmission), tails a
-# grid and a failed emulation to their terminal records, checks which
-# of them shared the compile and profile stages, and checks the daemon
-# drains cleanly on SIGTERM (exit 0). Wired into `make ci`.
+# grid (and resumes it from its first cell) and a failed emulation to
+# their terminal records, checks which of them shared the compile and
+# profile stages, and checks the daemon drains cleanly on SIGTERM
+# (exit 0). Wired into `make ci`.
 set -eu
 
 tmp=$(mktemp -d)
@@ -124,6 +125,16 @@ grid_digest=$(grep -m1 '"digest"' "$tmp/grid.json" | cut -d'"' -f4)
 ctl tail "$grid_digest" >"$tmp/grid.ndjson"
 tail -1 "$tmp/grid.ndjson" | grep -q '"k":"result"'
 tail -1 "$tmp/grid.ndjson" | grep -q '"cells_total":2'
+# Before it come exactly the two cells, each numbered by its frame id,
+# and a second process resuming from the first cell's id gets only the
+# second cell and the table.
+[ "$(wc -l <"$tmp/grid.ndjson")" -eq 3 ]
+sed -n 1p "$tmp/grid.ndjson" | grep -q '"k":"cell".*"done":1,"total":2}'
+sed -n 2p "$tmp/grid.ndjson" | grep -q '"k":"cell".*"done":2,"total":2}'
+ctl tail -from 1 "$grid_digest" >"$tmp/grid-resumed.ndjson"
+[ "$(wc -l <"$tmp/grid-resumed.ndjson")" -eq 2 ]
+sed -n 1p "$tmp/grid-resumed.ndjson" | grep -q '"k":"cell".*"done":2,"total":2}'
+tail -1 "$tmp/grid-resumed.ndjson" | grep -q '"k":"result"'
 
 # The compile, both emulates and the ratchet cell shared one crc front
 # end and one crc profile (the schematic cell was a result-cache hit).
