@@ -170,12 +170,9 @@ type hooked struct {
 	// sums are the commutative 128-bit sums over per-cell hashes of NVM
 	// and the counters (order-independent, incrementally updated);
 	// snapLane is the sequential hash of the committed snapshot + output
-	// prefix, recomputed only when a snapshot commits. hashed is their
-	// fold, current while hashOK.
+	// prefix, recomputed only when a snapshot commits.
 	sums                 laneSums
 	snapLane1, snapLane2 uint64
-	hashed               StateHash
-	hashOK               bool
 	// joins is the run's power failures plus sleeps at its last offer,
 	// -1 before the first (see offerKey).
 	joins int

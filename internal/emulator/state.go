@@ -177,14 +177,11 @@ func vmLane(slot int32, data []int64) uint64 {
 }
 
 // snapshotLane hashes a committed snapshot plus the committed output
-// prefix sequentially, from scratch: each frame by its block's ordinal,
-// and each VM-image entry from its words. Done is deliberately excluded
-// (bookkeeping, not behavior); everything else in the snapshot is
-// behavioral.
-func snapshotLane(sn *snapshot, out []int64) (uint64, uint64) {
-	if sn == nil {
-		return coldTag, coldTag
-	}
+// prefix sequentially: each frame by its block's ordinal, and each
+// VM-image entry by its lane in vmLanes (vmLane of its slot and words).
+// Done is deliberately excluded (bookkeeping, not behavior); everything
+// else in the snapshot is behavioral.
+func snapshotLane(sn *snapshot, vmLanes []uint64, out []int64) (uint64, uint64) {
 	h := uint64(fnvOffset64)
 	h = seqHash(h, uint64(len(sn.frames)))
 	for i := range sn.frames {
@@ -203,8 +200,8 @@ func snapshotLane(sn *snapshot, out []int64) (uint64, uint64) {
 		}
 	}
 	h = seqHash(h, uint64(len(sn.vmSlots)))
-	for i, slot := range sn.vmSlots {
-		h = seqHash(h, vmLane(slot, sn.vmData[i]))
+	for _, lane := range vmLanes {
+		h = seqHash(h, lane)
 	}
 	h = seqHash(h, uint64(len(sn.restores)))
 	for _, slot := range sn.restores {
@@ -261,7 +258,14 @@ func combineLanes(s laneSums, snap1, snap2 uint64) StateHash {
 // incrementally during a hooked run; state_test holds the two
 // computations equal.
 func (ps *PersistentState) Hash() StateHash {
-	s1, s2 := snapshotLane(ps.snap, ps.out)
+	s1, s2 := uint64(coldTag), uint64(coldTag)
+	if sn := ps.snap; sn != nil {
+		lanes := make([]uint64, len(sn.vmSlots))
+		for i, slot := range sn.vmSlots {
+			lanes[i] = vmLane(slot, sn.vmData[i])
+		}
+		s1, s2 = snapshotLane(sn, lanes, ps.out)
+	}
 	return combineLanes(sumLanes(ps.nvm, ps.counters), s1, s2)
 }
 
@@ -403,53 +407,16 @@ func (mc *machine) resume(ps *PersistentState) {
 // mutation updates them incrementally.
 
 // refreshSnapLane recomputes the snapshot+output lane from the live
-// snapshot: each frame by its block's ordinal, the VM image from the
-// per-slot lanes the snapshot recorded. Called when a snapshot commits
-// (takeSnapshot) — the only event that changes it — and at boot.
+// snapshot, with the per-slot lanes the snapshot recorded. Called when a
+// snapshot commits (takeSnapshot) — the only event that changes it —
+// and at boot.
 func (mc *machine) refreshSnapLane() {
-	hk := mc.h
-	hk.hashOK = false
-	sn := mc.snap
+	hk, sn := mc.h, mc.snap
 	if sn == nil {
 		hk.snapLane1, hk.snapLane2 = coldTag, coldTag
 		return
 	}
-	h := uint64(fnvOffset64)
-	h = seqHash(h, uint64(len(sn.frames)))
-	for i := range sn.frames {
-		f := &sn.frames[i]
-		h = seqHash(h, uint64(f.cb.ID()))
-		h = seqHash(h, uint64(f.pc))
-		h = seqHash(h, uint64(len(f.regs)))
-		for _, r := range f.regs {
-			h = seqHash(h, uint64(r))
-		}
-		h = seqHash(h, uint64(f.retReg))
-		if f.wantRet {
-			h = seqHash(h, 1)
-		} else {
-			h = seqHash(h, 0)
-		}
-	}
-	h = seqHash(h, uint64(len(sn.vmSlots)))
-	for _, lane := range sn.vmLanes {
-		h = seqHash(h, lane)
-	}
-	h = seqHash(h, uint64(len(sn.restores)))
-	for _, slot := range sn.restores {
-		h = seqHash(h, uint64(uint32(slot)))
-	}
-	if sn.lazy {
-		h = seqHash(h, 1)
-	} else {
-		h = seqHash(h, 0)
-	}
-	h = seqHash(h, uint64(uint32(sn.site)))
-	h = seqHash(h, uint64(sn.outLen))
-	for _, v := range mc.out[:sn.outLen] {
-		h = seqHash(h, uint64(v))
-	}
-	hk.snapLane1, hk.snapLane2 = h, mix64(h^laneSeed2)
+	hk.snapLane1, hk.snapLane2 = snapshotLane(sn, sn.vmLanes, mc.out[:sn.outLen])
 }
 
 // recordLane returns the VM-image lane of the slot's current words,
@@ -466,15 +433,10 @@ func (mc *machine) recordLane(slot int32, src []int64) uint64 {
 }
 
 // stateHash folds the live lanes into the canonical hash — the value
-// PersistentState.Hash would compute for captureState() — and keeps
-// the fold until a lane moves.
+// PersistentState.Hash would compute for captureState().
 func (mc *machine) stateHash() StateHash {
 	h := mc.h
-	if !h.hashOK {
-		h.hashed = combineLanes(h.sums, h.snapLane1, h.snapLane2)
-		h.hashOK = true
-	}
-	return h.hashed
+	return combineLanes(h.sums, h.snapLane1, h.snapLane2)
 }
 
 // fullKey is the full-state key a commit offers (CommitVisit.Key): the
@@ -556,7 +518,6 @@ func (mc *machine) moveNVMLanes(slot int32, idx int, old, val int64) {
 	n1, n2 := cellHash(slot, idx, val)
 	h.sums.nvm1 += n1 - o1
 	h.sums.nvm2 += n2 - o2
-	h.hashOK = false
 }
 
 // ownNVM returns the slot's NVM words for a hooked write, first copying
@@ -622,7 +583,6 @@ func (mc *machine) bumpCounter(id int) int64 {
 		n1, n2 := ctrHash(id, v)
 		h.sums.ctr1 += n1
 		h.sums.ctr2 += n2
-		h.hashOK = false
 	}
 	mc.counters[id] = v
 	return v
