@@ -77,9 +77,10 @@ func main() {
 		fail(err)
 	}
 	_, isSchematic := tech.(bench.Schematic)
+	_, isAllNVM := tech.(bench.Variant) // the one Variant TechniqueByName returns
 	model := energy.MSP430FR5969()
 	var prof *trace.Profile
-	if tech != nil && (isSchematic || tech == bench.AllNVMTechnique() || *tbpf > 0) {
+	if tech != nil && (isSchematic || isAllNVM || *tbpf > 0) {
 		prof, err = trace.Collect(m, trace.Options{Runs: *profileRuns, Seed: *seed, Model: model})
 		fail(err)
 	}

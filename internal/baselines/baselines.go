@@ -1,10 +1,10 @@
 // Package baselines holds the common interface and shared transformation
 // helpers of the four reference techniques the paper compares SCHEMATIC
-// against (IV-A-b): RATCHET, MEMENTOS, ROCKCLIMB, and ALFRED, plus the
-// All-NVM ablation of Fig. 7. Each technique lives in its own subpackage
-// and transforms a module on the same IR and emulator substrate, mirroring
-// how the paper re-implemented every baseline inside ScEpTIC for a fair
-// comparison.
+// against (IV-A-b): RATCHET, MEMENTOS, ROCKCLIMB, and ALFRED. (The All-NVM
+// ablation of Fig. 7 is a SCHEMATIC configuration, bench.AllNVMTechnique.)
+// Each technique lives in its own subpackage and transforms a module on
+// the same IR and emulator substrate, mirroring how the paper
+// re-implemented every baseline inside ScEpTIC for a fair comparison.
 package baselines
 
 import (

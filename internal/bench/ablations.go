@@ -40,6 +40,9 @@ func (v Variant) Apply(m *ir.Module, p baselines.Params) error {
 	return err
 }
 
+// noVM disables VM allocation: every variable stays in NVM.
+func noVM(c *schematic.Config) { c.DisableVM = true }
+
 // Variants returns the ablation variants in presentation order.
 func Variants() []Variant {
 	return []Variant{
@@ -50,9 +53,7 @@ func Variants() []Variant {
 		{Label: "NoLiveness", Adjust: func(c *schematic.Config) {
 			c.DisableLivenessRefinement = true
 		}},
-		{Label: "NoVM", Adjust: func(c *schematic.Config) {
-			c.DisableVM = true
-		}},
+		{Label: "NoVM", Adjust: noVM},
 		{Label: "RefinedRegs", Adjust: func(c *schematic.Config) {
 			c.RefineRegisterLiveness = true
 		}},

@@ -9,7 +9,6 @@ import (
 
 	"schematic/internal/baselines"
 	"schematic/internal/baselines/alfred"
-	"schematic/internal/baselines/allnvm"
 	"schematic/internal/baselines/mementos"
 	"schematic/internal/baselines/ratchet"
 	"schematic/internal/baselines/rockclimb"
@@ -55,8 +54,11 @@ func Techniques() []baselines.Technique {
 	}
 }
 
-// AllNVMTechnique returns the Fig. 7 ablation.
-func AllNVMTechnique() baselines.Technique { return allnvm.AllNVM{} }
+// AllNVMTechnique returns the Fig. 7 ablation: SCHEMATIC with memory
+// allocation disabled, so checkpoint placement still adapts to the
+// platform but every variable stays in NVM. It is the only Variant
+// TechniqueByName returns.
+func AllNVMTechnique() baselines.Technique { return Variant{Label: "All-NVM", Adjust: noVM} }
 
 // TechniqueByName resolves the five techniques and the All-NVM ablation
 // by display name, as repro files store it ("Ratchet", "All-NVM"), or by
