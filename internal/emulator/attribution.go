@@ -59,7 +59,7 @@ type SiteShare struct {
 // the machine sends it no EvCharge and no EvBlockEnter, and fills the
 // Attribution it returns instead (an Attributor that reads no energy
 // returns nil). Every other event reaches it exactly as on the stepped
-// path, field for field, except EvPowerFailure's Seq.
+// path, field for field.
 //
 // A run whose observer opts out this way batches where an unobserved
 // run does. A MultiObserver opts out when every member does and at most

@@ -335,14 +335,16 @@ type VerifyResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// RunSummary is one retained emulation in GET /v1/runs. Events,
-// EventsRetained, Subscribers and DroppedEvents are zero for
-// unobserved runs (options.observe was false).
+// RunSummary is one retained run in GET /v1/runs: an emulation, a
+// verification or a grid. Events, EventsRetained, Subscribers and
+// DroppedEvents describe an observed emulation's event stream; they are
+// zero for every other run: an unobserved emulation (options.observe was
+// false), a verification, and a grid, whose stream carries its cells.
 type RunSummary struct {
 	Digest    string `json:"digest"`
 	Name      string `json:"name"`
 	Technique string `json:"technique"`
-	Kind      string `json:"kind,omitempty"` // "emulate" (default) or "verify"
+	Kind      string `json:"kind,omitempty"` // "emulate", "verify" or "grid"
 	Status    string `json:"status"`         // "running", "done", "error"
 	Observed  bool   `json:"observed"`
 	Stream    bool   `json:"stream,omitempty"`
