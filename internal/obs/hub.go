@@ -27,7 +27,7 @@ type Seq[T any] struct {
 //     ledgers itself, under the hub's lock;
 //   - retains the most recent events in a fixed ring buffer so late or
 //     resuming subscribers can replay history (a ring as long as the
-//     log retains all of it), and
+//     whole log, read with a window as long, loses nothing), and
 //   - multicasts to any number of subscribers, each a bounded-window
 //     cursor into that ring.
 //
